@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -74,7 +75,7 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
                        rt::TransportBackend backend,
                        SigScheme sig = SigScheme::kIdeal,
                        std::optional<bool> pool = std::nullopt,
-                       bool batching = true, SimTime beat = kBeat) {
+                       SimTime beat = kBeat) {
   brb::BrbFactory factory;
   rt::ThreadedConfig cfg;
   cfg.n_servers = n;
@@ -83,7 +84,6 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
   cfg.backend = backend;  // kTcp: ephemeral localhost ports
   cfg.sig_scheme = sig;
   cfg.use_verifier_pool = pool;  // nullopt = automatic (on iff sig is real)
-  cfg.batching = batching;
   rt::ThreadedRuntime runtime(factory, cfg);
   if (runtime.tcp() && !runtime.tcp()->ok()) return {};
   const auto t0 = std::chrono::steady_clock::now();
@@ -157,68 +157,54 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
   report.add("signatures_ab", table);
 }
 
-// CLAIM-BATCH-AB: end-to-end dissemination batching (DESIGN.md §13) on vs
-// off, same seed and workload. The 1ms-beat sweep above is pacing-bound —
-// nodes idle between beats, the adaptive flush finds the socket writable
-// and sends plain frames, and both modes measure the same ceiling. This
-// sweep makes the *wire* the bottleneck instead: 200µs beats and a deeper
-// request backlog, so per-envelope cost (one frame encode + one write()
-// each) dominates and coalescing has something to amortize. `batch off`
-// takes the exact pre-batching code path (per-task mailbox wakeups,
-// per-envelope sends) — the honest baseline. Convergence (Lemma 3.7:
-// every server's DAG digest byte-identical) is asserted per leg and a
-// divergence fails the bench run with exit 1: a throughput delta between
-// runs that did not reach the same joint DAG would be meaningless.
-bool sweep_batching(BenchReport& report, SimTime duration) {
+// FAST-BEAT: the wire as the bottleneck. The 1ms-beat sweep above is
+// pacing-bound — nodes idle between beats, the adaptive flush finds the
+// socket writable and sends plain frames. Here 200µs beats and a deeper
+// request backlog make per-envelope cost dominate, so envelopes coalesce
+// into kBatch frames (DESIGN.md §13); the batch columns show how much.
+// Convergence (Lemma 3.7: every server's DAG digest byte-identical) is
+// asserted per leg and a divergence fails the bench run with exit 1: a
+// throughput number from a run that did not reach one joint DAG would be
+// meaningless.
+bool sweep_fast_beat(BenchReport& report, SimTime duration) {
   constexpr SimTime kFastBeat = sim_us(200);
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
                      : std::vector<std::uint32_t>{4, 8, 16};
-  std::printf("\nCLAIM-BATCH-AB (tcp): dissemination batching on vs off, 200us beats\n");
-  Table table({"n", "batch", "blocks", "blocks/s", "speedup", "batches",
-               "env/batch", "writev", "converged"});
+  std::printf("\nFAST-BEAT (tcp): dissemination at 200us beats\n");
+  Table table({"n", "blocks", "blocks/s", "batches", "env/batch", "writev",
+               "converged"});
   bool all_converged = true;
   for (std::uint32_t n : ns) {
     const std::uint32_t requests = 8 * n;
-    double off_rate = 0;
-    for (const bool batching : {false, true}) {
-      const RunResult r =
-          run_threaded(n, duration, requests, rt::TransportBackend::kTcp,
-                       SigScheme::kIdeal, std::nullopt, batching, kFastBeat);
-      all_converged = all_converged && r.converged;
-      if (!batching) off_rate = r.blocks_per_s();
-      const double env_per_batch =
-          r.batches ? static_cast<double>(r.batched_envelopes) /
-                          static_cast<double>(r.batches)
-                    : 0;
-      table.add_row(
-          {Table::num(static_cast<std::uint64_t>(n)), batching ? "on" : "off",
-           Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
-           batching && off_rate > 0
-               ? Table::num(r.blocks_per_s() / off_rate, 2) + "x"
-               : "1.00x",
-           Table::num(r.batches), Table::num(env_per_batch, 1),
-           Table::num(r.writev_calls), r.converged ? "yes" : "NO"});
-    }
+    const RunResult r =
+        run_threaded(n, duration, requests, rt::TransportBackend::kTcp,
+                     SigScheme::kIdeal, std::nullopt, kFastBeat);
+    all_converged = all_converged && r.converged;
+    const double env_per_batch =
+        r.batches ? static_cast<double>(r.batched_envelopes) /
+                        static_cast<double>(r.batches)
+                  : 0;
+    table.add_row({Table::num(static_cast<std::uint64_t>(n)),
+                   Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
+                   Table::num(r.batches), Table::num(env_per_batch, 1),
+                   Table::num(r.writev_calls), r.converged ? "yes" : "NO"});
   }
-  report.add("batching_ab", table);
+  report.add("fast_beat", table);
   if (!all_converged) {
-    std::printf("FAIL: a batching A/B leg diverged (Lemma 3.7 digest mismatch)\n");
+    std::printf("FAIL: a fast-beat leg diverged (Lemma 3.7 digest mismatch)\n");
   }
   return all_converged;
 }
 
-// CLAIM-BATCH-WIRE: the send path in isolation — what coalescing itself
-// buys, with no protocol stack in the way. The system-level A/B above
-// measures blocks/s with DAG insertion, interpretation and signature
-// checks competing for the same cores; on a narrow box those dominate
-// and cap the visible gain. Here the workload is the raw wire pattern of
-// a dissemination beat — every server broadcasts one small envelope per
-// round, n·(n−1) envelopes crossing real sockets (plus n self-deliveries)
-// — and the handler just counts. off: every envelope is its own frame encode + write() + one
-// mailbox task at the receiver. on: pending envelopes pack into kBatch
-// frames drained by writev, one mailbox task dispatching a whole batch.
-// The flow-control window keeps the driver inside the per-peer queue
+// WIRE: the send path in isolation, with no protocol stack in the way.
+// The system-level sweeps above measure blocks/s with DAG insertion,
+// interpretation and signature checks competing for the same cores. Here
+// the workload is the raw wire pattern of a dissemination beat — every
+// server broadcasts one small envelope per round, n·(n−1) envelopes
+// crossing real sockets (plus n self-deliveries) — and the handler just
+// counts. Pending envelopes pack into kBatch frames drained by writev, one
+// mailbox task dispatching a whole batch. The flow-control window keeps the driver inside the per-peer queue
 // caps so nothing is evicted: every sent envelope is delivered and the
 // clock stops only when the last one lands.
 struct WireResult {
@@ -235,8 +221,7 @@ struct WireResult {
   }
 };
 
-WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload,
-                    bool batching) {
+WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload) {
   rt::IdleTracker idle;
   std::vector<std::unique_ptr<rt::Mailbox>> mailboxes;
   std::vector<rt::Mailbox*> raw;
@@ -246,7 +231,6 @@ WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload,
   }
   rt::TcpConfig cfg;
   cfg.n_servers = n;
-  cfg.batch_enabled = batching;
   rt::TcpTransport transport(cfg, raw, &idle);
   if (!transport.ok()) return {};
   std::atomic<std::uint64_t> received{0};
@@ -258,11 +242,12 @@ WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload,
   std::vector<std::thread> consumers;
   for (std::uint32_t s = 0; s < n; ++s) {
     consumers.emplace_back([m = raw[s]] {
-      rt::Mailbox::Task task;
-      while (m->pop(task)) {
-        task();
-        task = nullptr;
-        m->task_done();
+      std::deque<rt::Mailbox::Task> batch;
+      while (m->pop_all(batch)) {
+        const std::uint64_t n_tasks = batch.size();
+        for (rt::Mailbox::Task& task : batch) task();
+        batch.clear();
+        m->task_done(n_tasks);
       }
     });
   }
@@ -310,34 +295,26 @@ WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload,
 bool sweep_wire(BenchReport& report) {
   const std::uint32_t n = report.smoke() ? 4 : 8;
   const std::uint64_t rounds = report.smoke() ? 400 : 4000;
-  std::printf("\nCLAIM-BATCH-WIRE (tcp): raw dissemination wire pattern, n=%u\n", n);
-  Table table({"payload B", "batch", "envelopes", "env/s", "speedup",
-               "batches", "env/batch", "resets", "evicted", "complete"});
+  std::printf("\nWIRE (tcp): raw dissemination wire pattern, n=%u\n", n);
+  Table table({"payload B", "envelopes", "env/s", "batches", "env/batch",
+               "resets", "evicted", "complete"});
   bool all_complete = true;
   for (const std::size_t payload : {96, 1024}) {
-    double off_rate = 0;
-    for (const bool batching : {false, true}) {
-      const WireResult r = run_wire(n, rounds, payload, batching);
-      all_complete = all_complete && r.complete;
-      if (!batching) off_rate = r.env_per_s();
-      const double env_per_batch =
-          r.batches ? static_cast<double>(r.batched_envelopes) /
-                          static_cast<double>(r.batches)
-                    : 0;
-      table.add_row({Table::num(static_cast<std::uint64_t>(payload)),
-                     batching ? "on" : "off", Table::num(r.envelopes),
-                     Table::num(r.env_per_s(), 0),
-                     batching && off_rate > 0
-                         ? Table::num(r.env_per_s() / off_rate, 2) + "x"
-                         : "1.00x",
-                     Table::num(r.batches), Table::num(env_per_batch, 1),
-                     Table::num(r.resets), Table::num(r.evicted),
-                     r.complete ? "yes" : "NO"});
-    }
+    const WireResult r = run_wire(n, rounds, payload);
+    all_complete = all_complete && r.complete;
+    const double env_per_batch =
+        r.batches ? static_cast<double>(r.batched_envelopes) /
+                        static_cast<double>(r.batches)
+                  : 0;
+    table.add_row({Table::num(static_cast<std::uint64_t>(payload)),
+                   Table::num(r.envelopes), Table::num(r.env_per_s(), 0),
+                   Table::num(r.batches), Table::num(env_per_batch, 1),
+                   Table::num(r.resets), Table::num(r.evicted),
+                   r.complete ? "yes" : "NO"});
   }
-  report.add("batching_wire_ab", table);
+  report.add("wire", table);
   if (!all_complete) {
-    std::printf("FAIL: a wire A/B leg lost envelopes (eviction or timeout)\n");
+    std::printf("FAIL: a wire leg lost envelopes (eviction or timeout)\n");
   }
   return all_complete;
 }
@@ -379,7 +356,7 @@ int main(int argc, char** argv) {
   }
   report.add("throughput", table);
   sweep_signatures(report, duration);
-  const bool batching_ok = sweep_batching(report, duration);
+  const bool fast_beat_ok = sweep_fast_beat(report, duration);
   const bool wire_ok = sweep_wire(report);
   report.note("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   std::printf(
@@ -388,9 +365,9 @@ int main(int argc, char** argv) {
       "is the price of the real network stack: frame codec, syscalls,\n"
       "kernel socket buffers and the poll-thread handoff. In the sig A/B,\n"
       "ideal→'inline' prices real verification on the gossip thread;\n"
-      "'inline'→'+pool' is the verifier pool's claw-back. In the batch A/B,\n"
-      "off→on is what coalescing small writes into kBatch frames buys once\n"
-      "the wire, not the pacing clock, is the bottleneck.\n");
+      "'inline'→'+pool' is the verifier pool's claw-back. fast_beat makes\n"
+      "the wire, not the pacing clock, the bottleneck; wire times the send\n"
+      "path alone.\n");
   const int rc = report.finish();
-  return batching_ok && wire_ok ? rc : 1;
+  return fast_beat_ok && wire_ok ? rc : 1;
 }

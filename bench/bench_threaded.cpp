@@ -59,13 +59,12 @@ RunResult run_sim(std::uint32_t n, SimTime virtual_duration, std::uint32_t reque
 }
 
 RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t requests,
-                       bool batching = true, SimTime beat = kBeat) {
+                       SimTime beat = kBeat) {
   brb::BrbFactory factory;
   rt::ThreadedConfig cfg;
   cfg.n_servers = n;
   cfg.seed = 42 + n;
   cfg.pacing.interval = beat;
-  cfg.batching = batching;
   rt::ThreadedRuntime runtime(factory, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   runtime.start();
@@ -85,41 +84,31 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
   return out;
 }
 
-// CLAIM-BATCH-AB on the loopback backend: no sockets, so this isolates
-// the two *in-process* batching layers — the mailbox batch-drain (one
-// condvar round per queue swap instead of per task) and gossip egress
-// buffering (deliver_many: one mailbox push per destination per flush).
-// Fast beats + a deep backlog keep every node thread busy, which is when
-// wakeup overhead matters; `batch off` is the exact pre-batching path.
+// FAST-BEAT on the loopback backend: no sockets, so this exercises the
+// in-process batching layers — the mailbox batch-drain (one condvar round
+// per queue swap instead of per task) and gossip egress buffering (one
+// mailbox push per destination per flush). Fast beats + a deep backlog
+// keep every node thread busy, which is when wakeup overhead matters.
 // Convergence asserted per leg; divergence fails the bench (exit 1).
-bool sweep_batching(BenchReport& report, SimTime duration) {
+bool sweep_fast_beat(BenchReport& report, SimTime duration) {
   constexpr SimTime kFastBeat = sim_us(200);
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
                      : std::vector<std::uint32_t>{4, 8, 16};
-  std::printf("\nCLAIM-BATCH-AB (threads): batching on vs off, 200us beats\n");
-  Table table({"n", "batch", "blocks", "blocks/s", "speedup", "converged"});
+  std::printf("\nFAST-BEAT (threads): dissemination at 200us beats\n");
+  Table table({"n", "blocks", "blocks/s", "converged"});
   bool all_converged = true;
   for (std::uint32_t n : ns) {
     const std::uint32_t requests = 8 * n;
-    double off_rate = 0;
-    for (const bool batching : {false, true}) {
-      const RunResult r =
-          run_threaded(n, duration, requests, batching, kFastBeat);
-      all_converged = all_converged && r.converged;
-      if (!batching) off_rate = r.blocks_per_s();
-      table.add_row(
-          {Table::num(static_cast<std::uint64_t>(n)), batching ? "on" : "off",
-           Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
-           batching && off_rate > 0
-               ? Table::num(r.blocks_per_s() / off_rate, 2) + "x"
-               : "1.00x",
-           r.converged ? "yes" : "NO"});
-    }
+    const RunResult r = run_threaded(n, duration, requests, kFastBeat);
+    all_converged = all_converged && r.converged;
+    table.add_row({Table::num(static_cast<std::uint64_t>(n)),
+                   Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
+                   r.converged ? "yes" : "NO"});
   }
-  report.add("batching_ab", table);
+  report.add("fast_beat", table);
   if (!all_converged) {
-    std::printf("FAIL: a batching A/B leg diverged (Lemma 3.7 digest mismatch)\n");
+    std::printf("FAIL: a fast-beat leg diverged (Lemma 3.7 digest mismatch)\n");
   }
   return all_converged;
 }
@@ -151,16 +140,16 @@ int main(int argc, char** argv) {
                    Table::num(thr.blocks_per_s(), 0), thr.converged ? "yes" : "NO"});
   }
   report.add("throughput", table);
-  const bool batching_ok = sweep_batching(report, duration);
+  const bool fast_beat_ok = sweep_fast_beat(report, duration);
   report.note("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   std::printf(
       "The sim row executes %llu ms of *virtual* time as fast as one core\n"
       "allows; the threads row spends that much real time with every server\n"
       "on its own thread. Equal configs, same protocol stack — the delta is\n"
-      "pure runtime substrate. The batch A/B isolates the in-process\n"
-      "batching layers (mailbox batch-drain, egress buffering) with no\n"
-      "sockets in the way.\n",
+      "pure runtime substrate. fast_beat loads the in-process batching\n"
+      "layers (mailbox batch-drain, egress buffering) with no sockets in\n"
+      "the way.\n",
       static_cast<unsigned long long>(duration / sim_ms(1)));
   const int rc = report.finish();
-  return batching_ok ? rc : 1;
+  return fast_beat_ok ? rc : 1;
 }

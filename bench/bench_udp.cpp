@@ -72,13 +72,12 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
                        rt::TransportBackend backend, double drop = 0.0,
                        SigScheme sig = SigScheme::kIdeal,
                        std::optional<bool> pool = std::nullopt,
-                       bool batching = true, SimTime beat = kBeat) {
+                       SimTime beat = kBeat) {
   brb::BrbFactory factory;
   rt::ThreadedConfig cfg;
   cfg.n_servers = n;
   cfg.seed = 42 + n;
   cfg.pacing.interval = beat;
-  cfg.batching = batching;
   cfg.backend = backend;  // socket backends: ephemeral localhost ports
   cfg.sig_scheme = sig;
   cfg.use_verifier_pool = pool;  // nullopt = automatic (on iff sig is real)
@@ -154,24 +153,23 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
   report.add("signatures_ab", table);
 }
 
-// CLAIM-BATCH-AB over the UDP wire (DESIGN.md §13). Same idea as the TCP
+// FAST-BEAT over the UDP wire (DESIGN.md §13). Same idea as the TCP
 // sweep: 200µs beats and a deep request backlog so per-envelope cost —
 // here one datagram-channel frame (seq/ack state, MTU chunking, RTO
-// bookkeeping) per envelope — dominates, then flip `batching`. On UDP a
+// bookkeeping) per envelope — dominates and envelopes coalesce. On UDP a
 // kBatch is one *frame*, so coalescing also shrinks the reliability
 // layer's working set: fewer seqs to ack, fewer chunks to track, fewer
-// retransmission timers. The lossy row answers the sharper question:
-// when 10% of datagrams vanish, does the bigger retransmission unit help
-// (fewer in-flight seqs) or hurt (one lost chunk stalls a whole batch)?
-// Convergence is asserted per leg; a divergence fails the bench (exit 1).
-bool sweep_batching(BenchReport& report, SimTime duration) {
+// retransmission timers. The lossy row prices the other side: when 10% of
+// datagrams vanish, one lost chunk stalls a whole batch. Convergence is
+// asserted per leg; a divergence fails the bench (exit 1).
+bool sweep_fast_beat(BenchReport& report, SimTime duration) {
   constexpr SimTime kFastBeat = sim_us(200);
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
                      : std::vector<std::uint32_t>{4, 8, 16};
-  std::printf("\nCLAIM-BATCH-AB (udp): dissemination batching on vs off, 200us beats\n");
-  Table table({"n", "loss", "batch", "blocks", "blocks/s", "speedup",
-               "batches", "env/batch", "rexmit", "converged"});
+  std::printf("\nFAST-BEAT (udp): dissemination at 200us beats\n");
+  Table table({"n", "loss", "blocks", "blocks/s", "batches", "env/batch",
+               "rexmit", "converged"});
   bool all_converged = true;
   struct Leg {
     std::uint32_t n;
@@ -182,31 +180,23 @@ bool sweep_batching(BenchReport& report, SimTime duration) {
   legs.push_back({report.smoke() ? 4u : 8u, 0.10});  // the lossy-wire row
   for (const Leg& leg : legs) {
     const std::uint32_t requests = 8 * leg.n;
-    double off_rate = 0;
-    for (const bool batching : {false, true}) {
-      const RunResult r = run_threaded(leg.n, duration, requests,
-                                       rt::TransportBackend::kUdp, leg.drop,
-                                       SigScheme::kIdeal, std::nullopt,
-                                       batching, kFastBeat);
-      all_converged = all_converged && r.converged;
-      if (!batching) off_rate = r.blocks_per_s();
-      const double env_per_batch =
-          r.batches ? static_cast<double>(r.batched_envelopes) /
-                          static_cast<double>(r.batches)
-                    : 0;
-      table.add_row({Table::num(static_cast<std::uint64_t>(leg.n)),
-                     leg.drop > 0 ? "10%" : "0%", batching ? "on" : "off",
-                     Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
-                     batching && off_rate > 0
-                         ? Table::num(r.blocks_per_s() / off_rate, 2) + "x"
-                         : "1.00x",
-                     Table::num(r.batches), Table::num(env_per_batch, 1),
-                     Table::num(r.retransmits), r.converged ? "yes" : "NO"});
-    }
+    const RunResult r =
+        run_threaded(leg.n, duration, requests, rt::TransportBackend::kUdp,
+                     leg.drop, SigScheme::kIdeal, std::nullopt, kFastBeat);
+    all_converged = all_converged && r.converged;
+    const double env_per_batch =
+        r.batches ? static_cast<double>(r.batched_envelopes) /
+                        static_cast<double>(r.batches)
+                  : 0;
+    table.add_row({Table::num(static_cast<std::uint64_t>(leg.n)),
+                   leg.drop > 0 ? "10%" : "0%", Table::num(r.blocks),
+                   Table::num(r.blocks_per_s(), 0), Table::num(r.batches),
+                   Table::num(env_per_batch, 1), Table::num(r.retransmits),
+                   r.converged ? "yes" : "NO"});
   }
-  report.add("batching_ab", table);
+  report.add("fast_beat", table);
   if (!all_converged) {
-    std::printf("FAIL: a batching A/B leg diverged (Lemma 3.7 digest mismatch)\n");
+    std::printf("FAIL: a fast-beat leg diverged (Lemma 3.7 digest mismatch)\n");
   }
   return all_converged;
 }
@@ -253,16 +243,16 @@ int main(int argc, char** argv) {
   }
   report.add("throughput", table);
   sweep_signatures(report, duration);
-  const bool batching_ok = sweep_batching(report, duration);
+  const bool fast_beat_ok = sweep_fast_beat(report, duration);
   report.note("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   std::printf(
       "tcp→udp prices userspace reliability against the kernel's (chunking,\n"
       "explicit acks, RTO bookkeeping); udp→'udp 10%%loss' prices an actual\n"
       "lossy wire — retransmission with real work to do. The lossy row\n"
       "converges with faults still active: recovery is the reliability\n"
-      "layer's job, not the benchmark harness's. In the batch A/B, off→on\n"
-      "is what packing many envelopes into one reliability-layer frame\n"
-      "buys once the wire, not the pacing clock, is the bottleneck.\n");
+      "layer's job, not the benchmark harness's. fast_beat makes the wire,\n"
+      "not the pacing clock, the bottleneck, so envelopes share\n"
+      "reliability-layer frames.\n");
   const int rc = report.finish();
-  return batching_ok ? rc : 1;
+  return fast_beat_ok ? rc : 1;
 }

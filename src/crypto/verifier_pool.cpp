@@ -15,18 +15,7 @@ void VerifierPool::Handle::submit(ServerId claimed, const Hash256& ref,
   }
   ++stats_.submitted;
   hook_(true);  // held until the verdict task is posted (or dropped)
-  if (staging_) {
-    staged_.push_back(Task{claimed, ref, std::move(sigma), this, std::move(done)});
-    return;
-  }
-  if (!pool_.enqueue(Task{claimed, ref, std::move(sigma), this, std::move(done)})) {
-    hook_(false);  // pool stopping — shutdown path, verdict never arrives
-  }
-}
-
-void VerifierPool::Handle::set_staging(bool on) {
-  if (!on) flush();
-  staging_ = on;
+  staged_.push_back(Task{claimed, ref, std::move(sigma), this, std::move(done)});
 }
 
 void VerifierPool::Handle::flush() {
@@ -113,19 +102,6 @@ std::unique_ptr<VerifierPool::Handle> VerifierPool::make_handle(Post post,
 VerifierPoolStats VerifierPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-bool VerifierPool::enqueue(Task task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ++stats_.dropped;
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  return true;
 }
 
 std::size_t VerifierPool::enqueue_many(std::vector<Task> tasks) {

@@ -89,21 +89,17 @@ class VerifierPool {
   class Handle {
    public:
     // Looks up the verdict cache first; on a hit invokes `done` inline and
-    // returns. Otherwise retains a work unit and enqueues the verification.
+    // returns. Otherwise retains a work unit and stages the verification
+    // for the next flush().
     // `done` runs later on the owner thread (never inline on a miss); it is
     // silently dropped if the pool or the owner mailbox shuts down first.
     void submit(ServerId claimed, const Hash256& ref, Bytes sigma,
                 std::function<void(bool)> done);
 
-    // Staged submission (DESIGN.md §13; threaded runtime only). While
-    // staging is on, cache misses accumulate in a local vector instead of
-    // taking the pool lock per task; flush() hands the whole batch to the
-    // pool under ONE lock acquisition and one worker wakeup. Cache hits
-    // still answer inline. The runtime flushes from its mailbox drain hook
-    // BEFORE releasing the drained batch's work units, so staged tasks can
-    // never outlive an IdleTracker quiescent point. Turning staging off
-    // flushes first.
-    void set_staging(bool on);
+    // Hands every staged cache miss to the pool under ONE lock acquisition
+    // and one worker wakeup (DESIGN.md §13). The owner's drain loop calls
+    // it after each mailbox batch, BEFORE releasing the batch's work units,
+    // so staged tasks can never outlive an IdleTracker quiescent point.
     void flush();
 
     // Handle-local counters (owner-thread view).
@@ -124,7 +120,6 @@ class VerifierPool {
     VerifierPool& pool_;
     const Post post_;
     const WorkHook hook_;
-    bool staging_ = false;
     std::vector<Task> staged_;
     // Bounded FIFO verdict cache (owner-thread only; no locks).
     std::unordered_map<Hash256, bool> cache_;
@@ -152,7 +147,6 @@ class VerifierPool {
   VerifierPoolStats stats() const;  // pool-global counters
 
  private:
-  bool enqueue(Task task);
   // Batched enqueue: one lock + one notify for the whole vector. Returns
   // the number of tasks accepted (0 when stopping — callers must release
   // the submit-held units for every task themselves in that case).

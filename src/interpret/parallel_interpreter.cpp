@@ -122,7 +122,11 @@ void ParallelInterpreter::worker_main() {
 }
 
 void ParallelInterpreter::finish_shard(Batch& batch) const {
-  if (batch.done.fetch_add(1) + 1 == batch.n_shards) {
+  // Read n_shards before counting this shard done: once the count is in,
+  // the last finisher may complete the batch and the owner may unpublish it
+  // and leave the stack frame that holds it.
+  const std::size_t n_shards = batch.n_shards;
+  if (batch.done.fetch_add(1) + 1 == n_shards) {
     std::lock_guard<std::mutex> lk(batch.done_mu);
     batch.complete = true;
     batch.done_cv.notify_all();

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "net/frame.h"
+
 namespace blockdag {
 
 Bytes encode_tagged(WireKind kind, std::span<const std::uint8_t> body) {
@@ -67,6 +69,38 @@ std::optional<std::vector<BatchEntry>> split_batch(
   }
   if (entries.empty()) return std::nullopt;
   return entries;
+}
+
+PackedFrame pack_frame(ServerId from, std::deque<Envelope>& queue,
+                       std::size_t batch_byte_limit) {
+  assert(!queue.empty());
+  std::size_t take = 1;
+  std::size_t batch_bytes = 1 + 4 + queue.front().payload->size();
+  while (take < queue.size() && take < kMaxBatchEnvelopes) {
+    const std::size_t next = 4 + queue[take].payload->size();
+    if (batch_bytes + next > batch_byte_limit) break;
+    batch_bytes += next;
+    ++take;
+  }
+  PackedFrame packed;
+  packed.envelopes = take;
+  if (take == 1) {
+    const Envelope& e = queue.front();
+    packed.frame =
+        encode_frame(FrameHeader{kFrameVersion, e.kind, from}, *e.payload);
+    packed.payload_bytes = e.payload->size();
+  } else {
+    std::vector<std::span<const std::uint8_t>> inners;
+    inners.reserve(take);
+    for (std::size_t i = 0; i < take; ++i) {
+      inners.emplace_back(*queue[i].payload);
+      packed.payload_bytes += queue[i].payload->size();
+    }
+    packed.frame = encode_frame(FrameHeader{kFrameVersion, WireKind::kBatch, from},
+                                encode_batch(inners));
+  }
+  queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(take));
+  return packed;
 }
 
 }  // namespace blockdag

@@ -16,6 +16,7 @@
 // thing on every backend.
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -69,5 +70,29 @@ Bytes encode_batch(std::span<const std::span<const std::uint8_t>> inners);
 // payload-level, not stream-level.
 std::optional<std::vector<BatchEntry>> split_batch(
     std::span<const std::uint8_t> wire);
+
+// --- Packing a link's envelope queue into wire frames ---
+
+// Inner envelopes per kBatch frame, on every socket backend. The payload
+// byte ceiling differs per backend (kTcpMaxBatchBytes, kUdpMaxBatchBytes).
+inline constexpr std::size_t kMaxBatchEnvelopes = 64;
+
+// One wire frame packed from the front of an envelope queue.
+struct PackedFrame {
+  Bytes frame;                    // a complete net/frame.h frame
+  std::size_t envelopes = 0;      // envelopes it carries (>1 = a kBatch)
+  std::size_t payload_bytes = 0;  // their payload bytes, summed
+};
+
+// The greedy kBatch grouping both socket backends share. Removes the
+// longest prefix of `queue` that fits kMaxBatchEnvelopes and a kBatch
+// payload of at most `batch_byte_limit` — always at least one envelope — and
+// encodes it as one frame from `from`: a lone envelope as a plain frame of
+// its own kind, two or more as a kBatch frame. Called at flush time, so the
+// grouping adapts to load: an idle link packs the one envelope that woke
+// the flush, a backed-up link packs full batches. `queue` must be
+// non-empty.
+PackedFrame pack_frame(ServerId from, std::deque<Envelope>& queue,
+                       std::size_t batch_byte_limit);
 
 }  // namespace blockdag

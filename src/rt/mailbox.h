@@ -77,23 +77,10 @@ class Mailbox {
     return true;
   }
 
-  // Dequeues the next task, blocking while the mailbox is open and empty.
-  // Returns false once the mailbox is closed AND drained — the consumer's
-  // signal to exit. The consumer must call task_done() after running each
-  // popped task (the work unit stays outstanding while the handler runs).
-  bool pop(Task& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-  }
-
   // Batch-drain (DESIGN.md §13): swaps the entire queue into `out` in one
   // wakeup instead of one condvar round per task, blocking while the
   // mailbox is open and empty. `out` is cleared first and receives the
-  // tasks in push order, so per-sender FIFO is exactly what pop() gives.
+  // tasks in push order, so per-sender FIFO holds.
   // Returns false once closed AND drained. The consumer must call
   // task_done(out.size()) after running the batch — the work units stay
   // outstanding until then, so the IdleTracker cannot dip to zero while a
@@ -110,7 +97,7 @@ class Mailbox {
 
   void task_done(std::uint64_t n = 1) { idle_.sub(n); }
 
-  // No further pushes accepted; pending tasks still drain through pop().
+  // No further pushes accepted; pending tasks still drain through pop_all().
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -173,18 +173,6 @@ void TcpTransport::set_control_handler(ServerId server, Handler handler) {
       handler ? std::make_shared<const Handler>(std::move(handler)) : nullptr;
 }
 
-void TcpTransport::deliver_local(ServerId to, ServerId from, WireKind kind,
-                                 std::shared_ptr<const Bytes> payload) {
-  std::shared_ptr<const Handler> handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handler = kind == WireKind::kControl ? control_[to] : handlers_[to];
-  }
-  if (!handler) return;
-  mailboxes_[to]->push([handler = std::move(handler), from,
-                        payload = std::move(payload)] { (*handler)(from, *payload); });
-}
-
 void TcpTransport::deliver_local_many(ServerId to, ServerId from,
                                       const std::vector<Envelope>& envelopes) {
   std::shared_ptr<const Handler> proto;
@@ -221,109 +209,30 @@ bool TcpTransport::admit_locked(OutConn& out, std::size_t payload_bytes) {
   return true;
 }
 
-// mu_ held, batching mode. Parks the envelope on the link; returns true if
-// the poll thread needs a wake (link was drained or is not connected).
+// mu_ held. Parks the envelope on the link; returns true if the poll
+// thread needs a wake (link was drained or is not connected).
 bool TcpTransport::enqueue_envelope_locked(ServerId from, ServerId to,
-                                           WireKind kind,
-                                           std::shared_ptr<const Bytes> payload) {
+                                           const Envelope& envelope) {
   OutConn& out = out_[{from, to}];
   if (!out.link) out.link = &link_stats_[{from, to}];
-  const std::size_t payload_bytes = payload->size();
+  const std::size_t payload_bytes = envelope.payload->size();
   const bool was_empty = out.queued_envelopes == 0;
   if (!admit_locked(out, payload_bytes)) return false;
-  const auto k = static_cast<std::size_t>(kind);
+  const auto k = static_cast<std::size_t>(envelope.kind);
   metrics_.messages[k] += 1;
   metrics_.bytes[k] += payload_bytes;
-  out.pending.push_back(Envelope{kind, std::move(payload)});
+  out.pending.push_back(envelope);
   if (idle_) idle_->add();
   return was_empty || out.state != OutConn::State::kConnected;
 }
 
-void TcpTransport::enqueue_frame(ServerId from, ServerId to, WireKind kind,
-                                 const std::shared_ptr<const Bytes>& frame,
-                                 std::size_t payload_bytes) {
-  const auto k = static_cast<std::size_t>(kind);
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Frames may queue before start() (the poll thread flushes them once
-    // it runs); after stop() has latched they are dropped.
-    if (stopping_) {
-      ++metrics_.dropped;
-      return;
-    }
-    OutConn& out = out_[{from, to}];
-    if (!out.link) out.link = &link_stats_[{from, to}];
-    const bool was_empty = out.queued_envelopes == 0;
-    if (!admit_locked(out, payload_bytes)) return;
-    metrics_.messages[k] += 1;
-    metrics_.bytes[k] += payload_bytes;
-    out.queue.push_back(WireFrame{frame, 1, payload_bytes});
-    if (idle_) idle_->add();
-    need_wake = was_empty || out.state != OutConn::State::kConnected;
-  }
-  if (need_wake) wake();
-}
-
 void TcpTransport::send(ServerId from, ServerId to, WireKind kind, Bytes payload) {
-  assert(to < config_.n_servers);
-  if (to == from) {
-    // Self-delivery is local and free of wire cost on every transport.
-    deliver_local(to, from, kind, std::make_shared<const Bytes>(std::move(payload)));
-    return;
-  }
-  if (config_.batch_enabled) {
-    auto shared = std::make_shared<const Bytes>(std::move(payload));
-    bool need_wake = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ++metrics_.dropped;
-        return;
-      }
-      need_wake = enqueue_envelope_locked(from, to, kind, std::move(shared));
-    }
-    if (need_wake) wake();
-    return;
-  }
-  const std::size_t payload_bytes = payload.size();
-  const auto frame = std::make_shared<const Bytes>(
-      encode_frame(FrameHeader{kFrameVersion, kind, from}, payload));
-  enqueue_frame(from, to, kind, frame, payload_bytes);
+  send_many(from, to,
+            {Envelope{kind, std::make_shared<const Bytes>(std::move(payload))}});
 }
 
 void TcpTransport::broadcast(ServerId from, WireKind kind, const Bytes& payload) {
-  if (config_.batch_enabled) {
-    // One immutable payload buffer shared across every peer's pending
-    // queue; frames are packed per link at flush time.
-    const auto shared = std::make_shared<const Bytes>(payload);
-    bool need_wake = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        metrics_.dropped += config_.n_servers > 0 ? config_.n_servers - 1 : 0;
-      } else {
-        for (ServerId to = 0; to < config_.n_servers; ++to) {
-          if (to == from) continue;
-          need_wake |= enqueue_envelope_locked(from, to, kind, shared);
-        }
-      }
-    }
-    if (need_wake) wake();
-    deliver_local(from, from, kind, std::make_shared<const Bytes>(payload));
-    return;
-  }
-  // Encode once; every peer queue shares the same immutable frame buffer
-  // (the SimNetwork single-allocation discipline, §8).
-  const auto frame = std::make_shared<const Bytes>(
-      encode_frame(FrameHeader{kFrameVersion, kind, from}, payload));
-  for (ServerId to = 0; to < config_.n_servers; ++to) {
-    if (to == from) {
-      deliver_local(to, from, kind, std::make_shared<const Bytes>(payload));
-    } else {
-      enqueue_frame(from, to, kind, frame, payload.size());
-    }
-  }
+  broadcast_many(from, {Envelope{kind, std::make_shared<const Bytes>(payload)}});
 }
 
 void TcpTransport::send_many(ServerId from, ServerId to,
@@ -331,26 +240,21 @@ void TcpTransport::send_many(ServerId from, ServerId to,
   assert(to < config_.n_servers);
   if (envelopes.empty()) return;
   if (to == from) {
+    // Self-delivery is local and free of wire cost on every transport.
     deliver_local_many(to, from, envelopes);
-    return;
-  }
-  if (!config_.batch_enabled) {
-    for (const Envelope& e : envelopes) {
-      const auto frame = std::make_shared<const Bytes>(
-          encode_frame(FrameHeader{kFrameVersion, e.kind, from}, *e.payload));
-      enqueue_frame(from, to, e.kind, frame, e.payload->size());
-    }
     return;
   }
   bool need_wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Envelopes may queue before start() (the poll thread flushes them once
+    // it runs); after stop() has latched they are dropped.
     if (stopping_) {
       metrics_.dropped += envelopes.size();
       return;
     }
     for (const Envelope& e : envelopes) {
-      need_wake |= enqueue_envelope_locked(from, to, e.kind, e.payload);
+      need_wake |= enqueue_envelope_locked(from, to, e);
     }
   }
   if (need_wake) wake();
@@ -359,10 +263,8 @@ void TcpTransport::send_many(ServerId from, ServerId to,
 void TcpTransport::broadcast_many(ServerId from,
                                   const std::vector<Envelope>& envelopes) {
   if (envelopes.empty()) return;
-  if (!config_.batch_enabled) {
-    for (const Envelope& e : envelopes) broadcast(from, e.kind, *e.payload);
-    return;
-  }
+  // Every peer's pending queue shares the same immutable payload buffers;
+  // frames are packed per link at flush time.
   bool need_wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -373,7 +275,7 @@ void TcpTransport::broadcast_many(ServerId from,
       for (ServerId to = 0; to < config_.n_servers; ++to) {
         if (to == from) continue;
         for (const Envelope& e : envelopes) {
-          need_wake |= enqueue_envelope_locked(from, to, e.kind, e.payload);
+          need_wake |= enqueue_envelope_locked(from, to, e);
         }
       }
     }
@@ -494,117 +396,53 @@ void TcpTransport::fail_out(OutConn& out) {
   out.retry_at = Clock::now() + reconnect_backoff();
 }
 
-// mu_ held, batching mode. Packs everything pending on the link into wire
-// frames: a lone envelope ships as a plain frame of its own kind, two or
-// more coalesce into kBatch frames bounded by max_batch_frames /
-// max_batch_bytes (and the frame-payload ceiling). Runs on the poll thread
-// at flush time, so the batch size adapts to load: an idle link packs the
-// single envelope that woke us, a backed-up link packs full batches.
-void TcpTransport::pack_pending(ServerId from, OutConn& out) {
-  const std::size_t limit_bytes =
-      std::min(config_.max_batch_bytes, config_.max_frame_payload);
-  while (!out.pending.empty()) {
-    // Greedy group: [0, take) of pending, respecting both ceilings.
-    std::size_t take = 1;
-    std::size_t group_bytes = 1 + 4 + out.pending.front().payload->size();
-    while (take < out.pending.size() && take < config_.max_batch_frames) {
-      const std::size_t next = 4 + out.pending[take].payload->size();
-      if (group_bytes + next > limit_bytes) break;
-      group_bytes += next;
-      ++take;
-    }
-    WireFrame frame;
-    if (take == 1) {
-      const Envelope& e = out.pending.front();
-      frame.bytes = std::make_shared<const Bytes>(encode_frame(
-          FrameHeader{kFrameVersion, e.kind, from}, *e.payload));
-      frame.units = 1;
-      frame.payload_bytes = e.payload->size();
-    } else {
-      std::vector<std::span<const std::uint8_t>> inners;
-      inners.reserve(take);
-      frame.payload_bytes = 0;
-      for (std::size_t i = 0; i < take; ++i) {
-        inners.emplace_back(*out.pending[i].payload);
-        frame.payload_bytes += out.pending[i].payload->size();
-      }
-      frame.bytes = std::make_shared<const Bytes>(encode_frame(
-          FrameHeader{kFrameVersion, WireKind::kBatch, from},
-          encode_batch(inners)));
-      frame.units = static_cast<std::uint32_t>(take);
-      ++stats_.batches_sent;
-      stats_.batched_envelopes += take;
-      if (out.link) {
-        ++out.link->batches_sent;
-        out.link->batched_envelopes += take;
-      }
-    }
-    out.pending.erase(out.pending.begin(),
-                      out.pending.begin() + static_cast<std::ptrdiff_t>(take));
-    out.queue.push_back(std::move(frame));
-  }
-}
-
+// mu_ held. Packs everything pending on the link into wire frames and
+// drains the wire queue with gather-writes, as many queued frames per
+// syscall as iovec slots allow, resuming mid-frame at front_offset.
 void TcpTransport::flush_out(ServerId from, OutConn& out) {
-  if (config_.batch_enabled) {
-    pack_pending(from, out);
-    // Gather-write: drain as many queued frames per syscall as iovec
-    // slots allow, resuming mid-frame at front_offset.
-    while (!out.queue.empty()) {
-      constexpr std::size_t kMaxIov = 64;
-      struct iovec iov[kMaxIov];
-      std::size_t iovcnt = 0;
-      std::size_t offset = out.front_offset;
-      for (const WireFrame& wf : out.queue) {
-        if (iovcnt == kMaxIov) break;
-        iov[iovcnt].iov_base =
-            const_cast<std::uint8_t*>(wf.bytes->data() + offset);
-        iov[iovcnt].iov_len = wf.bytes->size() - offset;
-        offset = 0;
-        ++iovcnt;
-      }
-      const auto n = ::writev(out.fd, iov, static_cast<int>(iovcnt));
-      if (n > 0) {
-        ++stats_.writev_calls;
-        std::size_t left = static_cast<std::size_t>(n);
-        while (left > 0) {
-          WireFrame& front = out.queue.front();
-          const std::size_t remaining = front.bytes->size() - out.front_offset;
-          if (left < remaining) {
-            out.front_offset += left;
-            left = 0;
-            break;
-          }
-          left -= remaining;
-          ++stats_.frames_sent;
-          if (idle_) idle_->sub(front.units);
-          out.queued_envelopes -= front.units;
-          out.queued_bytes -= front.payload_bytes;
-          out.queue.pop_front();
-          out.front_offset = 0;
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n < 0 && errno == EINTR) continue;
-      fail_out(out);
-      return;
+  const std::size_t batch_byte_limit =
+      std::min(kTcpMaxBatchBytes, config_.max_frame_payload);
+  while (!out.pending.empty()) {
+    PackedFrame packed = pack_frame(from, out.pending, batch_byte_limit);
+    if (packed.envelopes > 1) {
+      ++stats_.batches_sent;
+      stats_.batched_envelopes += packed.envelopes;
+      ++out.link->batches_sent;
+      out.link->batched_envelopes += packed.envelopes;
     }
-    return;
+    out.queue.push_back(
+        WireFrame{std::make_shared<const Bytes>(std::move(packed.frame)),
+                  static_cast<std::uint32_t>(packed.envelopes),
+                  packed.payload_bytes});
   }
-  // Unbatched: the plain sequential-write path (the A/B baseline).
   while (!out.queue.empty()) {
-    const WireFrame& wf = out.queue.front();
-    const Bytes& front = *wf.bytes;
-    const std::size_t remaining = front.size() - out.front_offset;
-    const auto n = ::write(out.fd, front.data() + out.front_offset, remaining);
+    constexpr std::size_t kMaxIov = 64;
+    struct iovec iov[kMaxIov];
+    std::size_t iovcnt = 0;
+    std::size_t offset = out.front_offset;
+    for (const WireFrame& wf : out.queue) {
+      if (iovcnt == kMaxIov) break;
+      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(wf.bytes->data() + offset);
+      iov[iovcnt].iov_len = wf.bytes->size() - offset;
+      offset = 0;
+      ++iovcnt;
+    }
+    const auto n = ::writev(out.fd, iov, static_cast<int>(iovcnt));
     if (n > 0) {
-      out.front_offset += static_cast<std::size_t>(n);
-      if (out.front_offset == front.size()) {
+      ++stats_.writev_calls;
+      std::size_t left = static_cast<std::size_t>(n);
+      while (left > 0) {
+        WireFrame& front = out.queue.front();
+        const std::size_t remaining = front.bytes->size() - out.front_offset;
+        if (left < remaining) {
+          out.front_offset += left;
+          break;
+        }
+        left -= remaining;
         ++stats_.frames_sent;
-        if (idle_) idle_->sub(wf.units);
-        out.queued_envelopes -= wf.units;
-        out.queued_bytes -= wf.payload_bytes;
+        if (idle_) idle_->sub(front.units);
+        out.queued_envelopes -= front.units;
+        out.queued_bytes -= front.payload_bytes;
         out.queue.pop_front();
         out.front_offset = 0;
       }

@@ -24,16 +24,15 @@
 // version or kind) resets the connection rather than attempting to
 // re-synchronise against a potentially byzantine peer.
 //
-// broadcast() encodes the frame once and shares one immutable buffer
-// across all n−1 peer queues — the same single-allocation discipline as
-// SimNetwork::broadcast and LoopbackTransport.
-//
-// Envelope coalescing (DESIGN.md §13): with batch_enabled, sends park as
-// shared-payload envelopes per link; the poll thread packs everything
-// pending into kBatch frames at flush time and drains the wire queue with
-// writev(), so N small sends cost one frame and one syscall instead of N.
-// Receivers always unpack kBatch frames (one mailbox task dispatches every
-// inner envelope), independent of their own batching knob.
+// Envelope coalescing (DESIGN.md §13): every send parks as a
+// shared-payload envelope on its link — broadcast() shares one immutable
+// payload buffer across all n−1 links, the SimNetwork single-allocation
+// discipline. At flush time the poll thread packs everything pending into
+// wire frames (pack_frame, net/codec.h) and drains the wire queue with
+// writev(), so N small sends cost one frame and one syscall instead of N;
+// a lone envelope on an idle link still ships at once as a plain frame.
+// Receivers unpack kBatch frames (one mailbox task dispatches every inner
+// envelope).
 #pragma once
 
 #include <chrono>
@@ -81,19 +80,16 @@ struct TcpConfig {
   // cap × payload bytes, which for ~2 KiB WOTS-signed blocks is tens of
   // MiB per peer. Whichever cap trips first evicts the new envelope.
   std::size_t max_queued_bytes_per_peer = 64u << 20;
+  // Frame payload ceiling, enforced on receive and on kBatch packing.
   std::size_t max_frame_payload = kMaxFramePayload;
-  // --- Envelope coalescing (DESIGN.md §13) ---
-  // When enabled, sends park as envelopes on the link and the poll thread
-  // packs everything pending into kBatch frames at flush time, draining
-  // the wire queue with writev. The flush window is adaptive with no
-  // timer: new work on an idle link wakes the poll thread immediately
-  // (flush now), and whatever accumulates while the socket or the poll
-  // thread is busy coalesces up to the caps below — the latency bound is
-  // the poll servicing latency, well under the few-ms contract.
-  bool batch_enabled = true;
-  std::size_t max_batch_frames = 64;        // inner envelopes per kBatch
-  std::size_t max_batch_bytes = 128u << 10; // kBatch payload ceiling
 };
+
+// kBatch payload ceiling on TCP (the envelope ceiling is kMaxBatchEnvelopes,
+// net/codec.h). The flush window is adaptive with no timer: new work on an
+// idle link wakes the poll thread at once, and whatever accumulates while
+// the socket or the poll thread is busy coalesces up to the ceilings — the
+// latency bound is the poll servicing latency, well under a few ms.
+inline constexpr std::size_t kTcpMaxBatchBytes = 128u << 10;
 
 struct TcpStats {
   std::uint64_t dials = 0;           // connect() attempts
@@ -184,10 +180,9 @@ class TcpTransport final : public Transport {
     int fd = -1;
     State state = State::kIdle;
     std::chrono::steady_clock::time_point retry_at{};
-    // Batching mode: envelopes admitted but not yet packed into frames.
+    // Envelopes admitted but not yet packed into frames.
     std::deque<Envelope> pending;
-    // Encoded frames awaiting the kernel; broadcast (unbatched) shares one
-    // buffer across every peer's queue.
+    // Encoded frames awaiting the kernel.
     std::deque<WireFrame> queue;
     std::size_t front_offset = 0;  // bytes of queue.front() already written
     // Cap accounting across pending + queue, in envelopes and payload bytes.
@@ -205,20 +200,14 @@ class TcpTransport final : public Transport {
   };
 
   bool is_local(ServerId s) const { return s < mailboxes_.size() && mailboxes_[s]; }
-  void enqueue_frame(ServerId from, ServerId to, WireKind kind,
-                     const std::shared_ptr<const Bytes>& frame,
-                     std::size_t payload_bytes);
-  void deliver_local(ServerId to, ServerId from, WireKind kind,
-                     std::shared_ptr<const Bytes> payload);
   void deliver_local_many(ServerId to, ServerId from,
                           const std::vector<Envelope>& envelopes);
   void wake();
   void poll_loop();
   // These run with mu_ held.
   bool admit_locked(OutConn& out, std::size_t payload_bytes);
-  bool enqueue_envelope_locked(ServerId from, ServerId to, WireKind kind,
-                               std::shared_ptr<const Bytes> payload);
-  void pack_pending(ServerId from, OutConn& out);
+  bool enqueue_envelope_locked(ServerId from, ServerId to,
+                               const Envelope& envelope);
   void dial(ServerId from, ServerId to, OutConn& out);
   void fail_out(OutConn& out);
   void service_in(InConn& in);

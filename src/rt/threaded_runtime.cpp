@@ -63,7 +63,6 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     TcpConfig tcp = config_.tcp;
     tcp.n_servers = config_.n_servers;
     tcp.local_servers = local_;
-    tcp.batch_enabled = config_.batching;
     auto transport =
         std::make_unique<TcpTransport>(std::move(tcp), std::move(mailboxes), &idle_);
     tcp_ = transport.get();
@@ -72,7 +71,6 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     UdpConfig udp = config_.udp;
     udp.n_servers = config_.n_servers;
     udp.local_servers = local_;
-    udp.batch_enabled = config_.batching;
     auto transport =
         std::make_unique<UdpTransport>(std::move(udp), std::move(mailboxes), &idle_);
     udp_ = transport.get();
@@ -98,8 +96,6 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
             return mailbox->push(std::move(task));
           },
           [this](bool retain) { retain ? idle_.add() : idle_.sub(); });
-      // Staged submissions ride the batch-drain flush (node_loop_batched).
-      if (config_.batching) node.verify_handle->set_staging(true);
     }
     node.storage = config_.storage ? config_.storage(s) : nullptr;
     // mount_node attaches the server's network handler; all of this
@@ -123,13 +119,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
   }
   for (const ServerId s : local_) {
     Node* node = nodes_[s].get();
-    if (config_.batching) {
-      node->thread =
-          std::thread([node] { node_loop_batched(*node->mailbox, node); });
-    } else {
-      Mailbox* mailbox = node->mailbox.get();
-      node->thread = std::thread([mailbox] { node_loop(*mailbox); });
-    }
+    node->thread = std::thread([node] { drain_loop(*node); });
   }
   // Sockets only move bytes once every handler is attached.
   if (tcp_) tcp_->start();
@@ -148,9 +138,9 @@ void ThreadedRuntime::mount_node(ServerId server) {
   // Attaching here covers restart() incarnations too. Restore replay stays
   // serial regardless (the shim routes around the engine while restoring).
   if (interp_engine_) node.shim->set_parallel_interpreter(interp_engine_.get());
-  // Egress rides the batch-drain flush; restart() incarnations re-enable
-  // here (the flush hook dereferences node->shim, so it follows the swap).
-  if (config_.batching) node.shim->gossip().set_egress_batching(true);
+  // Egress rides drain_loop's flush; restart() incarnations re-enable here
+  // (the flush hook dereferences node.shim, so it follows the swap).
+  node.shim->gossip().set_egress_batching(true);
   if (node.storage != nullptr || config_.checkpoint.epoch_blocks != 0) {
     node.checkpointer = std::make_unique<blockdag::sync::Checkpointer>(
         *node.shim, *node.sigs, config_.n_servers, node.storage,
@@ -195,16 +185,8 @@ void ThreadedRuntime::set_control_handler(ServerId server,
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
 
-void ThreadedRuntime::node_loop(Mailbox& mailbox) {
-  Mailbox::Task task;
-  while (mailbox.pop(task)) {
-    task();
-    task = nullptr;  // release captured state before declaring the unit done
-    mailbox.task_done();
-  }
-}
-
-void ThreadedRuntime::node_loop_batched(Mailbox& mailbox, Node* node) {
+void ThreadedRuntime::drain_loop(Node& node) {
+  Mailbox& mailbox = *node.mailbox;
   std::deque<Mailbox::Task> batch;
   while (mailbox.pop_all(batch)) {
     const std::uint64_t n = batch.size();
@@ -218,8 +200,8 @@ void ThreadedRuntime::node_loop_batched(Mailbox& mailbox, Node* node) {
     // IdleTracker never dips to zero with traffic still parked here. The
     // shim pointer is read per flush — restart() swaps incarnations via a
     // task on this very thread, so no torn read is possible.
-    if (node->shim) node->shim->gossip().flush_egress();
-    if (node->verify_handle) node->verify_handle->flush();
+    if (node.shim) node.shim->gossip().flush_egress();
+    if (node.verify_handle) node.verify_handle->flush();
     mailbox.task_done(n);
   }
 }

@@ -62,6 +62,12 @@ enum class TransportBackend {
               // (rt/udp_transport.h); the adversarial real-socket backend
 };
 
+// Dissemination is batched at every layer, with no knob (DESIGN.md §13):
+// node threads drain their whole mailbox per wakeup, gossip buffers egress
+// and flushes it as send_many/broadcast_many runs, verifier handles stage
+// submissions for one pool lock per drain, and the socket backends pack
+// envelopes into kBatch frames. Semantics and convergence digests are those
+// of the serial simulator, which has none of this.
 struct ThreadedConfig {
   std::uint32_t n_servers = 4;
   GossipConfig gossip{};
@@ -97,17 +103,6 @@ struct ThreadedConfig {
   // Must be a subset of the hosted servers; excluded from start()/stop(),
   // convergence, digests and every aggregate.
   std::vector<ServerId> raw_servers;
-  // End-to-end dissemination batching (DESIGN.md §13), the --batch knob.
-  // On (the default): node threads drain their whole mailbox per wakeup,
-  // gossip buffers egress and flushes it as send_many/broadcast_many runs,
-  // the verifier pool takes staged submissions in one lock, and the socket
-  // backends coalesce small writes into kBatch frames (their batch_enabled
-  // fields are overwritten from this flag). Off: every layer takes the
-  // exact pre-batching path — the honest A/B baseline. Semantics and
-  // convergence digests are identical either way; only per-envelope wire
-  // and wakeup overhead changes. The simulator has no such knob: it is
-  // serial and byte-deterministic by design.
-  bool batching = true;
   TransportBackend backend = TransportBackend::kLoopback;
   // TCP backend settings (n_servers is filled in from the field above).
   // tcp.local_servers selects the hosted subset; empty = all (the
@@ -331,14 +326,14 @@ class ThreadedRuntime {
     return nodes_[server]->shim.get();
   }
   Mailbox& mailbox_of(ServerId server) { return *nodes_[server]->mailbox; }
-  static void node_loop(Mailbox& mailbox);
-  // Batch-drain variant (config.batching): swaps the whole queue per
-  // wakeup, runs every task, then flushes the node's buffered gossip
-  // egress and staged verifier submissions BEFORE releasing the batch's
-  // work units — so the IdleTracker can never report quiescence while
-  // either buffer is non-empty. Dereferences node->shim at flush time:
-  // restart() swaps incarnations on this same thread, never concurrently.
-  static void node_loop_batched(Mailbox& mailbox, Node* node);
+  // The node thread's event loop (DESIGN.md §13): swaps the whole mailbox
+  // queue per wakeup, runs every task, then flushes the node's buffered
+  // gossip egress and staged verifier submissions BEFORE releasing the
+  // batch's work units — so the IdleTracker can never report quiescence
+  // while either buffer is non-empty. Dereferences node.shim at flush
+  // time: restart() swaps incarnations on this same thread, never
+  // concurrently.
+  static void drain_loop(Node& node);
   // (Re)builds `server`'s protocol stack: Shim + recovery plumbing. Must
   // run with no concurrent access to the node — the constructor (before
   // threads exist) or the node's own thread (restart()).

@@ -207,20 +207,6 @@ void UdpTransport::heal_all_faults() {
   std::fill(blackholed_.begin(), blackholed_.end(), false);
 }
 
-void UdpTransport::deliver_local(ServerId to, ServerId from, WireKind kind,
-                                 std::shared_ptr<const Bytes> payload) {
-  std::shared_ptr<const Handler> handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handler = kind == WireKind::kControl ? control_[to] : handlers_[to];
-  }
-  if (!handler) return;
-  mailboxes_[to]->push([handler = std::move(handler), from,
-                        payload = std::move(payload)] {
-    (*handler)(from, *payload);
-  });
-}
-
 void UdpTransport::deliver_local_many(ServerId to, ServerId from,
                                       const std::vector<Envelope>& envelopes) {
   std::shared_ptr<const Handler> proto;
@@ -241,117 +227,25 @@ void UdpTransport::deliver_local_many(ServerId to, ServerId from,
   });
 }
 
-// mu_ held. Stages one envelope on the link (batching mode): the per-kind
-// metrics are charged here, the frame itself materialises in pack_staged.
 void UdpTransport::send(ServerId from, ServerId to, WireKind kind,
                         Bytes payload) {
-  assert(to < config_.n_servers && is_local(from));
-  if (to == from) {
-    // Self-delivery is local and free of wire cost on every transport.
-    deliver_local(to, from, kind,
-                  std::make_shared<const Bytes>(std::move(payload)));
-    return;
-  }
-  const auto k = static_cast<std::size_t>(kind);
-  if (config_.batch_enabled) {
-    auto shared = std::make_shared<const Bytes>(std::move(payload));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ++metrics_.dropped;
-        return;
-      }
-      Link& l = link(from, to);
-      metrics_.messages[k] += 1;
-      metrics_.bytes[k] += shared->size();
-      l.staged.push_back(Envelope{kind, std::move(shared)});
-      if (idle_) idle_->add();
-    }
-    wake();
-    return;
-  }
-  const std::size_t payload_bytes = payload.size();
-  const Bytes frame =
-      encode_frame(FrameHeader{kFrameVersion, kind, from}, payload);
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ++metrics_.dropped;
-      return;
-    }
-    Link& l = link(from, to);
-    if (!l.sender) {
-      l.sender = std::make_unique<SenderChannel>(from, config_.channel);
-    }
-    if (!l.sender->offer(frame)) {
-      // Queue full: counted by the channel (frames_dropped), surfaced
-      // through wire_metrics().dropped. Transient loss, gossip recovers.
-      return;
-    }
-    metrics_.messages[k] += 1;
-    metrics_.bytes[k] += payload_bytes;
-    ++stats_.frames_sent;
-    if (idle_) idle_->add();
-    need_wake = true;
-  }
-  if (need_wake) wake();
+  send_many(from, to,
+            {Envelope{kind, std::make_shared<const Bytes>(std::move(payload))}});
 }
 
 void UdpTransport::broadcast(ServerId from, WireKind kind,
                              const Bytes& payload) {
-  const auto k = static_cast<std::size_t>(kind);
-  if (config_.batch_enabled) {
-    // One immutable payload shared across every peer link's staging queue.
-    const auto shared = std::make_shared<const Bytes>(payload);
-    bool staged = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ++metrics_.dropped;
-      } else {
-        for (ServerId to = 0; to < config_.n_servers; ++to) {
-          if (to == from) continue;
-          Link& l = link(from, to);
-          metrics_.messages[k] += 1;
-          metrics_.bytes[k] += payload.size();
-          l.staged.push_back(Envelope{kind, shared});
-          if (idle_) idle_->add();
-          staged = true;
-        }
-      }
-    }
-    deliver_local(from, from, kind, std::make_shared<const Bytes>(payload));
-    if (staged) wake();
-    return;
-  }
-  // One frame encode shared across every peer channel (each channel chops
-  // its own sequenced chunks — seqs differ per link by construction).
-  const Bytes frame =
-      encode_frame(FrameHeader{kFrameVersion, kind, from}, payload);
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ++metrics_.dropped;
-    } else {
-      for (ServerId to = 0; to < config_.n_servers; ++to) {
-        if (to == from) continue;
-        Link& l = link(from, to);
-        if (!l.sender) {
-          l.sender = std::make_unique<SenderChannel>(from, config_.channel);
-        }
-        if (!l.sender->offer(frame)) continue;
-        metrics_.messages[k] += 1;
-        metrics_.bytes[k] += payload.size();
-        ++stats_.frames_sent;
-        if (idle_) idle_->add();
-        need_wake = true;
-      }
-    }
-  }
-  deliver_local(from, from, kind, std::make_shared<const Bytes>(payload));
-  if (need_wake) wake();
+  broadcast_many(from, {Envelope{kind, std::make_shared<const Bytes>(payload)}});
+}
+
+// mu_ held. Stages one envelope on the link: the per-kind metrics are
+// charged here, the frame itself materialises in pack_staged.
+void UdpTransport::stage_locked(Link& l, const Envelope& envelope) {
+  const auto k = static_cast<std::size_t>(envelope.kind);
+  metrics_.messages[k] += 1;
+  metrics_.bytes[k] += envelope.payload->size();
+  l.staged.push_back(envelope);
+  if (idle_) idle_->add();
 }
 
 void UdpTransport::send_many(ServerId from, ServerId to,
@@ -359,11 +253,8 @@ void UdpTransport::send_many(ServerId from, ServerId to,
   assert(to < config_.n_servers && is_local(from));
   if (envelopes.empty()) return;
   if (to == from) {
+    // Self-delivery is local and free of wire cost on every transport.
     deliver_local_many(to, from, envelopes);
-    return;
-  }
-  if (!config_.batch_enabled) {
-    for (const Envelope& e : envelopes) send(from, to, e.kind, *e.payload);
     return;
   }
   {
@@ -373,13 +264,7 @@ void UdpTransport::send_many(ServerId from, ServerId to,
       return;
     }
     Link& l = link(from, to);
-    for (const Envelope& e : envelopes) {
-      const auto k = static_cast<std::size_t>(e.kind);
-      metrics_.messages[k] += 1;
-      metrics_.bytes[k] += e.payload->size();
-      l.staged.push_back(e);
-      if (idle_) idle_->add();
-    }
+    for (const Envelope& e : envelopes) stage_locked(l, e);
   }
   wake();
 }
@@ -387,10 +272,7 @@ void UdpTransport::send_many(ServerId from, ServerId to,
 void UdpTransport::broadcast_many(ServerId from,
                                   const std::vector<Envelope>& envelopes) {
   if (envelopes.empty()) return;
-  if (!config_.batch_enabled) {
-    for (const Envelope& e : envelopes) broadcast(from, e.kind, *e.payload);
-    return;
-  }
+  // Every peer link's staging queue shares the same immutable payloads.
   bool staged = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -401,13 +283,7 @@ void UdpTransport::broadcast_many(ServerId from,
       for (ServerId to = 0; to < config_.n_servers; ++to) {
         if (to == from) continue;
         Link& l = link(from, to);
-        for (const Envelope& e : envelopes) {
-          const auto k = static_cast<std::size_t>(e.kind);
-          metrics_.messages[k] += 1;
-          metrics_.bytes[k] += e.payload->size();
-          l.staged.push_back(e);
-          if (idle_) idle_->add();
-        }
+        for (const Envelope& e : envelopes) stage_locked(l, e);
         staged = true;
       }
     }
@@ -416,60 +292,37 @@ void UdpTransport::broadcast_many(ServerId from,
   if (staged) wake();
 }
 
-// mu_ held. Packs everything staged on the link into wire frames — a lone
-// envelope ships as a plain frame of its own kind, two or more coalesce
-// into kBatch frames bounded by max_batch_frames/max_batch_bytes — and
+// mu_ held. Packs everything staged on the link into wire frames and
 // offers them to the sender channel. The idle accounting swaps k envelope
 // units for one frame unit per packed frame (add before sub, so the count
 // never transiently hits zero).
-void UdpTransport::pack_staged(ServerId from, ServerId to, Link& l) {
+void UdpTransport::pack_staged(ServerId from, Link& l) {
   if (!l.sender) {
     l.sender = std::make_unique<SenderChannel>(from, config_.channel);
   }
   while (!l.staged.empty()) {
-    std::size_t take = 1;
-    std::size_t group_bytes = 1 + 4 + l.staged.front().payload->size();
-    while (take < l.staged.size() && take < config_.max_batch_frames) {
-      const std::size_t next = 4 + l.staged[take].payload->size();
-      if (group_bytes + next > config_.max_batch_bytes) break;
-      group_bytes += next;
-      ++take;
-    }
-    Bytes frame;
-    if (take == 1) {
-      const Envelope& e = l.staged.front();
-      frame = encode_frame(FrameHeader{kFrameVersion, e.kind, from},
-                           *e.payload);
-    } else {
-      std::vector<std::span<const std::uint8_t>> inners;
-      inners.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        inners.emplace_back(*l.staged[i].payload);
-      }
-      frame = encode_frame(FrameHeader{kFrameVersion, WireKind::kBatch, from},
-                           encode_batch(inners));
+    const PackedFrame packed = pack_frame(from, l.staged, kUdpMaxBatchBytes);
+    const std::size_t take = packed.envelopes;
+    if (take > 1) {
       ++stats_.batches_sent;
       stats_.batched_envelopes += take;
       ++l.batches_sent;
       l.batched_envelopes += take;
     }
-    if (l.sender->offer(frame)) {
+    if (l.sender->offer(packed.frame)) {
       ++stats_.frames_sent;
       if (idle_) {
         idle_->add();
         idle_->sub(take);
       }
     } else {
-      // Channel queue full: the staged envelopes are dropped whole —
+      // Channel queue full: the packed envelopes are dropped whole —
       // transient loss, gossip FWD recovers (the channel counted the
       // refused frame in frames_dropped).
       metrics_.dropped += take;
       if (idle_) idle_->sub(take);
     }
-    l.staged.erase(l.staged.begin(),
-                   l.staged.begin() + static_cast<std::ptrdiff_t>(take));
   }
-  (void)to;
 }
 
 void UdpTransport::transmit(ServerId from, ServerId to, const Bytes& datagram) {
@@ -640,11 +493,10 @@ UdpTransport::Clock::time_point UdpTransport::pump(Clock::time_point now) {
   auto earliest = Clock::time_point::max();
   std::vector<Bytes> batch;
   for (auto& [key, l] : links_) {
-    // Batching: everything staged since the last pump coalesces here —
-    // the flush window is one pump cadence (the poll loop wakes
-    // immediately on new work, so an idle link flushes at once and a busy
-    // one accumulates).
-    if (!l.staged.empty()) pack_staged(key.first, key.second, l);
+    // Everything staged since the last pump coalesces here — the flush
+    // window is one pump cadence (the poll loop wakes immediately on new
+    // work, so an idle link flushes at once and a busy one accumulates).
+    if (!l.staged.empty()) pack_staged(key.first, l);
     if (l.sender) {
       batch.clear();
       l.sender->poll(to_ns(now), batch);

@@ -87,18 +87,16 @@ struct UdpConfig {
   std::uint64_t fault_seed = 1;
   // Initial profile applied to every directed link (clean by default).
   LinkFault default_fault{};
-  // --- Envelope coalescing (DESIGN.md §13) ---
-  // When enabled, sends stage as envelopes per link and pump() packs
-  // everything staged into kBatch frames before offering them to the
-  // sender channel, so one frame (and its seq/ack/retransmit state) can
-  // carry many envelopes. The batch ceiling is deliberately smaller than
-  // TCP's: a frame is the retransmission unit here, and a fatter frame
-  // spans more MTU chunks, so one lost chunk under injected loss holds up
-  // more envelopes (the lossy bench row prices exactly this trade).
-  bool batch_enabled = true;
-  std::size_t max_batch_frames = 64;       // inner envelopes per kBatch
-  std::size_t max_batch_bytes = 16u << 10; // kBatch payload ceiling
 };
+
+// Envelope coalescing (DESIGN.md §13): sends stage as envelopes per link
+// and pump() packs everything staged into wire frames (pack_frame,
+// net/codec.h) before offering them to the sender channel, so one frame —
+// and its seq/ack/retransmit state — can carry many envelopes. The kBatch
+// payload ceiling is deliberately smaller than TCP's: a frame is the
+// retransmission unit here, and a fatter frame spans more MTU chunks, so
+// one lost chunk under injected loss holds up more envelopes.
+inline constexpr std::size_t kUdpMaxBatchBytes = 16u << 10;
 
 // Aggregate counters. Everything the fault tests assert nonzero lives
 // here, so injection can never silently no-op (tests/rt/udp_runtime_test).
@@ -201,8 +199,8 @@ class UdpTransport final : public Transport {
   struct Link {
     std::unique_ptr<SenderChannel> sender;      // local from → to
     std::unique_ptr<ReceiverChannel> receiver;  // from → local to
-    // Batching mode: envelopes staged for this link, packed into kBatch
-    // frames by pump() before the sender channel sees them.
+    // Envelopes staged for this link, packed into frames by pump() before
+    // the sender channel sees them.
     std::deque<Envelope> staged;
     std::uint64_t injected_drops = 0;
     std::uint64_t injected_dups = 0;
@@ -225,14 +223,14 @@ class UdpTransport final : public Transport {
   // Link state of the directed pair, created on first use. mu_ held.
   Link& link(ServerId from, ServerId to);
   const LinkFault& fault_of(ServerId from, ServerId to) const;
-  void deliver_local(ServerId to, ServerId from, WireKind kind,
-                     std::shared_ptr<const Bytes> payload);
   void deliver_local_many(ServerId to, ServerId from,
                           const std::vector<Envelope>& envelopes);
   void deliver_frames(ServerId owner, std::vector<Frame>& frames);
+  // Stages one envelope on the link. mu_ held.
+  void stage_locked(Link& l, const Envelope& envelope);
   // Packs everything staged on the link into wire frames and offers them
   // to the sender channel. mu_ held (pump() calls it).
-  void pack_staged(ServerId from, ServerId to, Link& l);
+  void pack_staged(ServerId from, Link& l);
   // Injection decision + sendto()/delay-queue for one outbound datagram.
   // mu_ held. `injectable` is false for datagrams the injector already
   // processed (delayed releases, duplicate copies).

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -55,17 +56,24 @@ Hash256 ref_of(std::uint8_t tag) {
 }
 
 // One owner server: single consumer thread draining an MPSC mailbox, the
-// same loop shape as ThreadedRuntime::node_loop.
+// same loop shape as ThreadedRuntime::drain_loop — drain the whole queue,
+// run it, flush the handle's staged submissions, then release the units.
 struct Owner {
   rt::IdleTracker idle;
   rt::Mailbox mailbox;
+  // Set before the first post; the mailbox lock orders it before the
+  // owner thread's first read.
+  VerifierPool::Handle* handle = nullptr;
   std::thread thread;
 
   Owner() : mailbox(idle), thread([this] {
-    rt::Mailbox::Task task;
-    while (mailbox.pop(task)) {
-      task();
-      mailbox.task_done();
+    std::deque<rt::Mailbox::Task> batch;
+    while (mailbox.pop_all(batch)) {
+      const std::uint64_t n = batch.size();
+      for (rt::Mailbox::Task& task : batch) task();
+      batch.clear();
+      if (handle) handle->flush();
+      mailbox.task_done(n);
     }
   }) {}
 
@@ -110,6 +118,7 @@ struct PoolRig {
     handle = pool.make_handle(
         [this](std::function<void()> fn) { return owner.post(std::move(fn)); },
         [this](bool retain) { retain ? owner.idle.add() : owner.idle.sub(); });
+    owner.handle = handle.get();
   }
 
   // Teardown order matters: join the workers first (no new verdict posts),
@@ -290,6 +299,7 @@ TEST(VerifierPool, PerWorkerProvidersAreIndependent) {
   auto handle = pool.make_handle(
       [&owner](std::function<void()> fn) { return owner.post(std::move(fn)); },
       [&owner](bool retain) { retain ? owner.idle.add() : owner.idle.sub(); });
+  owner.handle = handle.get();
   owner.run_on_owner([&] {
     for (std::uint8_t i = 0; i < 6; ++i)
       handle->submit(0, ref_of(i), Bytes{1, 5}, [](bool) {});

@@ -136,6 +136,8 @@ TEST(Lemma42Regression, ActiveLabelSetsShareStorageDownChains) {
   const BlockPtr b3 = forge.block(0, 3, {b2->ref()}, {{2, brb::make_broadcast(Bytes{2})}});
   ASSERT_TRUE(dag.insert(b3));
   interp.run();
+  // run() may grow the state table; re-read the pointer it invalidated.
+  s0 = interp.state_of(g0->ref());
   const auto* s3 = interp.state_of(b3->ref());
   ASSERT_NE(s3, nullptr);
   EXPECT_NE(s3->active_labels.handle(), s0->active_labels.handle());

@@ -228,6 +228,50 @@ TEST(ParallelInterpreter, IncrementalBatchesMatchOneShot) {
   expect_same_effort(interp.stats(), serial.stats);
 }
 
+TEST(ParallelInterpreter, ManyTinyBatchesOnOversubscribedPool) {
+  // One-block batches on a pool with more threads than cores: a worker that
+  // finishes a non-last shard is often preempted right after its completion
+  // count, while the owner completes the batch, unpublishes it and reuses
+  // its stack frame for the next one. finish_shard must not touch the batch
+  // after counting itself done (the ThreadSanitizer loop in tools/ci.sh
+  // exercises exactly this window).
+  brb::BrbFactory factory;
+  BlockForge forge(4);
+  RandomDagConfig cfg;
+  cfg.rounds = 40;
+  cfg.broadcasts = 8;
+  const auto rd = make_random_dag(forge, cfg, 21);
+  const InterpretedRun serial = run_serial(rd.dag, factory, 4);
+
+  ParallelInterpretConfig pcfg;
+  pcfg.workers = 16;
+  pcfg.shards_per_thread = 1;
+  pcfg.min_batch_work = 0;
+  ParallelInterpreter engine(pcfg);
+  engine.start();
+  for (int round = 0; round < 4; ++round) {
+    BlockDag growing;
+    Interpreter interp(growing, factory, 4);
+    std::vector<Raised> indications;
+    interp.set_indication_handler(
+        [&indications](Label label, const Bytes& ind, ServerId on_behalf) {
+          indications.emplace_back(label, ind, on_behalf);
+        });
+    for (const BlockPtr& b : rd.dag.topological_order()) {
+      growing.insert(b);
+      engine.run(interp);
+    }
+    EXPECT_EQ(interp.stats().blocks_interpreted, rd.dag.size());
+    EXPECT_EQ(interp.stats().parallel_batches, rd.dag.size());
+    std::vector<Bytes> digests;
+    for (const BlockPtr& b : rd.dag.topological_order()) {
+      digests.push_back(interp.digest_of(b->ref()));
+    }
+    EXPECT_EQ(digests, serial.digests) << "round=" << round;
+    EXPECT_EQ(indications, serial.indications) << "round=" << round;
+  }
+}
+
 TEST(ParallelInterpreter, FallsBackToSerialBelowMinBatchWork) {
   brb::BrbFactory factory;
   BlockForge forge(4);

@@ -17,12 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "protocols/brb.h"
 #include "protocols/fifo_brb.h"
 #include "rt/threaded_runtime.h"
+#include "testing/mailbox_rig.h"
 
 namespace blockdag {
 namespace {
@@ -183,6 +187,56 @@ TEST(TcpRuntime, BindFailureIsReportedNotFatal) {
   second.tcp.base_port = a.tcp()->port_of(0);  // already taken by `a`
   ThreadedRuntime b(factory, second);
   EXPECT_FALSE(b.tcp()->ok());
+}
+
+TEST(TcpRuntime, ParkedEnvelopesCoalesceIntoKBatchFramesOverASocket) {
+  // 256 sends parked on one link before start() are all pending at the
+  // first flush, so they must cross the real socket as kBatch frames —
+  // and still arrive exactly once each, in send order.
+  constexpr std::uint32_t kEnvelopes = 256;
+  testing::MailboxRig rig(2);
+  rt::TcpConfig cfg;
+  cfg.n_servers = 2;
+  rt::TcpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  std::vector<std::pair<ServerId, std::uint32_t>> got;  // server 1's thread
+  std::atomic<std::uint32_t> arrived{0};
+  transport.attach(1, [&](ServerId from, const Bytes& payload) {
+    got.emplace_back(from, testing::envelope_number(payload));
+    arrived.fetch_add(1);
+  });
+  for (std::uint32_t i = 0; i < kEnvelopes; ++i) {
+    transport.send(0, 1, WireKind::kBlock, testing::numbered_envelope(i));
+  }
+  transport.start();
+  EXPECT_TRUE(testing::wait_until([&] { return arrived.load() >= kEnvelopes; },
+                                  std::chrono::seconds(10)));
+  transport.stop();
+  rig.join();
+
+  ASSERT_EQ(got.size(), kEnvelopes);
+  for (std::uint32_t i = 0; i < kEnvelopes; ++i) {
+    EXPECT_EQ(got[i], std::make_pair(ServerId{0}, i));
+  }
+  const rt::TcpStats stats = transport.stats();
+  EXPECT_GT(stats.batches_sent, 0u);
+  EXPECT_EQ(stats.batches_received, stats.batches_sent);
+  EXPECT_EQ(stats.batched_envelopes_received, stats.batched_envelopes);
+  EXPECT_EQ(stats.batch_decode_failures, 0u);
+  EXPECT_EQ(transport.link_stats(0, 1).batches_sent, stats.batches_sent);
+}
+
+TEST(TcpRuntime, BroadcastAfterStopDropsOneEnvelopePerPeer) {
+  testing::MailboxRig rig(4);
+  rt::TcpConfig cfg;
+  cfg.n_servers = 4;
+  rt::TcpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  transport.start();
+  transport.stop();
+  const std::uint64_t before = transport.wire_metrics().dropped;
+  transport.broadcast(0, WireKind::kBlock, testing::numbered_envelope(0));
+  EXPECT_EQ(transport.wire_metrics().dropped - before, 3u);
 }
 
 }  // namespace

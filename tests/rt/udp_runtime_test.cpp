@@ -17,12 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "protocols/brb.h"
 #include "protocols/fifo_brb.h"
 #include "rt/threaded_runtime.h"
+#include "testing/mailbox_rig.h"
 
 namespace blockdag {
 namespace {
@@ -250,6 +255,59 @@ TEST(UdpRuntime, BindFailureIsReportedNotFatal) {
   second.udp.base_port = a.udp()->port_of(0);  // already taken by `a`
   ThreadedRuntime b(factory, second);
   EXPECT_FALSE(b.udp()->ok());
+}
+
+TEST(UdpRuntime, SendManyCoalescesIntoKBatchFramesOverASocket) {
+  // One send_many of 256 envelopes stages them together, so the next pump
+  // must pack them into kBatch frames — each one reliability-layer frame
+  // over the real socket — that arrive exactly once each, in send order.
+  constexpr std::uint32_t kEnvelopes = 256;
+  testing::MailboxRig rig(2);
+  rt::UdpConfig cfg;
+  cfg.n_servers = 2;
+  rt::UdpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  std::vector<std::pair<ServerId, std::uint32_t>> got;  // server 1's thread
+  std::atomic<std::uint32_t> arrived{0};
+  transport.attach(1, [&](ServerId from, const Bytes& payload) {
+    got.emplace_back(from, testing::envelope_number(payload));
+    arrived.fetch_add(1);
+  });
+  transport.start();
+  std::vector<Envelope> envelopes;
+  for (std::uint32_t i = 0; i < kEnvelopes; ++i) {
+    envelopes.push_back(
+        {WireKind::kBlock,
+         std::make_shared<const Bytes>(testing::numbered_envelope(i))});
+  }
+  transport.send_many(0, 1, envelopes);
+  EXPECT_TRUE(testing::wait_until([&] { return arrived.load() >= kEnvelopes; },
+                                  std::chrono::seconds(10)));
+  transport.stop();
+  rig.join();
+
+  ASSERT_EQ(got.size(), kEnvelopes);
+  for (std::uint32_t i = 0; i < kEnvelopes; ++i) {
+    EXPECT_EQ(got[i], std::make_pair(ServerId{0}, i));
+  }
+  const rt::UdpStats stats = transport.stats();
+  EXPECT_GT(stats.batches_sent, 0u);
+  EXPECT_EQ(stats.batches_received, stats.batches_sent);
+  EXPECT_EQ(stats.batched_envelopes_received, stats.batched_envelopes);
+  EXPECT_EQ(stats.batch_decode_failures, 0u);
+}
+
+TEST(UdpRuntime, BroadcastAfterStopDropsOneEnvelopePerPeer) {
+  testing::MailboxRig rig(4);
+  rt::UdpConfig cfg;
+  cfg.n_servers = 4;
+  rt::UdpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  transport.start();
+  transport.stop();
+  const std::uint64_t before = transport.wire_metrics().dropped;
+  transport.broadcast(0, WireKind::kBlock, testing::numbered_envelope(0));
+  EXPECT_EQ(transport.wire_metrics().dropped - before, 3u);
 }
 
 }  // namespace

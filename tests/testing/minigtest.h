@@ -21,6 +21,7 @@
 // typed tests, sharding, XML output, threadsafe assertions.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -237,9 +238,11 @@ struct Registry {
   std::vector<std::function<void(Registry&)>> param_expanders;
 
   // Per-test outcome state, written by assertion macros via AssertHelper.
-  bool current_failed = false;
-  bool current_fatal = false;
-  std::size_t checks_executed = 0;
+  // Atomic because, as in gtest, assertions may run on any thread the test
+  // starts.
+  std::atomic<bool> current_failed{false};
+  std::atomic<bool> current_fatal{false};
+  std::atomic<std::size_t> checks_executed{0};
 
   static Registry& Instance() {
     static Registry registry;

@@ -133,23 +133,9 @@ struct Options {
   // hardware threads; 0 = serial). Simulator runs reject it — the sim never
   // constructs the engine, keeping seeded replays byte-deterministic.
   std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching on the real runtimes (--batch on|off).
-  // batch_set tracks an explicit flag so sim runs can reject it.
-  bool batch = true;
-  bool batch_set = false;
   std::string dot_file;
   std::map<ServerId, ByzantineKind> byzantine;
 };
-
-// --batch on|off: dissemination batching on the real runtimes
-// (ThreadedConfig::batching, DESIGN.md §13). Default on; off selects the
-// exact pre-batching per-envelope path — the honest A/B baseline. The
-// simulator has no such knob (serial and byte-deterministic by design).
-std::optional<bool> parse_on_off(const std::string& v) {
-  if (v == "on") return true;
-  if (v == "off") return false;
-  return std::nullopt;
-}
 
 std::optional<ByzantineKind> parse_kind(const std::string& name) {
   if (name == "silent") return ByzantineKind::kSilent;
@@ -206,13 +192,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = next();
       if (!v) return false;
       opt.interpret_workers = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
-      opt.batch_set = true;
     } else if (arg == "--wots") {
       opt.sig = SigScheme::kWots;  // alias for --sig wots
     } else if (arg == "--sig") {
@@ -279,7 +258,6 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   cfg.n_servers = opt.n;
   cfg.seed = opt.seed;
   cfg.sig_scheme = opt.sig;
-  cfg.batching = opt.batch;
   cfg.pacing.interval = sim_ms(opt.interval_ms);
   if (opt.interpret_workers) {
     cfg.interpret_workers = static_cast<std::size_t>(*opt.interpret_workers);
@@ -340,10 +318,10 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   }
 
   std::printf("simctl report — runtime=%s protocol=%s n=%u instances=%u "
-              "seed=%llu sig=%s batch=%s\n\n",
+              "seed=%llu sig=%s\n\n",
               opt.runtime.c_str(), opt.protocol.c_str(), opt.n, issued,
               static_cast<unsigned long long>(opt.seed),
-              sig_scheme_name(opt.sig), opt.batch ? "on" : "off");
+              sig_scheme_name(opt.sig));
   const std::uint64_t blocks = runtime.total_blocks_inserted();
   std::printf("instances complete everywhere : %zu / %u\n", complete, issued);
   std::printf("converged (joint DAG + interp) : %s\n", converged ? "yes" : "no");
@@ -506,12 +484,6 @@ int run(const Options& opt) {
                  "seeded replays byte-deterministic\n");
     return 2;
   }
-  if (opt.batch_set) {
-    std::fprintf(stderr,
-                 "--batch needs a real runtime (threads|tcp|udp); the "
-                 "simulator is serial by design and has no batching path\n");
-    return 2;
-  }
 
   ClusterConfig cfg;
   cfg.n_servers = opt.n;
@@ -642,10 +614,6 @@ struct MemberOptions {
   // local tuning: members of one cluster need not agree on it — the engine
   // never changes what is computed (Lemma 4.2), only on how many threads.
   std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching (--batch on|off). Local tuning like the worker
-  // count: the kBatch envelope is self-describing, so a batching member
-  // interoperates with a non-batching one.
-  bool batch = true;
 };
 
 bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
@@ -711,11 +679,6 @@ bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
     } else if (arg == "--interpret-workers") {
       if (!v || !parse_u32(v, u)) return false;
       opt.interpret_workers = u;
-    } else if (arg == "--batch") {
-      if (!v) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
     } else {
       return false;
     }
@@ -755,7 +718,6 @@ int run_member(const MemberOptions& opt, const char* role) {
   cfg.n_servers = opt.n;
   cfg.seed = opt.seed;
   cfg.sig_scheme = opt.sig;
-  cfg.batching = opt.batch;
   cfg.pacing.interval = sim_ms(opt.interval_ms);
   cfg.gossip.fwd_retry_delay = sim_ms(20);
   if (opt.interpret_workers) {
@@ -1024,7 +986,7 @@ int cmd_member(int argc, char** argv, bool join) {
                  "                    [--interval MS] [--seed X] "
                  "[--sig ideal|hmac|wots]\n"
                  "                    [--data-dir DIR] [--checkpoint K]\n"
-                 "                    [--interpret-workers N] [--batch on|off]\n"
+                 "                    [--interpret-workers N]\n"
                  "       simctl join --id I --n N --port PORT [same options]\n"
                  "(--data-dir: persist checkpoints + block log, restore on "
                  "restart; exit 3 on corrupt state. All members must agree "
@@ -1056,12 +1018,6 @@ struct FuzzOptions {
   // failure under a specific worker count replays under that count. The
   // sim slice rejects it (no engine in the simulator).
   std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching on the real-runtime slices (--batch on|off).
-  // Applied post-derivation like --sig: it never perturbs a derived
-  // scenario, so the same seed exercises the same plan under both modes
-  // and digests must agree. Pinned into repro lines when off.
-  bool batch = true;
-  bool batch_set = false;  // --batch given explicitly (rejected on --runtime sim)
   std::string repro_file;
   std::string trace_file;        // replay only
 };
@@ -1124,7 +1080,6 @@ struct UdpScenario {
   std::uint64_t duration_ns = 0;
   SigScheme sig = SigScheme::kIdeal;
   std::optional<std::uint32_t> interpret_workers;
-  bool batch = true;
   rt::LinkFault base;
   struct Override {
     ServerId from = 0;
@@ -1149,7 +1104,6 @@ UdpScenario udp_scenario_for_seed(std::uint64_t seed, const FuzzOptions& opt) {
                        : static_cast<std::uint64_t>(opt.duration_s * 1e9);
   sc.sig = opt.sig;  // scheme never perturbs the derived fault profile
   sc.interpret_workers = opt.interpret_workers;  // ditto (post-derivation)
-  sc.batch = opt.batch;                          // ditto
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);  // distinct from the injector's RNG
   sc.base.drop = 0.25 * rng.unit();
   sc.base.reorder = 0.30 * rng.unit();
@@ -1196,7 +1150,6 @@ std::string udp_repro_line(const UdpScenario& sc) {
   if (sc.interpret_workers) {
     line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
   }
-  if (!sc.batch) line += " --batch off";
   return line;
 }
 
@@ -1231,7 +1184,6 @@ std::vector<std::string> run_udp_scenario(const UdpScenario& sc) {
   cfg.n_servers = sc.n;
   cfg.seed = sc.seed;
   cfg.sig_scheme = sc.sig;
-  cfg.batching = sc.batch;
   cfg.pacing.interval = sim_ms(2);
   // FWD retry matched to the loss regime: a 5ms retry against a lossy,
   // RTO-bound link just queues duplicate recovery payloads behind the
@@ -1374,7 +1326,6 @@ struct ThreadsScenario {
   bool forger = false;
   ServerId forger_id = 0;
   std::optional<std::uint32_t> interpret_workers;
-  bool batch = true;
   std::vector<ChurnEvent> events;
 };
 
@@ -1394,7 +1345,6 @@ ThreadsScenario threads_scenario_for_seed(std::uint64_t seed,
   sc.tcp = opt.runtime == "tcp";
   sc.sig = opt.sig;
   sc.interpret_workers = opt.interpret_workers;  // never perturbs the plan
-  sc.batch = opt.batch;                          // ditto
   // The forger needs a real scheme (under the ideal provider there is no
   // verification cost worth attacking) and a cluster big enough to spare a
   // server to the adversary.
@@ -1439,16 +1389,14 @@ std::string threads_repro_line(const ThreadsScenario& sc) {
   if (sc.interpret_workers) {
     line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
   }
-  if (!sc.batch) line += " --batch off";
   return line;
 }
 
 void print_threads_plan(const ThreadsScenario& sc) {
   std::printf("---- crash-churn plan ----\n");
-  std::printf("checkpoint every %llu blocks, backend=%s, sig=%s, batch=%s\n",
+  std::printf("checkpoint every %llu blocks, backend=%s, sig=%s\n",
               static_cast<unsigned long long>(sc.epoch_blocks),
-              sc.tcp ? "tcp" : "loopback", sig_scheme_name(sc.sig),
-              sc.batch ? "on" : "off");
+              sc.tcp ? "tcp" : "loopback", sig_scheme_name(sc.sig));
   if (sc.forger) {
     std::printf("forger adversary at server %u (raw-hosted, rejected ring "
                 "capped at 64)\n",
@@ -1477,7 +1425,6 @@ std::vector<std::string> run_threads_scenario(const ThreadsScenario& sc) {
   cfg.n_servers = sc.n;
   cfg.seed = sc.seed;
   cfg.sig_scheme = sc.sig;
-  cfg.batching = sc.batch;
   cfg.pacing.interval = sim_ms(2);
   cfg.gossip.fwd_retry_delay = sim_ms(5);
   if (sc.forger) {
@@ -1805,12 +1752,6 @@ bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
       std::uint32_t u = 0;
       if (!(v = next()) || !parse_u32(v, u)) return false;
       opt.interpret_workers = u;
-    } else if (arg == "--batch") {
-      if (!(v = next())) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
-      opt.batch_set = true;
     } else if (arg == "--repro-file" && !replay) {
       if (!(v = next())) return false;
       opt.repro_file = v;
@@ -1833,7 +1774,7 @@ int cmd_fuzz(int argc, char** argv) {
                  "                   [--n N] [--instances K] [--duration S |"
                  " --duration-ns NS]\n"
                  "                   [--sig ideal|hmac|wots] [--repro-file FILE]\n"
-                 "                   [--interpret-workers N] [--batch on|off]\n"
+                 "                   [--interpret-workers N]\n"
                  "(--sig hmac|wots also arms the forger adversary: sim adds\n"
                  " kForger to the byzantine pool; threads/tcp host a raw forger\n"
                  " flooding invalidly-signed blocks at the cluster)\n");
@@ -1843,12 +1784,6 @@ int cmd_fuzz(int argc, char** argv) {
     std::fprintf(stderr,
                  "--interpret-workers needs a real-runtime slice "
                  "(--runtime threads|tcp|udp)\n");
-    return 2;
-  }
-  if (opt.batch_set && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--batch needs a real-runtime slice (--runtime "
-                 "threads|tcp|udp); the simulator is serial by design\n");
     return 2;
   }
   std::size_t passed = 0, failed = 0;
@@ -1917,19 +1852,13 @@ int cmd_replay(int argc, char** argv) {
                  "                     [--n N] [--instances K] [--duration S |"
                  " --duration-ns NS]\n"
                  "                     [--sig ideal|hmac|wots] [--trace FILE]\n"
-                 "                     [--interpret-workers N] [--batch on|off]\n");
+                 "                     [--interpret-workers N]\n");
     return 2;
   }
   if (opt.interpret_workers && opt.runtime == "sim") {
     std::fprintf(stderr,
                  "--interpret-workers needs a real-runtime slice "
                  "(--runtime threads|tcp|udp)\n");
-    return 2;
-  }
-  if (opt.batch_set && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--batch needs a real-runtime slice (--runtime "
-                 "threads|tcp|udp); the simulator is serial by design\n");
     return 2;
   }
   if (opt.runtime == "threads" || opt.runtime == "tcp") {
@@ -2025,8 +1954,7 @@ int main(int argc, char** argv) {
                  "              [--seconds S] [--instances K] [--interval MS]\n"
                  "              [--seed X] [--drop P] [--byzantine ID:KIND ...]\n"
                  "              [--sig ideal|hmac|wots] [--dot FILE]\n"
-                 "              [--interpret-workers N] [--batch on|off]  "
-                 "(real runtimes only)\n"
+                 "              [--interpret-workers N]  (real runtimes only)\n"
                  "       simctl serve --n N --port PORT [options]\n"
                  "       simctl join --id I --n N --port PORT [options]\n"
                  "       simctl fuzz --seeds A..B [options]\n"
