@@ -35,6 +35,24 @@ LatencyModel random_latency(Rng& rng) {
 
 }  // namespace
 
+const char* scenario_runtime_name(ScenarioRuntime runtime) {
+  switch (runtime) {
+    case ScenarioRuntime::kSim: return "sim";
+    case ScenarioRuntime::kThreads: return "threads";
+    case ScenarioRuntime::kTcp: return "tcp";
+    case ScenarioRuntime::kUdp: return "udp";
+  }
+  return "?";
+}
+
+std::optional<ScenarioRuntime> parse_scenario_runtime(std::string_view name) {
+  for (ScenarioRuntime r : {ScenarioRuntime::kSim, ScenarioRuntime::kThreads,
+                            ScenarioRuntime::kTcp, ScenarioRuntime::kUdp}) {
+    if (name == scenario_runtime_name(r)) return r;
+  }
+  return std::nullopt;
+}
+
 SimTime effective_duration(const ScenarioConfig& config) {
   // The plan invariants (burst/crash separation as duration fractions vs
   // the absolute pacing interval) assume at least a second of simulated

@@ -24,7 +24,9 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/byzantine.h"
@@ -33,13 +35,24 @@
 
 namespace blockdag {
 
+// Where a scenario runs: the deterministic simulator (runtime/cluster.h)
+// or rt::ThreadedRuntime over the loopback mailbox transport, real
+// localhost TCP sockets, or real UDP datagrams with in-path fault
+// injection (runtime/live_scenario.h).
+enum class ScenarioRuntime { kSim, kThreads, kTcp, kUdp };
+
+const char* scenario_runtime_name(ScenarioRuntime runtime);
+std::optional<ScenarioRuntime> parse_scenario_runtime(std::string_view name);
+
 struct ScenarioConfig {
   std::uint64_t seed = 0;
   std::uint32_t n_servers = 4;
   // One of: brb, bcb, fifo, pbft, beacon (ProtocolFactory names modulo
   // spelling; see runtime/scenario.cpp).
   std::string protocol = "brb";
-  SimTime duration = sim_sec(1);  // clamped to >= 1s (see faultplan.cpp)
+  // The simulator clamps it to >= 1s (effective_duration); the real
+  // runtimes take it as given, in wall-clock ns.
+  SimTime duration = sim_sec(1);
   std::uint32_t instances = 6;    // parallel protocol instances (labels)
   bool allow_byzantine = true;
   bool allow_crashes = true;
@@ -50,6 +63,11 @@ struct ScenarioConfig {
   // Signature scheme (ideal | hmac | wots). Scheme choice never affects
   // the derived plan — only the crypto the cluster runs under.
   SigScheme sig_scheme = SigScheme::kIdeal;
+  ScenarioRuntime runtime = ScenarioRuntime::kSim;
+  // Parallel-interpretation workers on the real runtimes (unset = auto,
+  // 0 = serial). Never perturbs the derived plan; the simulator has no
+  // engine (see scenario_config_error).
+  std::optional<std::uint32_t> interpret_workers;
 };
 
 struct FaultPlan {

@@ -1,7 +1,5 @@
 #include "runtime/scenario.h"
 
-#include <map>
-
 #include "crypto/sha256.h"
 #include "protocols/bcb.h"
 #include "protocols/brb.h"
@@ -18,6 +16,67 @@ namespace blockdag {
 
 namespace {
 
+Bytes value_for(std::uint64_t seed, std::uint32_t instance, std::uint32_t part) {
+  return Bytes{static_cast<std::uint8_t>(1 + (seed + instance * 37 + part * 101) % 251),
+               static_cast<std::uint8_t>(1 + instance % 251),
+               static_cast<std::uint8_t>(1 + part % 251)};
+}
+
+// Correct servers that indicated anything on `label`.
+std::size_t indicated_at(const IndicationLogs& logs, Label label) {
+  std::size_t count = 0;
+  for (const auto& [server, log] : logs) {
+    for (const UserIndication& ind : log) {
+      if (ind.label == label) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+IndicationLogs correct_logs(const Cluster& cluster) {
+  IndicationLogs logs;
+  for (ServerId s : cluster.correct_servers()) {
+    logs[s] = cluster.shim(s).indications();
+  }
+  return logs;
+}
+
+// PBFT liveness nudges: the paper externalizes timeouts as complain()
+// requests inscribed in blocks (§7; protocols/pbft_lite.h). Fault plans can
+// leave a slot leaderless (byzantine or crashed view leader), so after the
+// run quiesces every correct server complains about still-undecided slots
+// and a few manual dissemination rounds carry the view change; repeat until
+// every slot decided or the leader rotation exhausted twice.
+void nudge_pbft_liveness(Cluster& cluster, const Expectations& expect) {
+  const auto all_decided = [&] {
+    for (Label label : expect.all_labels) {
+      if (cluster.indicated_count(label) < cluster.n_correct()) return false;
+    }
+    return true;
+  };
+  const std::size_t max_waves = 2 * cluster.config().n_servers + 4;
+  for (std::size_t wave = 0; wave < max_waves && !all_decided(); ++wave) {
+    for (ServerId s : cluster.correct_servers()) {
+      for (Label label : expect.all_labels) {
+        if (cluster.indicated_count(label) < cluster.n_correct()) {
+          cluster.request(s, label, pbft::make_complain());
+        }
+      }
+    }
+    // One round to inscribe the complaints, then a few to carry the new
+    // view's PREPREPARE → PREPARE → COMMIT exchange.
+    for (int tick = 0; tick < 5; ++tick) {
+      for (ServerId s : cluster.correct_servers()) cluster.shim(s).tick();
+      cluster.scheduler().run();
+    }
+  }
+}
+
+}  // namespace
+
 const ProtocolFactory* factory_for(const std::string& protocol) {
   static const brb::BrbFactory brb_factory;
   static const bcb::BcbFactory bcb_factory;
@@ -32,42 +91,68 @@ const ProtocolFactory* factory_for(const std::string& protocol) {
   return nullptr;
 }
 
-// What the bursts promised, for the property checkers.
-struct Expectations {
-  struct Broadcast {  // brb / bcb
-    Label label;
-    ServerId broadcaster;
-    Bytes value;
-  };
-  struct Stream {  // fifo
-    Label label;
-    ServerId origin;
-    std::vector<Bytes> values;
-  };
-  struct Proposal {  // pbft: same value proposed by every live correct server
-    Label label;
-    Bytes value;
-    std::vector<ServerId> proposers;
-  };
-  std::vector<Broadcast> broadcasts;
-  std::vector<Stream> streams;
-  std::vector<Proposal> proposals;
-  std::vector<Label> beacon_labels;
-  std::vector<Label> all_labels;
-};
-
-Bytes value_for(std::uint64_t seed, std::uint32_t instance, std::uint32_t part) {
-  return Bytes{static_cast<std::uint8_t>(1 + (seed + instance * 37 + part * 101) % 251),
-               static_cast<std::uint8_t>(1 + instance % 251),
-               static_cast<std::uint8_t>(1 + part % 251)};
+std::string scenario_config_error(const ScenarioConfig& config) {
+  if (!factory_for(config.protocol)) {
+    return "unknown protocol '" + config.protocol + "'";
+  }
+  if (config.runtime == ScenarioRuntime::kSim) {
+    if (config.interpret_workers) {
+      return "--interpret-workers needs a real-runtime slice "
+             "(--runtime threads|tcp|udp)";
+    }
+  } else if (config.n_servers < 3) {
+    return std::string("--runtime ") + scenario_runtime_name(config.runtime) +
+           " needs --n 3 or more (churn and partitions keep a live majority)";
+  }
+  return {};
 }
 
-// Issues the requests of one burst. Runs at plan time, when every non-
-// byzantine server is live (bursts end before crash windows open — see
-// faultplan.h), so the correct set is the full honest set.
-void issue_burst(Cluster& cluster, const ScenarioConfig& config,
-                 const FaultPlan::Burst& burst, Expectations& expect) {
-  const std::vector<ServerId> correct = cluster.correct_servers();
+ScenarioConfig scenario_for_seed(std::uint64_t seed, ScenarioConfig pinned) {
+  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
+  static const std::uint32_t kSimSizes[] = {4, 7, 10};
+  static const std::uint32_t kLiveSizes[] = {3, 4, 5};
+  ScenarioConfig cfg = std::move(pinned);
+  cfg.seed = seed;
+  if (cfg.protocol == "mix") cfg.protocol = kProtocols[seed % 5];
+  if (cfg.n_servers == 0) {
+    cfg.n_servers = cfg.runtime == ScenarioRuntime::kSim ? kSimSizes[(seed / 5) % 3]
+                                                         : kLiveSizes[(seed / 5) % 3];
+  }
+  // Real signatures arm the forger: a new fuzz grammar (the kind pool
+  // grows), so it is gated on --sig to keep ideal-scheme seeds replayable
+  // against historical repro lines.
+  cfg.allow_forger = cfg.sig_scheme != SigScheme::kIdeal;
+  return cfg;
+}
+
+std::string repro_line(const ScenarioConfig& config) {
+  std::string line = "simctl replay";
+  if (config.runtime != ScenarioRuntime::kSim) {
+    line += std::string(" --runtime ") + scenario_runtime_name(config.runtime);
+  }
+  // Integer nanoseconds, the native unit: a decimal-seconds double does
+  // not survive the ns→s→ns round trip for every value, and every plan
+  // time is derived from the duration, so a 1 ns slip would replay a
+  // different scenario.
+  const SimTime duration = config.runtime == ScenarioRuntime::kSim
+                               ? effective_duration(config)
+                               : config.duration;
+  line += " --seed " + std::to_string(config.seed) + " --protocol " +
+          config.protocol + " --n " + std::to_string(config.n_servers) +
+          " --instances " + std::to_string(config.instances) +
+          " --duration-ns " + std::to_string(duration);
+  if (config.sig_scheme != SigScheme::kIdeal) {
+    line += std::string(" --sig ") + sig_scheme_name(config.sig_scheme);
+  }
+  if (config.interpret_workers) {
+    line += " --interpret-workers " + std::to_string(*config.interpret_workers);
+  }
+  return line;
+}
+
+void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
+                 const std::vector<ServerId>& correct, const RequestFn& request,
+                 Expectations& expect) {
   if (correct.empty()) return;
   for (std::uint32_t i = burst.first_instance;
        i < burst.first_instance + burst.count && i < config.instances; ++i) {
@@ -77,7 +162,7 @@ void issue_burst(Cluster& cluster, const ScenarioConfig& config,
       const ServerId target = correct[i % correct.size()];
       const Bytes value = value_for(config.seed, i, 0);
       expect.broadcasts.push_back({label, target, value});
-      cluster.request(target, label,
+      request(target, label,
                       config.protocol == "brb" ? brb::make_broadcast(value)
                                                : bcb::make_send(value));
     } else if (config.protocol == "fifo") {
@@ -87,7 +172,7 @@ void issue_burst(Cluster& cluster, const ScenarioConfig& config,
       for (std::uint32_t j = 0; j < len; ++j) {
         const Bytes value = value_for(config.seed, i, j);
         stream.values.push_back(value);
-        cluster.request(origin, label, fifo::make_broadcast(value));
+        request(origin, label, fifo::make_broadcast(value));
       }
       expect.streams.push_back(std::move(stream));
     } else if (config.protocol == "pbft") {
@@ -96,14 +181,14 @@ void issue_burst(Cluster& cluster, const ScenarioConfig& config,
       const Bytes value = value_for(config.seed, i, 0);
       expect.proposals.push_back({label, value, correct});
       for (ServerId s : correct) {
-        cluster.request(s, label, pbft::make_propose(value));
+        request(s, label, pbft::make_propose(value));
       }
     } else if (config.protocol == "beacon") {
       // f+1 distinct contributors make the beacon fire (at least one of
       // them correct — here all of them are).
       const std::uint32_t needed = plausibility_quorum(config.n_servers);
       for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
-        cluster.request(correct[c], label,
+        request(correct[c], label,
                         beacon::make_contribute(config.seed * 1000003 +
                                                 i * 31 + c));
       }
@@ -112,18 +197,16 @@ void issue_burst(Cluster& cluster, const ScenarioConfig& config,
   }
 }
 
-// Evaluates the protocol's properties over everything delivered so far.
-// With run_completed = false only safety is checked (the run may be mid-
-// partition or mid-crash); with true, liveness too (the run has quiesced).
-std::vector<std::string> check_properties(const Cluster& cluster,
-                                          const ScenarioConfig& config,
+std::vector<std::string> check_properties(const ScenarioConfig& config,
+                                          const IndicationLogs& logs,
                                           const Expectations& expect,
                                           bool run_completed) {
-  const std::vector<ServerId> correct = cluster.correct_servers();
+  std::vector<ServerId> correct;
+  for (const auto& [server, log] : logs) correct.push_back(server);
   std::vector<std::string> out;
   const auto scan = [&](auto&& record) {
-    for (ServerId s : correct) {
-      for (const UserIndication& ind : cluster.shim(s).indications()) {
+    for (const auto& [s, log] : logs) {
+      for (const UserIndication& ind : log) {
         if (ind.label < kScenarioLabelBase) continue;  // byzantine noise labels
         record(s, ind);
       }
@@ -195,7 +278,7 @@ std::vector<std::string> check_properties(const Cluster& cluster,
     out.insert(out.end(), v.begin(), v.end());
     if (run_completed) {
       for (Label label : expect.beacon_labels) {
-        if (cluster.indicated_count(label) < correct.size()) {
+        if (indicated_at(logs, label) < correct.size()) {
           out.push_back("beacon termination violated at label " +
                         std::to_string(label));
         }
@@ -205,48 +288,22 @@ std::vector<std::string> check_properties(const Cluster& cluster,
   return out;
 }
 
-// PBFT liveness nudges: the paper externalizes timeouts as complain()
-// requests inscribed in blocks (§7; protocols/pbft_lite.h). Fault plans can
-// leave a slot leaderless (byzantine or crashed view leader), so after the
-// run quiesces every correct server complains about still-undecided slots
-// and a few manual dissemination rounds carry the view change; repeat until
-// every slot decided or the leader rotation exhausted twice.
-void nudge_pbft_liveness(Cluster& cluster, const Expectations& expect) {
-  const auto all_decided = [&] {
-    for (Label label : expect.all_labels) {
-      if (cluster.indicated_count(label) < cluster.n_correct()) return false;
-    }
-    return true;
-  };
-  const std::size_t max_waves = 2 * cluster.config().n_servers + 4;
-  for (std::size_t wave = 0; wave < max_waves && !all_decided(); ++wave) {
-    for (ServerId s : cluster.correct_servers()) {
-      for (Label label : expect.all_labels) {
-        if (cluster.indicated_count(label) < cluster.n_correct()) {
-          cluster.request(s, label, pbft::make_complain());
-        }
-      }
-    }
-    // One round to inscribe the complaints, then a few to carry the new
-    // view's PREPREPARE → PREPARE → COMMIT exchange.
-    for (int tick = 0; tick < 5; ++tick) {
-      for (ServerId s : cluster.correct_servers()) cluster.shim(s).tick();
-      cluster.scheduler().run();
+void count_indications(const IndicationLogs& logs, const Expectations& expect,
+                       ScenarioResult& result) {
+  for (const auto& [server, log] : logs) {
+    for (const UserIndication& ind : log) {
+      if (ind.label >= kScenarioLabelBase) ++result.deliveries;
     }
   }
-}
-
-}  // namespace
-
-bool scenario_protocol_known(const std::string& protocol) {
-  return factory_for(protocol) != nullptr;
+  for (Label label : expect.all_labels) {
+    if (indicated_at(logs, label) == logs.size()) ++result.labels_complete;
+  }
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   ScenarioResult result;
-  const ProtocolFactory* factory = factory_for(config.protocol);
-  if (!factory) {
-    result.violations.push_back("unknown protocol '" + config.protocol + "'");
+  if (std::string error = scenario_config_error(config); !error.empty()) {
+    result.violations.push_back(std::move(error));
     return result;
   }
   const FaultPlan plan = derive_fault_plan(config);
@@ -271,7 +328,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
   Expectations expect;
   std::map<ServerId, Bytes> snapshots;
-  Cluster cluster(*factory, cluster_config);
+  Cluster cluster(*factory_for(config.protocol), cluster_config);
   Scheduler& sched = cluster.scheduler();
 
   for (const auto& partition : plan.partitions) {
@@ -303,8 +360,15 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     });
   }
   for (const auto& burst : plan.bursts) {
+    // Bursts fire when every non-byzantine server is live (they end before
+    // crash windows open — see faultplan.h), so the correct set is the
+    // full honest set.
     sched.at(burst.at, [&cluster, &config, &burst, &expect] {
-      issue_burst(cluster, config, burst, expect);
+      issue_burst(config, burst, cluster.correct_servers(),
+                  [&cluster](ServerId s, Label label, Bytes request) {
+                    cluster.request(s, label, std::move(request));
+                  },
+                  expect);
     });
   }
 
@@ -314,7 +378,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // partial execution (no waiting on "eventually").
   cluster.run_until(duration / 2);
   for (const auto& violation :
-       check_properties(cluster, config, expect, /*run_completed=*/false)) {
+       check_properties(config, correct_logs(cluster), expect,
+                        /*run_completed=*/false)) {
     result.violations.push_back("mid-run: " + violation);
   }
 
@@ -328,8 +393,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.violations.push_back("joint-DAG convergence failed (Lemma 3.7)");
   }
 
+  const IndicationLogs logs = correct_logs(cluster);
   const auto final_violations =
-      check_properties(cluster, config, expect, /*run_completed=*/true);
+      check_properties(config, logs, expect, /*run_completed=*/true);
   result.violations.insert(result.violations.end(), final_violations.begin(),
                            final_violations.end());
 
@@ -397,22 +463,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
   }
 
-  for (ServerId s : correct) {
+  for (const auto& [s, indications] : logs) {
     Writer log;
     log.u32(s);
-    for (const UserIndication& ind : cluster.shim(s).indications()) {
+    for (const UserIndication& ind : indications) {
       if (ind.label < kScenarioLabelBase) continue;
-      ++result.deliveries;
       log.u64(ind.label);
       log.bytes(ind.indication);
     }
     run_hash.update(log.data());
   }
-  for (Label label : expect.all_labels) {
-    if (cluster.indicated_count(label) == correct.size()) {
-      ++result.labels_complete;
-    }
-  }
+  count_indications(logs, expect, result);
   const Sha256::Digest digest = run_hash.finalize();
   result.run_digest.assign(digest.begin(), digest.end());
   return result;

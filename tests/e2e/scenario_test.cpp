@@ -67,7 +67,7 @@ TEST(Scenario, DeterministicReplay) {
 }
 
 TEST(Scenario, UnknownProtocolIsAnError) {
-  EXPECT_FALSE(scenario_protocol_known("paxos"));
+  EXPECT_EQ(factory_for("paxos"), nullptr);
   ScenarioConfig cfg;
   cfg.protocol = "paxos";
   const ScenarioResult result = run_scenario(cfg);

@@ -1,0 +1,172 @@
+// Scenario engine on the real runtimes (runtime/live_scenario.h), tier-1
+// slice: one pinned seed per backend runs its whole plan — crash churn on
+// threads and TCP, the forger under real signatures, the wire-fault
+// profile on UDP — with the engine's checkers on, and the plan derivation
+// is pinned to the plans `simctl replay` has always printed for those
+// seeds. The wide sweeps are `simctl fuzz --runtime threads|tcp|udp`.
+#include <gtest/gtest.h>
+
+#include "runtime/live_scenario.h"
+
+namespace blockdag {
+namespace {
+
+ScenarioConfig fuzz_config(ScenarioRuntime runtime, std::uint64_t seed,
+                           SigScheme sig = SigScheme::kIdeal) {
+  ScenarioConfig pinned;
+  pinned.runtime = runtime;
+  pinned.protocol = "mix";
+  pinned.n_servers = 0;
+  pinned.sig_scheme = sig;
+  return scenario_for_seed(seed, pinned);
+}
+
+struct PinnedPlan {
+  ScenarioRuntime runtime;
+  SigScheme sig;
+  std::uint64_t seed;
+  const char* protocol;
+  std::uint32_t n;
+  const char* summary;
+};
+
+TEST(LiveScenario, DerivationMatchesPinnedPlans) {
+  const PinnedPlan pinned[] = {
+      {ScenarioRuntime::kUdp, SigScheme::kIdeal, 2, "fifo", 3,
+       "---- wire-fault profile ----\n"
+       "base: drop=0.219 reorder=0.226 dup=0.134 delay=1000..8000 us\n"
+       "hostile link 0->1: drop=0.221\n"},
+      {ScenarioRuntime::kUdp, SigScheme::kIdeal, 6, "bcb", 4,
+       "---- wire-fault profile ----\n"
+       "base: drop=0.182 reorder=0.027 dup=0.159 delay=0..0 us\n"
+       "hostile link 2->1: drop=0.307\n"
+       "hostile link 2->0: drop=0.373\n"
+       "hostile link 0->1: drop=0.224\n"
+       "partition: {3} | rest, middle third, healed before settle\n"},
+      {ScenarioRuntime::kThreads, SigScheme::kIdeal, 1, "bcb", 3,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 3 blocks, backend=loopback, sig=ideal\n"
+       "kill server 0 at 42%, restart at 74%\n"},
+      {ScenarioRuntime::kThreads, SigScheme::kIdeal, 2, "fifo", 3,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 6 blocks, backend=loopback, sig=ideal\n"
+       "kill server 0 at 35%, restart at 53%\n"},
+      {ScenarioRuntime::kTcp, SigScheme::kIdeal, 1, "bcb", 3,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 3 blocks, backend=tcp, sig=ideal\n"
+       "kill server 0 at 42%, restart at 74%\n"},
+      {ScenarioRuntime::kTcp, SigScheme::kIdeal, 4, "beacon", 3,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 6 blocks, backend=tcp, sig=ideal\n"
+       "kill server 1 at 21%, restart at 51%\n"},
+      {ScenarioRuntime::kThreads, SigScheme::kWots, 5, "brb", 4,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 4 blocks, backend=loopback, sig=wots\n"
+       "forger adversary at server 3 (raw-hosted, rejected ring capped at 64)\n"
+       "kill server 1 at 43%, restart at 61%\n"},
+      {ScenarioRuntime::kThreads, SigScheme::kWots, 7, "fifo", 4,
+       "---- crash-churn plan ----\n"
+       "checkpoint every 8 blocks, backend=loopback, sig=wots\n"
+       "forger adversary at server 3 (raw-hosted, rejected ring capped at 64)\n"
+       "kill server 2 at 17%, restart at 37%\n"},
+  };
+  for (const PinnedPlan& p : pinned) {
+    const ScenarioConfig cfg = fuzz_config(p.runtime, p.seed, p.sig);
+    EXPECT_EQ(cfg.protocol, p.protocol) << "seed " << p.seed;
+    EXPECT_EQ(cfg.n_servers, p.n) << "seed " << p.seed;
+    const LivePlan plan = derive_live_plan(cfg);
+    EXPECT_EQ(plan.summary(), p.summary)
+        << scenario_runtime_name(p.runtime) << " seed " << p.seed;
+    // The scheme and the worker count never perturb a plan.
+    ScenarioConfig other = cfg;
+    other.interpret_workers = 4;
+    if (p.runtime == ScenarioRuntime::kUdp) other.sig_scheme = SigScheme::kWots;
+    EXPECT_EQ(derive_live_plan(other).summary(), plan.summary());
+  }
+}
+
+TEST(LiveScenario, PlansKeepALiveMajority) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (ScenarioRuntime runtime : {ScenarioRuntime::kThreads, ScenarioRuntime::kUdp}) {
+      const ScenarioConfig cfg = fuzz_config(runtime, seed, SigScheme::kWots);
+      const LivePlan plan = derive_live_plan(cfg);
+      const std::vector<ServerId> correct = plan.correct(cfg.n_servers);
+      EXPECT_LT(2 * plan.churn.size(), correct.size()) << "seed " << seed;
+      for (const LivePlan::Churn& ev : plan.churn) {
+        EXPECT_TRUE(ev.server != plan.forger) << "seed " << seed;
+        EXPECT_LT(ev.crash_frac, ev.restart_frac) << "seed " << seed;
+        EXPECT_LT(ev.restart_frac, 1.0) << "seed " << seed;
+      }
+      if (plan.churn.size() == 2) {
+        EXPECT_NE(plan.churn[0].server, plan.churn[1].server) << "seed " << seed;
+      }
+      for (const LivePlan::HostileLink& link : plan.hostile_links) {
+        EXPECT_NE(link.from, link.to) << "seed " << seed;
+      }
+      std::uint32_t issued = 0;
+      for (const FaultPlan::Burst& burst : plan.bursts) issued += burst.count;
+      EXPECT_EQ(issued, cfg.instances) << "seed " << seed;
+    }
+  }
+}
+
+TEST(LiveScenario, RejectsClustersBelowThree) {
+  for (ScenarioRuntime runtime :
+       {ScenarioRuntime::kThreads, ScenarioRuntime::kTcp, ScenarioRuntime::kUdp}) {
+    ScenarioConfig cfg;
+    cfg.runtime = runtime;
+    for (std::uint32_t n : {1u, 2u}) {
+      cfg.n_servers = n;
+      EXPECT_FALSE(scenario_config_error(cfg).empty()) << "n=" << n;
+      EXPECT_FALSE(run_live_scenario(cfg).ok()) << "n=" << n;
+    }
+    cfg.n_servers = 3;
+    EXPECT_EQ(scenario_config_error(cfg), "");
+  }
+  ScenarioConfig sim;
+  sim.interpret_workers = 2;
+  EXPECT_FALSE(scenario_config_error(sim).empty());
+}
+
+TEST(LiveScenario, ReproLinePinsEveryField) {
+  ScenarioConfig cfg = fuzz_config(ScenarioRuntime::kUdp, 7, SigScheme::kWots);
+  cfg.interpret_workers = 4;
+  EXPECT_EQ(repro_line(cfg),
+            "simctl replay --runtime udp --seed 7 --protocol fifo --n 4 "
+            "--instances 6 --duration-ns 1000000000 --sig wots "
+            "--interpret-workers 4");
+  ScenarioConfig sim;
+  sim.seed = 3;
+  sim.duration = sim_ms(10);  // the simulator clamps to 1s
+  EXPECT_EQ(repro_line(sim),
+            "simctl replay --seed 3 --protocol brb --n 4 --instances 6 "
+            "--duration-ns 1000000000");
+}
+
+struct PinnedRun {
+  ScenarioRuntime runtime;
+  SigScheme sig;
+  std::uint64_t seed;
+};
+
+TEST(LiveScenario, PinnedSeedPerBackend) {
+  const PinnedRun pinned[] = {
+      {ScenarioRuntime::kThreads, SigScheme::kIdeal, 2},  // fifo, crash churn
+      {ScenarioRuntime::kTcp, SigScheme::kIdeal, 1},      // bcb over sockets
+      {ScenarioRuntime::kUdp, SigScheme::kIdeal, 3},      // pbft, partition
+      {ScenarioRuntime::kThreads, SigScheme::kWots, 5},   // brb + forger
+  };
+  for (const PinnedRun& p : pinned) {
+    ScenarioConfig cfg = fuzz_config(p.runtime, p.seed, p.sig);
+    cfg.duration = sim_ms(500);
+    const ScenarioResult result = run_live_scenario(cfg);
+    const std::string where = repro_line(cfg);
+    EXPECT_TRUE(result.ok()) << where << ": " << result.violations.front();
+    EXPECT_TRUE(result.converged) << where;
+    EXPECT_GT(result.deliveries, 0u) << where;
+    EXPECT_EQ(result.labels_complete, cfg.instances) << where;
+  }
+}
+
+}  // namespace
+}  // namespace blockdag

@@ -3,10 +3,11 @@
 # socket-runtime smokes (`simctl run --runtime tcp` and the lossy
 # `--runtime udp` in one process, plus both two-OS-process serve/join
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
-# crash/recovery smoke and a crash-churn fuzz slice), a bench harness smoke (every
-# bench runs seconds-scale and must emit parseable BENCH_*.json), an Asan
-# build running the tier1 ctest label, then a Tsan build running the
-# threaded-runtime, TCP-runtime and UDP-runtime convergence tests under
+# crash/recovery smoke and the crash-churn and UDP fuzz slices), a bench
+# harness smoke (every bench runs seconds-scale and must emit parseable
+# BENCH_*.json), an Asan build running the tier1 ctest label, then a Tsan
+# build running the threaded-runtime, TCP-runtime and UDP-runtime
+# convergence tests and the real-runtime scenario runs under
 # ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
 # the full command reference.
 set -eu
@@ -40,6 +41,9 @@ echo "==> Parallel-interpretation fuzz slice (crash churn with the sharded engin
 echo "==> TCP fuzz slice (crash churn over real localhost sockets)"
 ./build-ci/simctl fuzz --runtime tcp --seeds 1..8
 
+echo "==> UDP fuzz slice (seeded wire-fault profiles injected on real datagram sockets)"
+./build-ci/simctl fuzz --runtime udp --seeds 1..8
+
 echo "==> Lossy-datagram smoke (real localhost UDP, 15% injected loss + two-process 10%-loss cluster)"
 ./build-ci/simctl run --runtime udp --n 4 --instances 4 --seconds 5 --interval 2 --drop 0.15
 sh tools/udp_cluster_smoke.sh ./build-ci/simctl
@@ -54,17 +58,17 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Asan \
 cmake --build build-ci-asan -j "$jobs"
 (cd build-ci-asan && ctest --output-on-failure -j "$jobs" -L tier1)
 
-echo "==> Tsan build + threaded/TCP/UDP runtime + verifier-pool smoke (ThreadSanitizer)"
+echo "==> Tsan build + threaded/TCP/UDP runtime + live scenario + verifier-pool smoke (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
       -DBLOCKDAG_BUILD_BENCHES=OFF -DBLOCKDAG_BUILD_EXAMPLES=OFF \
       -DBLOCKDAG_BUILD_TOOLS=OFF
 cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
-               rt_mailbox_batch_test \
+               rt_mailbox_batch_test runtime_live_scenario_test \
                crypto_verifier_pool_test interpret_parallel_interpreter_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|runtime/live_scenario_test|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol, and

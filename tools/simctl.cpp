@@ -62,6 +62,7 @@
 //   simctl fuzz --seeds A..B [--runtime sim|udp|threads|tcp]
 //               [--protocol P|mix] [--n N]
 //               [--instances K] [--duration S | --duration-ns NS]
+//               [--sig ideal|hmac|wots] [--interpret-workers N]
 //               [--repro-file FILE]
 //     Runs one seeded adversarial scenario per seed (randomized partitions,
 //     latency/drop regimes, crash/recovery churn, byzantine mixes, request
@@ -71,24 +72,26 @@
 //     deterministically per seed. `--runtime udp` ports the grammar to real
 //     sockets: each seed derives a loss/reorder/duplication/geo-latency
 //     profile, asymmetric hostile links and an optional mid-run partition,
-//     injected live by the UDP transport's fault injector, with the same
-//     convergence/totality checkers at the end.
+//     injected live by the UDP transport's fault injector.
 //
 //     `--runtime threads` (or tcp) runs seeded crash-churn instead: durable
 //     storage and checkpoint epochs on, servers SIGKILL-crashed mid-run and
-//     restarted over their surviving (or deliberately wiped) storage, with
-//     the same convergence/totality checkers plus recovery sanity at the
-//     end.
+//     restarted over their surviving storage (never wiped: DESIGN.md §10).
+//     Every runtime ends with the same checks (runtime/live_scenario.h):
+//     the protocol checkers, identical digests and the backend's sanity
+//     checks. --sig hmac|wots arms the forger adversary; real-runtime
+//     slices need --n 3 or more (or the default rotation).
 //
 //   simctl replay --seed S [--runtime sim|udp|threads|tcp] [--protocol P]
 //                 [--n N] [--instances K] [--duration S | --duration-ns NS]
+//                 [--sig ideal|hmac|wots] [--interpret-workers N]
 //                 [--trace FILE]
 //     Re-runs exactly one scenario (same derivation as fuzz), prints the
 //     derived fault plan and the result, and optionally writes a JSON
 //     trace. Simulator replays are exact: a scenario is a pure function of
 //     its configuration (repro lines carry the duration in integer ns so
-//     no decimal round-trip can perturb the derived plan). UDP replays
-//     re-derive the exact same injected fault profile from the seed; the
+//     no decimal round-trip can perturb the derived plan). Real-runtime
+//     replays re-derive the exact same plan from the seed; the thread and
 //     socket timing underneath is real and therefore not bit-identical.
 #include <cstdio>
 #include <cstring>
@@ -109,6 +112,7 @@
 #include "protocols/fifo_brb.h"
 #include "protocols/pbft_lite.h"
 #include "runtime/cluster.h"
+#include "runtime/live_scenario.h"
 #include "runtime/scenario.h"
 #include "runtime/table.h"
 #include "util/hex.h"
@@ -453,20 +457,6 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   return (complete == issued && digests_equal) ? 0 : 1;
 }
 
-const ProtocolFactory* factory_for(const std::string& protocol) {
-  static brb::BrbFactory brb_factory;
-  static bcb::BcbFactory bcb_factory;
-  static fifo::FifoBrbFactory fifo_factory;
-  static pbft::PbftFactory pbft_factory;
-  static beacon::BeaconFactory beacon_factory;
-  if (protocol == "brb") return &brb_factory;
-  if (protocol == "bcb") return &bcb_factory;
-  if (protocol == "fifo") return &fifo_factory;
-  if (protocol == "pbft") return &pbft_factory;
-  if (protocol == "beacon") return &beacon_factory;
-  return nullptr;
-}
-
 int run(const Options& opt) {
   const ProtocolFactory* factory = factory_for(opt.protocol);
   if (!factory) {
@@ -583,10 +573,41 @@ int run(const Options& opt) {
 
 // ---- multi-process cluster (serve / join) ----
 
-// Shared argv parsers, defined with the scenario-engine subcommands below.
-bool parse_u64(const std::string& s, std::uint64_t& out);
-bool parse_u32(const char* s, std::uint32_t& out);
-bool parse_duration(const char* s, double& out);
+// Shared argv parsers (serve/join and the scenario subcommands).
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stoull(s, &used);
+    return used == s.size() && !s.empty();
+  } catch (...) {
+    return false;
+  }
+}
+
+bool parse_u32(const char* s, std::uint32_t& out) {
+  try {
+    std::size_t used = 0;
+    const unsigned long v = std::stoul(s, &used);
+    if (used != std::strlen(s) || v > UINT32_MAX) return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+bool parse_duration(const char* s, double& out) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(s, &used);
+    if (used != std::strlen(s) || !(v > 0.0) || v > 1e6) return false;
+    out = v;
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
 
 struct MemberOptions {
   ServerId id = 0;  // serve: 0; join: --id
@@ -1001,674 +1022,12 @@ int cmd_member(int argc, char** argv, bool join) {
 struct FuzzOptions {
   std::uint64_t first_seed = 0;
   std::uint64_t last_seed = 0;
-  std::string runtime = "sim";   // sim | udp (real sockets, live injection)
-  std::string protocol = "mix";
-  std::uint32_t n = 0;           // 0 = rotate per seed
-  std::uint32_t instances = 6;
-  double duration_s = 1.0;       // --duration (human-friendly seconds)
-  std::uint64_t duration_ns = 0; // --duration-ns (exact; overrides seconds)
-  // Signature scheme for every run in the sweep. A non-ideal scheme also
-  // arms the forger adversary (sim: kForger joins the byzantine-kind pool;
-  // threads/tcp: one raw-hosted forger floods invalidly-signed blocks) —
-  // the rejection path is only interesting when signatures are real.
-  // Ideal-scheme fuzz stays byte-identical to pre-forger seeds.
-  SigScheme sig = SigScheme::kIdeal;
-  // Parallel-interpretation workers on the real-runtime slices (threads/
-  // tcp/udp; unset = auto, 0 = serial). Pinned into repro lines so a
-  // failure under a specific worker count replays under that count. The
-  // sim slice rejects it (no engine in the simulator).
-  std::optional<std::uint32_t> interpret_workers;
+  // The sweep's fixed fields; protocol "mix" and n_servers 0 rotate per
+  // seed (scenario_for_seed).
+  ScenarioConfig pinned;
   std::string repro_file;
-  std::string trace_file;        // replay only
+  std::string trace_file;  // replay only
 };
-
-// The fuzz derivation: protocol and cluster size rotate deterministically
-// per seed unless pinned. Repro lines pin everything explicitly, so replay
-// stays exact even if these rotations ever change.
-ScenarioConfig scenario_for_seed(std::uint64_t seed, const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {4, 7, 10};
-  ScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  cfg.n_servers = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  cfg.instances = opt.instances;
-  cfg.duration = opt.duration_ns != 0 ? opt.duration_ns
-                                      : static_cast<SimTime>(opt.duration_s * 1e9);
-  cfg.sig_scheme = opt.sig;
-  // Real signatures arm the forger: a new fuzz grammar (the kind pool
-  // grows), so it is gated on --sig to keep ideal-scheme seeds replayable
-  // against historical repro lines.
-  cfg.allow_forger = opt.sig != SigScheme::kIdeal;
-  return cfg;
-}
-
-std::string repro_line(const ScenarioConfig& cfg) {
-  char buf[256];
-  // Integer nanoseconds, the simulator's native unit: a decimal-seconds
-  // double does not survive the ns→s→ns round trip for every value, and
-  // every fault-plan time is derived from the duration, so a 1 ns slip
-  // would replay a different scenario.
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --seed %llu --protocol %s --n %u --instances %u "
-                "--duration-ns %llu",
-                static_cast<unsigned long long>(cfg.seed), cfg.protocol.c_str(),
-                cfg.n_servers, cfg.instances,
-                static_cast<unsigned long long>(effective_duration(cfg)));
-  std::string line = buf;
-  if (cfg.sig_scheme != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(cfg.sig_scheme);
-  }
-  return line;
-}
-
-// ---- UDP fuzz: the faultplan grammar ported to real sockets ----
-
-// One seed, one wire-fault profile, derived exactly the same way by fuzz
-// and replay. Cluster sizes rotate smaller than the simulator's (these are
-// live clusters with one OS thread per server, fifty-plus per CI run);
-// the grammar is otherwise the simulator's: a baseline loss/reorder/
-// duplication regime, a geo-latency band, a few asymmetric hostile links,
-// and (half the seeds) a mid-run partition healed before settle. The
-// injected profile is a pure function of the seed; the socket timing
-// underneath is real, which is the point.
-struct UdpScenario {
-  std::uint64_t seed = 0;
-  std::string protocol;
-  std::uint32_t n = 4;
-  std::uint32_t instances = 6;
-  std::uint64_t duration_ns = 0;
-  SigScheme sig = SigScheme::kIdeal;
-  std::optional<std::uint32_t> interpret_workers;
-  rt::LinkFault base;
-  struct Override {
-    ServerId from = 0;
-    ServerId to = 0;
-    rt::LinkFault fault;
-  };
-  std::vector<Override> overrides;
-  bool partition = false;
-  ServerId isolated = 0;  // {isolated} vs rest, the middle third of the run
-};
-
-UdpScenario udp_scenario_for_seed(std::uint64_t seed, const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {3, 4, 5};
-  UdpScenario sc;
-  sc.seed = seed;
-  sc.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  sc.n = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  sc.instances = opt.instances;
-  sc.duration_ns = opt.duration_ns != 0
-                       ? opt.duration_ns
-                       : static_cast<std::uint64_t>(opt.duration_s * 1e9);
-  sc.sig = opt.sig;  // scheme never perturbs the derived fault profile
-  sc.interpret_workers = opt.interpret_workers;  // ditto (post-derivation)
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);  // distinct from the injector's RNG
-  sc.base.drop = 0.25 * rng.unit();
-  sc.base.reorder = 0.30 * rng.unit();
-  sc.base.duplicate = 0.20 * rng.unit();
-  switch (rng.below(3)) {  // geo-latency band
-    case 0: break;  // same rack: no added delay
-    case 1:
-      sc.base.delay_min_us = 100;
-      sc.base.delay_max_us = 2000;
-      break;
-    case 2:
-      sc.base.delay_min_us = 1000;
-      sc.base.delay_max_us = 8000;
-      break;
-  }
-  // Asymmetric hostility: up to n−1 directed links markedly worse than the
-  // baseline (loss is not symmetric in real networks; acks die too).
-  const std::uint64_t hostile = rng.below(sc.n);
-  for (std::uint64_t k = 0; k < hostile; ++k) {
-    const auto from = static_cast<ServerId>(rng.below(sc.n));
-    auto to = static_cast<ServerId>(rng.below(sc.n));
-    if (to == from) to = (to + 1) % sc.n;
-    rt::LinkFault fault = sc.base;
-    fault.drop = 0.20 + 0.20 * rng.unit();
-    sc.overrides.push_back({from, to, fault});
-  }
-  sc.partition = rng.chance(0.5);
-  sc.isolated = static_cast<ServerId>(rng.below(sc.n));
-  return sc;
-}
-
-std::string udp_repro_line(const UdpScenario& sc) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --runtime udp --seed %llu --protocol %s --n %u "
-                "--instances %u --duration-ns %llu",
-                static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(),
-                sc.n, sc.instances,
-                static_cast<unsigned long long>(sc.duration_ns));
-  std::string line = buf;
-  if (sc.sig != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(sc.sig);
-  }
-  if (sc.interpret_workers) {
-    line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
-  }
-  return line;
-}
-
-void print_udp_plan(const UdpScenario& sc) {
-  std::printf("---- wire-fault profile ----\n");
-  std::printf("base: drop=%.3f reorder=%.3f dup=%.3f delay=%u..%u us\n",
-              sc.base.drop, sc.base.reorder, sc.base.duplicate,
-              sc.base.delay_min_us, sc.base.delay_max_us);
-  for (const auto& o : sc.overrides) {
-    std::printf("hostile link %u->%u: drop=%.3f\n", o.from, o.to,
-                o.fault.drop);
-  }
-  if (sc.partition) {
-    std::printf("partition: {%u} | rest, middle third, healed before settle\n",
-                sc.isolated);
-  }
-}
-
-// Runs one derived scenario on live UDP sockets with the fault injector in
-// path, then applies the same always-on checkers the simulator engine
-// uses: convergence (Lemma 3.7 joint DAG + Lemma 4.2 interpretation),
-// totality (every instance indicated everywhere), and injection sanity
-// (the profile really fired; nothing corrupted a frame stream). Lossy
-// faults stay active through settle — only partitions heal; retransmission
-// and the gossip FWD path are what must close the gap.
-std::vector<std::string> run_udp_scenario(const UdpScenario& sc) {
-  std::vector<std::string> violations;
-  const ProtocolFactory* factory = factory_for(sc.protocol);
-  if (!factory) return {"unknown protocol '" + sc.protocol + "'"};
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = sc.n;
-  cfg.seed = sc.seed;
-  cfg.sig_scheme = sc.sig;
-  cfg.pacing.interval = sim_ms(2);
-  // FWD retry matched to the loss regime: a 5ms retry against a lossy,
-  // RTO-bound link just queues duplicate recovery payloads behind the
-  // head-of-line chunk and starves the catch-up of a partitioned server.
-  cfg.gossip.fwd_retry_delay = sim_ms(20);
-  cfg.backend = rt::TransportBackend::kUdp;  // ephemeral ports
-  cfg.udp.fault_seed = sc.seed;
-  cfg.udp.default_fault = sc.base;
-  cfg.udp.channel.initial_rto_ns = 5'000'000;
-  cfg.udp.channel.max_rto_ns = 80'000'000;
-  if (sc.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*sc.interpret_workers);
-  }
-  rt::ThreadedRuntime runtime(*factory, cfg);
-  if (!runtime.transport_ok()) return {"failed to bind UDP sockets"};
-  for (const auto& o : sc.overrides) {
-    runtime.udp()->set_link_fault(o.from, o.to, o.fault);
-  }
-  runtime.start();
-
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (sc.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(sc.n);
-      for (std::uint32_t c = 0; c < needed && c < sc.n; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      const ServerId target = sc.protocol == "pbft" ? 0 : i % sc.n;
-      runtime.request(target, 1 + i, make_request(sc.protocol, i));
-    }
-  }
-
-  std::vector<ServerId> rest;
-  for (ServerId s = 0; s < sc.n; ++s) {
-    if (s != sc.isolated) rest.push_back(s);
-  }
-  const auto third = std::chrono::nanoseconds(sc.duration_ns / 3);
-  std::this_thread::sleep_for(third);
-  if (sc.partition) runtime.udp()->set_partition({sc.isolated}, rest, true);
-  std::this_thread::sleep_for(third);
-  if (sc.partition) runtime.udp()->set_partition({sc.isolated}, rest, false);
-  std::this_thread::sleep_for(third);
-
-  // Deep settle budget: lossy links stay hostile through settle, so the
-  // retransmit/FWD gap-closing can need many beats on a bad seed (with
-  // ±RTO jitter on top); converged runs still exit on the early rounds.
-  if (!runtime.quiesce_and_converge(/*max_rounds=*/256)) {
-    violations.push_back("cluster did not quiesce to a converged DAG");
-  }
-  const Bytes dag0 = runtime.dag_digest(0);
-  const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < sc.n; ++s) {
-    if (runtime.dag_digest(s) != dag0) {
-      violations.push_back("DAG digest mismatch at server " + std::to_string(s));
-    }
-    if (runtime.interpretation_digest(s) != interp0) {
-      violations.push_back("interpretation digest mismatch at server " +
-                           std::to_string(s));
-    }
-  }
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (runtime.indicated_count(1 + i) != sc.n) {
-      violations.push_back("instance " + std::to_string(1 + i) +
-                           " not indicated everywhere");
-    }
-  }
-  const rt::UdpStats stats = runtime.udp()->stats();
-  if (sc.base.drop > 0.01 && stats.injected_drops == 0) {
-    violations.push_back("drop profile never fired (injector no-op?)");
-  }
-  if (sc.base.duplicate > 0.01 && stats.injected_dups == 0) {
-    violations.push_back("duplicate profile never fired (injector no-op?)");
-  }
-  if (stats.corrupt_streams != 0) {
-    violations.push_back("corrupt frame stream on a reliable channel");
-  }
-  if (stats.malformed_dropped != 0) {
-    violations.push_back("malformed datagrams between honest endpoints");
-  }
-  if (!violations.empty()) {
-    // Failure diagnostics: which server is behind and what its links did.
-    for (ServerId s = 0; s < sc.n; ++s) {
-      const auto [dag_size, pending] = runtime.call(s, [](Shim& shim) {
-        return std::make_pair(shim.dag().size(), shim.gossip().pending_blocks());
-      });
-      std::fprintf(stderr, "  server %u: dag=%zu pending=%zu\n", s, dag_size,
-                   pending);
-    }
-    for (ServerId a = 0; a < sc.n; ++a) {
-      for (ServerId b = 0; b < sc.n; ++b) {
-        if (a == b) continue;
-        const rt::UdpLinkStats ls = runtime.udp()->link_stats(a, b);
-        std::fprintf(stderr,
-                     "  link %u->%u: sent=%llu retx=%llu resets=%llu "
-                     "drops=%llu\n",
-                     a, b, static_cast<unsigned long long>(ls.datagrams_sent),
-                     static_cast<unsigned long long>(ls.retransmits),
-                     static_cast<unsigned long long>(ls.channel_resets),
-                     static_cast<unsigned long long>(ls.injected_drops));
-      }
-    }
-  }
-  return violations;
-}
-
-// ---- threads/tcp fuzz: seeded crash-churn on a real runtime ----
-
-// One seed, one kill/restart plan over the multi-threaded runtime (or the
-// same deployment over real TCP sockets with --runtime tcp), with durable
-// storage and checkpoint epochs always on: every event SIGKILL-crashes a
-// server mid-run (ThreadedRuntime::crash — halt in place, exactly the
-// post-kill state) and later restarts it over its surviving storage sink.
-// Storage is never wiped: a server that already built blocks and then
-// loses its durable state would re-use sequence numbers — amnesia, which
-// the crash-recovery model excludes (DESIGN.md §10; such a machine must
-// rejoin under a fresh identity). The checkers are the standard ones:
-// convergence to identical Lemma 3.7/4.2 digests, totality of every
-// instance, plus recovery sanity (restores succeed, every restarted
-// server completes a state sync).
-struct ChurnEvent {
-  ServerId victim = 0;
-  double crash_frac = 0.0;    // crash time as a fraction of the run
-  double restart_frac = 0.0;  // restart time, ditto (> crash_frac)
-};
-
-struct ThreadsScenario {
-  std::uint64_t seed = 0;
-  std::string protocol;
-  std::uint32_t n = 4;
-  std::uint32_t instances = 6;
-  std::uint64_t duration_ns = 0;
-  bool tcp = false;
-  std::uint64_t epoch_blocks = 4;
-  SigScheme sig = SigScheme::kIdeal;
-  // With a real scheme and n >= 4, the last server is not a protocol node
-  // but a raw-hosted forger (runtime/byzantine.h kForger) flooding
-  // invalidly-signed blocks at the honest majority; the checkers prove
-  // none is ever delivered and that rejections + verifier-pool cache hits
-  // actually show up in the runtime stats.
-  bool forger = false;
-  ServerId forger_id = 0;
-  std::optional<std::uint32_t> interpret_workers;
-  std::vector<ChurnEvent> events;
-};
-
-ThreadsScenario threads_scenario_for_seed(std::uint64_t seed,
-                                          const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {3, 4, 5};
-  static const std::uint64_t kEpochs[] = {3, 4, 6, 8};
-  ThreadsScenario sc;
-  sc.seed = seed;
-  sc.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  sc.n = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  sc.instances = opt.instances;
-  sc.duration_ns = opt.duration_ns != 0
-                       ? opt.duration_ns
-                       : static_cast<std::uint64_t>(opt.duration_s * 1e9);
-  sc.tcp = opt.runtime == "tcp";
-  sc.sig = opt.sig;
-  sc.interpret_workers = opt.interpret_workers;  // never perturbs the plan
-  // The forger needs a real scheme (under the ideal provider there is no
-  // verification cost worth attacking) and a cluster big enough to spare a
-  // server to the adversary.
-  sc.forger = opt.sig != SigScheme::kIdeal && sc.n >= 4;
-  sc.forger_id = static_cast<ServerId>(sc.n - 1);
-  // Honest servers: 0..n-2 with a forger, everyone without.
-  const std::uint32_t honest = sc.forger ? sc.n - 1 : sc.n;
-  Rng rng(seed ^ 0x5ca1ab1e0ddba11ULL);  // distinct from other derivations
-  sc.epoch_blocks = kEpochs[rng.below(4)];
-  // One or two churn events with distinct victims: at most a minority is
-  // ever down (crash faults, not partitions — the rest must keep going).
-  // Victims come from the honest range only — the forger never "crashes"
-  // (an adversary that stops attacking proves nothing).
-  const std::uint64_t max_events = honest >= 5 ? 2 : 1;
-  const std::size_t n_events = 1 + rng.below(max_events);
-  for (std::size_t k = 0; k < n_events; ++k) {
-    ChurnEvent ev;
-    ev.victim = static_cast<ServerId>(rng.below(honest));
-    if (k > 0 && ev.victim == sc.events[0].victim) {
-      ev.victim = (ev.victim + 1) % honest;
-    }
-    ev.crash_frac = 0.15 + 0.35 * rng.unit();          // mid-run
-    ev.restart_frac = ev.crash_frac + 0.15 + 0.25 * rng.unit();
-    sc.events.push_back(ev);
-  }
-  return sc;
-}
-
-std::string threads_repro_line(const ThreadsScenario& sc) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --runtime %s --seed %llu --protocol %s --n %u "
-                "--instances %u --duration-ns %llu",
-                sc.tcp ? "tcp" : "threads",
-                static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(),
-                sc.n, sc.instances,
-                static_cast<unsigned long long>(sc.duration_ns));
-  std::string line = buf;
-  if (sc.sig != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(sc.sig);
-  }
-  if (sc.interpret_workers) {
-    line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
-  }
-  return line;
-}
-
-void print_threads_plan(const ThreadsScenario& sc) {
-  std::printf("---- crash-churn plan ----\n");
-  std::printf("checkpoint every %llu blocks, backend=%s, sig=%s\n",
-              static_cast<unsigned long long>(sc.epoch_blocks),
-              sc.tcp ? "tcp" : "loopback", sig_scheme_name(sc.sig));
-  if (sc.forger) {
-    std::printf("forger adversary at server %u (raw-hosted, rejected ring "
-                "capped at 64)\n",
-                sc.forger_id);
-  }
-  for (const ChurnEvent& ev : sc.events) {
-    std::printf("kill server %u at %2.0f%%, restart at %2.0f%%\n", ev.victim,
-                ev.crash_frac * 100, ev.restart_frac * 100);
-  }
-}
-
-std::vector<std::string> run_threads_scenario(const ThreadsScenario& sc) {
-  std::vector<std::string> violations;
-  const ProtocolFactory* factory = factory_for(sc.protocol);
-  if (!factory) return {"unknown protocol '" + sc.protocol + "'"};
-  const std::uint32_t honest = sc.forger ? sc.n - 1 : sc.n;
-
-  std::vector<blockdag::sync::MemStore> stores(sc.n);
-  // The forger's provider and behaviour object are declared before the
-  // runtime: its wire handler and posted ticks run on the raw server's
-  // thread until the runtime's destructor joins it, so both must outlive
-  // the runtime.
-  std::unique_ptr<SignatureProvider> forger_sigs;
-  std::unique_ptr<ByzantineServer> forger;
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = sc.n;
-  cfg.seed = sc.seed;
-  cfg.sig_scheme = sc.sig;
-  cfg.pacing.interval = sim_ms(2);
-  cfg.gossip.fwd_retry_delay = sim_ms(5);
-  if (sc.forger) {
-    cfg.raw_servers = {sc.forger_id};
-    // Small rejected ring: the forger's re-floods (offsets 96.. from its
-    // newest forgery) then land on refs already evicted from it, which is
-    // exactly what makes verifier-pool verdict-cache hits assertable.
-    cfg.gossip.rejected_capacity = 64;
-  }
-  if (sc.tcp) cfg.backend = rt::TransportBackend::kTcp;  // ephemeral ports
-  cfg.storage = [&stores](ServerId s) { return &stores[s]; };
-  cfg.checkpoint.epoch_blocks = sc.epoch_blocks;
-  cfg.enable_state_sync = true;
-  cfg.sync.progress_timeout = sim_ms(50);
-  cfg.sync.retry_base = sim_ms(10);
-  if (sc.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*sc.interpret_workers);
-  }
-  rt::ThreadedRuntime runtime(*factory, cfg);
-  if (!runtime.transport_ok()) return {"failed to bind sockets"};
-  if (sc.forger) {
-    forger_sigs = make_signature_provider(sc.sig, sc.n, sc.seed);
-    forger = make_byzantine(ByzantineKind::kForger, sc.forger_id,
-                            runtime.raw_timers(sc.forger_id),
-                            runtime.raw_transport(), *forger_sigs,
-                            sc.seed ^ (0x1000 + sc.forger_id));
-    ByzantineServer* raw = forger.get();
-    runtime.raw_transport().attach(
-        sc.forger_id,
-        [raw](ServerId from, const Bytes& wire) { raw->on_network(from, wire); });
-  }
-  runtime.start();
-
-  struct Timed {
-    std::chrono::steady_clock::time_point at;
-    std::size_t event;
-    bool is_crash;
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto at_frac = [&](double f) {
-    return t0 + std::chrono::nanoseconds(
-                    static_cast<std::uint64_t>(f * sc.duration_ns));
-  };
-  std::vector<Timed> plan;
-  for (std::size_t k = 0; k < sc.events.size(); ++k) {
-    plan.push_back({at_frac(sc.events[k].crash_frac), k, true});
-    plan.push_back({at_frac(sc.events[k].restart_frac), k, false});
-  }
-  std::vector<bool> down(sc.n, false);
-  std::vector<bool> restarted(sc.n, false);
-
-  // Requests follow the sim scenario engine's discipline: issue only while
-  // EVERY server is live and no crash is imminent. A request is not
-  // durable — one sitting unblockified in a server that then crashes dies
-  // with it (clients retry in the real world), which is correct crash
-  // semantics but not what the totality checker quantifies over. The
-  // imminence guard leaves ample time to blockify (one 2ms pacing beat)
-  // before the victim goes down; once blockified, restart restores it.
-  // Requests go to honest servers only (a forger has no protocol stack).
-  const auto issue = [&](std::uint32_t i) {
-    if (sc.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(sc.n);
-      for (std::uint32_t c = 0; c < needed && c < honest; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else if (sc.protocol == "pbft") {
-      // Every server proposes the same value (the scenario engine's rule):
-      // whichever leader is up when the slot runs can lead it.
-      for (ServerId s = 0; s < honest; ++s) {
-        runtime.request(s, 1 + i, make_request(sc.protocol, i));
-      }
-    } else {
-      runtime.request(i % honest, 1 + i, make_request(sc.protocol, i));
-    }
-  };
-
-  std::uint32_t issued = 0;
-  const auto deadline = at_frac(1.0);
-  const auto safe_to_issue = [&](std::chrono::steady_clock::time_point now) {
-    for (ServerId s = 0; s < sc.n; ++s) {
-      if (down[s]) return false;
-    }
-    for (const Timed& t : plan) {
-      if (t.is_crash && t.at > now &&
-          t.at - now < std::chrono::milliseconds(300)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto now = std::chrono::steady_clock::now();
-    for (Timed& t : plan) {
-      if (t.at > now) continue;
-      t.at = deadline + std::chrono::hours(1);  // fire once
-      const ChurnEvent& ev = sc.events[t.event];
-      if (t.is_crash) {
-        runtime.crash(ev.victim);
-        down[ev.victim] = true;
-      } else {
-        if (!runtime.restart(ev.victim)) {
-          violations.push_back("restore failed on restart of server " +
-                               std::to_string(ev.victim));
-        }
-        down[ev.victim] = false;
-        restarted[ev.victim] = true;
-      }
-    }
-    while (issued < sc.instances &&
-           now >= at_frac(0.8 * (issued + 1.0) / sc.instances) &&
-           safe_to_issue(now)) {
-      issue(issued++);
-    }
-    if (sc.forger) {
-      // The adversary's mischief beat, driven from the harness: λ forgeries
-      // plus re-floods per beat, executed on the forger's own thread.
-      ByzantineServer* raw = forger.get();
-      runtime.post(sc.forger_id, [raw] { raw->tick(); });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // Anything still down restarts now; every instance must be issued.
-  for (const ChurnEvent& ev : sc.events) {
-    if (!down[ev.victim]) continue;
-    if (!runtime.restart(ev.victim)) {
-      violations.push_back("restore failed on restart of server " +
-                           std::to_string(ev.victim));
-    }
-    down[ev.victim] = false;
-    restarted[ev.victim] = true;
-  }
-  while (issued < sc.instances) issue(issued++);
-
-  // Every restarted server must complete a state sync (it retries with
-  // backoff until it does; bound the wait in wall-clock).
-  const auto sync_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (ServerId s = 0; s < sc.n; ++s) {
-    if (!restarted[s]) continue;
-    while (!runtime.sync_snapshot(s).sync_completed &&
-           std::chrono::steady_clock::now() < sync_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const auto snap = runtime.sync_snapshot(s);
-    if (!snap.sync_completed) {
-      violations.push_back("server " + std::to_string(s) +
-                           " never completed state sync after restart");
-    }
-    if (snap.sync.completions == 0) {
-      violations.push_back("server " + std::to_string(s) +
-                           " reports zero sync completions after restart");
-    }
-  }
-
-  if (!runtime.quiesce_and_converge(/*max_rounds=*/256)) {
-    violations.push_back("cluster did not quiesce to a converged DAG");
-  }
-  const Bytes dag0 = runtime.dag_digest(0);
-  const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < honest; ++s) {
-    if (runtime.dag_digest(s) != dag0) {
-      violations.push_back("DAG digest mismatch at server " + std::to_string(s));
-    }
-    if (runtime.interpretation_digest(s) != interp0) {
-      violations.push_back("interpretation digest mismatch at server " +
-                           std::to_string(s));
-    }
-  }
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (runtime.indicated_count(1 + i) != honest) {
-      violations.push_back("instance " + std::to_string(1 + i) +
-                           " not indicated everywhere");
-    }
-  }
-  // The epochs really happened: someone checkpointed, and a non-wiped
-  // restart actually restored durable state rather than replaying history.
-  std::uint64_t checkpoints = 0;
-  for (ServerId s = 0; s < honest; ++s) {
-    checkpoints += runtime.sync_snapshot(s).checkpointer.checkpoints_stored;
-  }
-  if (checkpoints == 0) {
-    violations.push_back("no checkpoint was ever stored (cadence no-op?)");
-  }
-
-  if (sc.forger) {
-    // Definition 3.3(i) on the real runtime: not one forged block was ever
-    // delivered, the rejections are visible in the stats, and the verifier
-    // pool's verdict cache absorbed the re-floods. The forged-ref list is
-    // read on the forger's own thread (post + future) — the same
-    // single-writer discipline as every other state read.
-    std::vector<Hash256> forged;
-    {
-      std::promise<std::vector<Hash256>> promise;
-      auto future = promise.get_future();
-      ByzantineServer* raw = forger.get();
-      if (runtime.post(sc.forger_id,
-                       [raw, &promise] { promise.set_value(raw->forged_refs()); })) {
-        forged = future.get();
-      } else {
-        forged = forger->forged_refs();  // runtime already shut down
-      }
-    }
-    if (forged.empty()) {
-      violations.push_back("forger never fired (adversary no-op?)");
-    }
-    for (ServerId s = 0; s < honest; ++s) {
-      const std::size_t delivered =
-          runtime.call(s, [&forged](Shim& shim) {
-            std::size_t count = 0;
-            for (const Hash256& ref : forged) {
-              if (shim.dag().contains(ref)) ++count;
-            }
-            return count;
-          });
-      if (delivered != 0) {
-        violations.push_back(std::to_string(delivered) +
-                             " forged block(s) delivered at server " +
-                             std::to_string(s));
-      }
-    }
-    if (runtime.total_blocks_rejected() == 0) {
-      violations.push_back("forger present but blocks_rejected == 0");
-    }
-    if (runtime.total_rejected_evicted() == 0) {
-      violations.push_back("rejected ring never evicted under forger flood");
-    }
-    const VerifierPoolStats vp = runtime.verifier_stats();
-    if (vp.cache_hits == 0) {
-      violations.push_back("verifier pool verdict cache never hit under "
-                           "re-flooded forgeries");
-    }
-  }
-  return violations;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(s, &used);
-    return used == s.size() && !s.empty();
-  } catch (...) {
-    return false;
-  }
-}
 
 bool parse_seed_range(const std::string& spec, FuzzOptions& opt) {
   const auto dots = spec.find("..");
@@ -1684,32 +1043,12 @@ bool parse_seed_range(const std::string& spec, FuzzOptions& opt) {
   return opt.first_seed <= opt.last_seed;
 }
 
-bool parse_u32(const char* s, std::uint32_t& out) {
-  try {
-    std::size_t used = 0;
-    const unsigned long v = std::stoul(s, &used);
-    if (used != std::strlen(s) || v > UINT32_MAX) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_duration(const char* s, double& out) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != std::strlen(s) || !(v > 0.0) || v > 1e6) return false;
-    out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
   bool seen_seed = false;
+  double duration_s = 1.0;       // --duration (human-friendly seconds)
+  std::uint64_t duration_ns = 0; // --duration-ns (exact; overrides seconds)
+  opt.pinned.protocol = "mix";
+  opt.pinned.n_servers = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -1724,34 +1063,34 @@ bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
       seen_seed = true;
     } else if (arg == "--runtime") {
       if (!(v = next())) return false;
-      opt.runtime = v;
-      if (opt.runtime != "sim" && opt.runtime != "udp" &&
-          opt.runtime != "threads" && opt.runtime != "tcp") {
-        return false;
-      }
+      const auto runtime = parse_scenario_runtime(v);
+      if (!runtime) return false;
+      opt.pinned.runtime = *runtime;
     } else if (arg == "--protocol") {
       if (!(v = next())) return false;
-      opt.protocol = v;
-      if (opt.protocol != "mix" && !scenario_protocol_known(opt.protocol)) return false;
+      opt.pinned.protocol = v;
+      if (opt.pinned.protocol != "mix" && !factory_for(opt.pinned.protocol)) {
+        return false;
+      }
     } else if (arg == "--n") {
-      if (!(v = next()) || !parse_u32(v, opt.n)) return false;
+      if (!(v = next()) || !parse_u32(v, opt.pinned.n_servers)) return false;
     } else if (arg == "--instances") {
-      if (!(v = next()) || !parse_u32(v, opt.instances)) return false;
+      if (!(v = next()) || !parse_u32(v, opt.pinned.instances)) return false;
     } else if (arg == "--duration") {
-      if (!(v = next()) || !parse_duration(v, opt.duration_s)) return false;
+      if (!(v = next()) || !parse_duration(v, duration_s)) return false;
     } else if (arg == "--duration-ns") {
-      if (!(v = next()) || !parse_u64(v, opt.duration_ns) || opt.duration_ns == 0) {
+      if (!(v = next()) || !parse_u64(v, duration_ns) || duration_ns == 0) {
         return false;
       }
     } else if (arg == "--sig") {
       if (!(v = next())) return false;
       const auto scheme = parse_sig_scheme(v);
       if (!scheme) return false;
-      opt.sig = *scheme;
+      opt.pinned.sig_scheme = *scheme;
     } else if (arg == "--interpret-workers") {
       std::uint32_t u = 0;
       if (!(v = next()) || !parse_u32(v, u)) return false;
-      opt.interpret_workers = u;
+      opt.pinned.interpret_workers = u;
     } else if (arg == "--repro-file" && !replay) {
       if (!(v = next())) return false;
       opt.repro_file = v;
@@ -1762,7 +1101,23 @@ bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
       return false;
     }
   }
-  return seen_seed;
+  if (!seen_seed) return false;
+  opt.pinned.duration = duration_ns != 0 ? duration_ns
+                                         : static_cast<SimTime>(duration_s * 1e9);
+  // Rotated fields always pass (protocols are known, live sizes >= 3), so
+  // the first seed's config speaks for the whole sweep.
+  const std::string error =
+      scenario_config_error(scenario_for_seed(opt.first_seed, opt.pinned));
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+  }
+  return true;
+}
+
+ScenarioResult run_any_scenario(const ScenarioConfig& cfg) {
+  return cfg.runtime == ScenarioRuntime::kSim ? run_scenario(cfg)
+                                              : run_live_scenario(cfg);
 }
 
 int cmd_fuzz(int argc, char** argv) {
@@ -1780,56 +1135,19 @@ int cmd_fuzz(int argc, char** argv) {
                  " flooding invalidly-signed blocks at the cluster)\n");
     return 2;
   }
-  if (opt.interpret_workers && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real-runtime slice "
-                 "(--runtime threads|tcp|udp)\n");
-    return 2;
-  }
   std::size_t passed = 0, failed = 0;
   for (std::uint64_t seed = opt.first_seed; seed <= opt.last_seed; ++seed) {
-    std::string first_violation;
-    std::string repro;
-    std::string protocol;
-    std::uint32_t n = 0;
-    if (opt.runtime == "udp") {
-      const UdpScenario sc = udp_scenario_for_seed(seed, opt);
-      const std::vector<std::string> violations = run_udp_scenario(sc);
-      if (violations.empty()) {
-        ++passed;
-        continue;
-      }
-      first_violation = violations.front();
-      repro = udp_repro_line(sc);
-      protocol = sc.protocol;
-      n = sc.n;
-    } else if (opt.runtime == "threads" || opt.runtime == "tcp") {
-      const ThreadsScenario sc = threads_scenario_for_seed(seed, opt);
-      const std::vector<std::string> violations = run_threads_scenario(sc);
-      if (violations.empty()) {
-        ++passed;
-        continue;
-      }
-      first_violation = violations.front();
-      repro = threads_repro_line(sc);
-      protocol = sc.protocol;
-      n = sc.n;
-    } else {
-      const ScenarioConfig cfg = scenario_for_seed(seed, opt);
-      const ScenarioResult result = run_scenario(cfg);
-      if (result.ok()) {
-        ++passed;
-        continue;
-      }
-      first_violation = result.violations.front();
-      repro = repro_line(cfg);
-      protocol = cfg.protocol;
-      n = cfg.n_servers;
+    const ScenarioConfig cfg = scenario_for_seed(seed, opt.pinned);
+    const ScenarioResult result = run_any_scenario(cfg);
+    if (result.ok()) {
+      ++passed;
+      continue;
     }
     ++failed;
+    const std::string repro = repro_line(cfg);
     std::printf("FAIL seed=%llu protocol=%s n=%u: %s\n",
-                static_cast<unsigned long long>(seed), protocol.c_str(), n,
-                first_violation.c_str());
+                static_cast<unsigned long long>(seed), cfg.protocol.c_str(),
+                cfg.n_servers, result.violations.front().c_str());
     std::printf("  repro: %s\n", repro.c_str());
     if (!opt.repro_file.empty()) {
       std::ofstream out(opt.repro_file, std::ios::app);
@@ -1855,64 +1173,29 @@ int cmd_replay(int argc, char** argv) {
                  "                     [--interpret-workers N]\n");
     return 2;
   }
-  if (opt.interpret_workers && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real-runtime slice "
-                 "(--runtime threads|tcp|udp)\n");
+  const ScenarioConfig cfg = scenario_for_seed(opt.first_seed, opt.pinned);
+  const bool sim = cfg.runtime == ScenarioRuntime::kSim;
+  if (!sim && !opt.trace_file.empty()) {
+    std::fprintf(stderr, "--trace is simulator-only (real runtimes have no "
+                         "virtual-time event log)\n");
     return 2;
   }
-  if (opt.runtime == "threads" || opt.runtime == "tcp") {
-    if (!opt.trace_file.empty()) {
-      std::fprintf(stderr, "--trace is simulator-only (real runtimes have "
-                           "no virtual-time event log)\n");
-      return 2;
-    }
-    const ThreadsScenario sc = threads_scenario_for_seed(opt.first_seed, opt);
-    std::printf(
-        "scenario seed=%llu runtime=%s protocol=%s n=%u instances=%u "
-        "duration=%.3fs\n",
-        static_cast<unsigned long long>(sc.seed), sc.tcp ? "tcp" : "threads",
-        sc.protocol.c_str(), sc.n, sc.instances,
-        static_cast<double>(sc.duration_ns) / 1e9);
-    print_threads_plan(sc);
-    const std::vector<std::string> violations = run_threads_scenario(sc);
-    std::printf("---- result ----\n");
-    for (const std::string& violation : violations) {
-      std::printf("VIOLATION: %s\n", violation.c_str());
-    }
-    if (violations.empty()) std::printf("OK — no violations\n");
-    return violations.empty() ? 0 : 1;
+  const std::string runtime =
+      sim ? "" : std::string(" runtime=") + scenario_runtime_name(cfg.runtime);
+  std::printf("scenario seed=%llu%s protocol=%s n=%u instances=%u "
+              "duration=%.3fs\n",
+              static_cast<unsigned long long>(cfg.seed), runtime.c_str(),
+              cfg.protocol.c_str(), cfg.n_servers, cfg.instances,
+              static_cast<double>(sim ? effective_duration(cfg) : cfg.duration) /
+                  1e9);
+  const FaultPlan plan = sim ? derive_fault_plan(cfg) : FaultPlan{};
+  if (sim) {
+    std::printf("---- fault plan ----\n%s", plan.summary().c_str());
+  } else {
+    std::printf("%s", derive_live_plan(cfg).summary().c_str());
   }
-  if (opt.runtime == "udp") {
-    if (!opt.trace_file.empty()) {
-      std::fprintf(stderr, "--trace is simulator-only (the UDP runtime has "
-                           "no virtual-time event log)\n");
-      return 2;
-    }
-    const UdpScenario sc = udp_scenario_for_seed(opt.first_seed, opt);
-    std::printf(
-        "scenario seed=%llu runtime=udp protocol=%s n=%u instances=%u "
-        "duration=%.3fs\n",
-        static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(), sc.n,
-        sc.instances, static_cast<double>(sc.duration_ns) / 1e9);
-    print_udp_plan(sc);
-    const std::vector<std::string> violations = run_udp_scenario(sc);
-    std::printf("---- result ----\n");
-    for (const std::string& violation : violations) {
-      std::printf("VIOLATION: %s\n", violation.c_str());
-    }
-    if (violations.empty()) std::printf("OK — no violations\n");
-    return violations.empty() ? 0 : 1;
-  }
-  const ScenarioConfig cfg = scenario_for_seed(opt.first_seed, opt);
-  const FaultPlan plan = derive_fault_plan(cfg);
-  std::printf("scenario seed=%llu protocol=%s n=%u instances=%u duration=%.3fs\n",
-              static_cast<unsigned long long>(cfg.seed), cfg.protocol.c_str(),
-              cfg.n_servers, cfg.instances,
-              static_cast<double>(effective_duration(cfg)) / 1e9);
-  std::printf("---- fault plan ----\n%s", plan.summary().c_str());
 
-  const ScenarioResult result = run_scenario(cfg);
+  const ScenarioResult result = run_any_scenario(cfg);
   std::printf("---- result ----\n");
   std::printf("blocks=%zu deliveries=%zu labels_complete=%zu converged=%s\n",
               result.blocks, result.deliveries, result.labels_complete,
