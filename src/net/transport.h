@@ -12,7 +12,11 @@
 //   * LoopbackTransport (rt/loopback_transport.h) — an in-process
 //     multi-threaded runtime, one mailbox per server;
 //   * TcpTransport (rt/tcp_transport.h) — real localhost/LAN TCP sockets,
-//     framed by net/frame.h, spanning one or several OS processes.
+//     framed by net/frame.h, spanning one or several OS processes;
+//   * UdpTransport (rt/udp_transport.h) — real UDP datagrams with
+//     userspace reliability (net/datagram.h) and in-path fault injection.
+// The two socket backends share one link layer above the syscall
+// (rt/link_layer.h).
 //
 // Delivery contract: the transport invokes the attached handler with the
 // complete payload of one send. Handlers run one at a time per server

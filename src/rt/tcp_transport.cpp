@@ -1,7 +1,5 @@
 #include "rt/tcp_transport.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -10,23 +8,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
-#include <cstring>
 
 #include "net/backoff.h"
-#include "net/codec.h"
 
 namespace blockdag::rt {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 void set_nodelay(int fd) {
   // Frames are latency-sensitive protocol beats, not bulk data: disable
@@ -35,269 +25,49 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(TcpConfig config, std::vector<Mailbox*> mailboxes,
                            IdleTracker* idle)
-    : config_(std::move(config)),
-      mailboxes_(std::move(mailboxes)),
-      idle_(idle),
-      handlers_(config_.n_servers),
-      control_(config_.n_servers),
-      reconnect_prng_(config_.reconnect_jitter_seed) {
-  assert(mailboxes_.size() == config_.n_servers);
-  if (config_.local_servers.empty()) {
-    for (ServerId s = 0; s < config_.n_servers; ++s) {
-      config_.local_servers.push_back(s);
-    }
-  }
-  acceptor_fds_.assign(config_.n_servers, -1);
-  ports_.assign(config_.n_servers, 0);
-
-  struct in_addr addr {};
-  if (::inet_aton(config_.host.c_str(), &addr) == 0) return;  // ok_ stays false
-
-  // Remote servers are reachable only through the deterministic
-  // base_port + id scheme; ephemeral ports cannot be derived for them.
-  const bool any_remote = config_.local_servers.size() < config_.n_servers;
-  if (any_remote && config_.base_port == 0) return;
-  // The whole cluster must fit in the port space — base_port + s would
-  // otherwise silently wrap and dial the wrong (or an ephemeral) port.
-  if (config_.base_port != 0 &&
-      static_cast<std::uint32_t>(config_.base_port) + config_.n_servers - 1 >
-          65535) {
-    return;
-  }
-  for (ServerId s = 0; s < config_.n_servers; ++s) {
-    if (config_.base_port != 0) {
-      ports_[s] = static_cast<std::uint16_t>(config_.base_port + s);
-    }
-  }
-
-  // One acceptor per hosted server. Bound (and, for ephemeral ports,
-  // resolved) in the constructor so port_of() is meaningful before start().
-  int wake_fds[2] = {-1, -1};
-  if (::pipe(wake_fds) != 0) return;
-  wake_rd_ = wake_fds[0];
-  wake_wr_ = wake_fds[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
-
-  for (const ServerId s : config_.local_servers) {
-    assert(s < config_.n_servers && mailboxes_[s] != nullptr);
+    : LinkLayer(std::move(config), std::move(mailboxes), idle,
+                kTcpMaxBatchBytes) {
+  // One acceptor per hosted server, bound (and, for ephemeral ports,
+  // resolved) here so port_of() is meaningful before start().
+  for (const ServerId s : local_servers()) {
+    if (!ok_) return;
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    acceptor_fds_[s] = fd;
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    struct sockaddr_in sa {};
-    sa.sin_family = AF_INET;
-    sa.sin_addr = addr;
-    sa.sin_port = htons(ports_[s]);
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof sa) != 0 ||
-        ::listen(fd, SOMAXCONN) != 0 || !set_nonblocking(fd)) {
-      return;
+    if (fd >= 0) {
+      int one = 1;
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     }
-    socklen_t len = sizeof sa;
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&sa), &len) != 0) {
-      return;
-    }
-    ports_[s] = ntohs(sa.sin_port);
+    ok_ = bind_local(s, fd) && ::listen(fd, SOMAXCONN) == 0;
   }
-  ok_ = true;
 }
 
 TcpTransport::~TcpTransport() { stop(); }
 
-std::uint16_t TcpTransport::port_of(ServerId server) const {
-  assert(server < ports_.size());
-  return ports_[server];
-}
-
-void TcpTransport::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_ || !ok_) return;
-  running_ = true;
-  stopping_ = false;
-  thread_ = std::thread([this] { poll_loop(); });
-}
-
-void TcpTransport::stop() {
-  bool was_running;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    was_running = running_;
-    stopping_ = true;  // latches: sends from here on are dropped
-  }
-  if (was_running) {
-    wake();
-    if (thread_.joinable()) thread_.join();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
+void TcpTransport::close_locked() {
+  // The wire frames dropped here stay counted in their queue's
+  // queued_envelopes, which the link layer drops next.
   for (auto& [key, out] : out_) {
     (void)key;
     close_fd(out.fd);
-    if (idle_ && out.queued_envelopes > 0) idle_->sub(out.queued_envelopes);
-    out.pending.clear();
-    out.queue.clear();
-    out.queued_envelopes = 0;
-    out.queued_bytes = 0;
   }
   out_.clear();
   for (auto& in : in_) close_fd(in->fd);
   in_.clear();
-  for (int& fd : acceptor_fds_) close_fd(fd);
-  close_fd(wake_rd_);
-  close_fd(wake_wr_);
-  running_ = false;
-}
-
-void TcpTransport::attach(ServerId server, Handler handler) {
-  assert(is_local(server));
-  std::lock_guard<std::mutex> lock(mu_);
-  handlers_[server] =
-      handler ? std::make_shared<const Handler>(std::move(handler)) : nullptr;
-}
-
-void TcpTransport::set_control_handler(ServerId server, Handler handler) {
-  assert(is_local(server));
-  std::lock_guard<std::mutex> lock(mu_);
-  control_[server] =
-      handler ? std::make_shared<const Handler>(std::move(handler)) : nullptr;
-}
-
-void TcpTransport::deliver_local_many(ServerId to, ServerId from,
-                                      const std::vector<Envelope>& envelopes) {
-  std::shared_ptr<const Handler> proto;
-  std::shared_ptr<const Handler> ctrl;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    proto = handlers_[to];
-    ctrl = control_[to];
-  }
-  if (!proto && !ctrl) return;
-  // One mailbox wakeup delivers the whole batch, in order.
-  mailboxes_[to]->push([proto = std::move(proto), ctrl = std::move(ctrl), from,
-                        envelopes] {
-    for (const Envelope& e : envelopes) {
-      const auto& handler = e.kind == WireKind::kControl ? ctrl : proto;
-      if (handler) (*handler)(from, *e.payload);
-    }
-  });
-}
-
-// mu_ held. Applies the per-peer envelope and byte caps; false = evicted.
-bool TcpTransport::admit_locked(OutConn& out, std::size_t payload_bytes) {
-  if (out.queued_envelopes >= config_.max_queued_frames_per_peer ||
-      out.queued_bytes + payload_bytes > config_.max_queued_bytes_per_peer) {
-    ++metrics_.dropped;
-    ++stats_.evicted_envelopes;
-    stats_.evicted_bytes += payload_bytes;
-    if (out.link) ++out.link->evicted;
-    return false;
-  }
-  ++out.queued_envelopes;
-  out.queued_bytes += payload_bytes;
-  if (out.link) ++out.link->enqueued;
-  return true;
-}
-
-// mu_ held. Parks the envelope on the link; returns true if the poll
-// thread needs a wake (link was drained or is not connected).
-bool TcpTransport::enqueue_envelope_locked(ServerId from, ServerId to,
-                                           const Envelope& envelope) {
-  OutConn& out = out_[{from, to}];
-  if (!out.link) out.link = &link_stats_[{from, to}];
-  const std::size_t payload_bytes = envelope.payload->size();
-  const bool was_empty = out.queued_envelopes == 0;
-  if (!admit_locked(out, payload_bytes)) return false;
-  const auto k = static_cast<std::size_t>(envelope.kind);
-  metrics_.messages[k] += 1;
-  metrics_.bytes[k] += payload_bytes;
-  out.pending.push_back(envelope);
-  if (idle_) idle_->add();
-  return was_empty || out.state != OutConn::State::kConnected;
-}
-
-void TcpTransport::send(ServerId from, ServerId to, WireKind kind, Bytes payload) {
-  send_many(from, to,
-            {Envelope{kind, std::make_shared<const Bytes>(std::move(payload))}});
-}
-
-void TcpTransport::broadcast(ServerId from, WireKind kind, const Bytes& payload) {
-  broadcast_many(from, {Envelope{kind, std::make_shared<const Bytes>(payload)}});
-}
-
-void TcpTransport::send_many(ServerId from, ServerId to,
-                             const std::vector<Envelope>& envelopes) {
-  assert(to < config_.n_servers);
-  if (envelopes.empty()) return;
-  if (to == from) {
-    // Self-delivery is local and free of wire cost on every transport.
-    deliver_local_many(to, from, envelopes);
-    return;
-  }
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Envelopes may queue before start() (the poll thread flushes them once
-    // it runs); after stop() has latched they are dropped.
-    if (stopping_) {
-      metrics_.dropped += envelopes.size();
-      return;
-    }
-    for (const Envelope& e : envelopes) {
-      need_wake |= enqueue_envelope_locked(from, to, e);
-    }
-  }
-  if (need_wake) wake();
-}
-
-void TcpTransport::broadcast_many(ServerId from,
-                                  const std::vector<Envelope>& envelopes) {
-  if (envelopes.empty()) return;
-  // Every peer's pending queue shares the same immutable payload buffers;
-  // frames are packed per link at flush time.
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      metrics_.dropped +=
-          envelopes.size() * (config_.n_servers > 0 ? config_.n_servers - 1 : 0);
-    } else {
-      for (ServerId to = 0; to < config_.n_servers; ++to) {
-        if (to == from) continue;
-        for (const Envelope& e : envelopes) {
-          need_wake |= enqueue_envelope_locked(from, to, e);
-        }
-      }
-    }
-  }
-  if (need_wake) wake();
-  deliver_local_many(from, from, envelopes);
-}
-
-WireMetrics TcpTransport::wire_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return metrics_;
 }
 
 TcpStats TcpTransport::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  TcpStats stats = stats_;
+  static_cast<LinkLayerStats&>(stats) = counters_;
+  return stats;
 }
 
 TcpLinkStats TcpTransport::link_stats(ServerId from, ServerId to) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = link_stats_.find({from, to});
-  return it == link_stats_.end() ? TcpLinkStats{} : it->second;
+  return egress_stats_locked(from, to);
 }
 
 void TcpTransport::drop_connections(ServerId a, ServerId b) {
@@ -321,34 +91,20 @@ void TcpTransport::drop_connections(ServerId a, ServerId b) {
   wake();
 }
 
-void TcpTransport::wake() {
-  // Under mu_: stop() closes (and -1s) wake_wr_ under the same lock, so a
-  // late sender can never write into a closed — possibly reused — fd. No
-  // caller holds mu_ here, and the write is nonblocking (a full pipe
-  // already guarantees a pending wakeup).
-  std::lock_guard<std::mutex> lock(mu_);
-  if (wake_wr_ >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const auto n = ::write(wake_wr_, &byte, 1);
-  }
-}
-
-// Next re-dial delay: reconnect_delay spread by ±reconnect_jitter so peers
-// whose connections died together (one member SIGKILLed) do not hammer the
-// restarted listener in lockstep. Caller holds mu_ (all re-dial decisions
-// happen on the poll thread or under the send-path lock).
+// Next re-dial delay: kTcpReconnectDelay spread by ±kTcpReconnectJitter so
+// peers whose connections died together (one member SIGKILLed) do not
+// hammer the restarted listener in lockstep. Caller holds mu_ (all re-dial
+// decisions happen on the poll thread or under the send-path lock).
 std::chrono::steady_clock::duration TcpTransport::reconnect_backoff() {
   const auto base = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      config_.reconnect_delay);
+      kTcpReconnectDelay);
   return std::chrono::nanoseconds(
       jittered_delay(static_cast<std::uint64_t>(base.count()),
-                     config_.reconnect_jitter, reconnect_prng_));
+                     kTcpReconnectJitter, reconnect_prng_));
 }
 
-void TcpTransport::dial(ServerId from, ServerId to, OutConn& out) {
+void TcpTransport::dial(ServerId to, OutConn& out) {
   ++stats_.dials;
-  struct in_addr addr {};
-  ::inet_aton(config_.host.c_str(), &addr);  // validated in the constructor
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0 || !set_nonblocking(fd)) {
     if (fd >= 0) ::close(fd);
@@ -356,12 +112,10 @@ void TcpTransport::dial(ServerId from, ServerId to, OutConn& out) {
     out.retry_at = Clock::now() + reconnect_backoff();
     return;
   }
-  struct sockaddr_in sa {};
-  sa.sin_family = AF_INET;
-  sa.sin_addr = addr;
-  sa.sin_port = htons(ports_[to]);
+  const sockaddr_in sa = address_of(to);
   out.fd = fd;
-  const int rc = ::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof sa);
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   if (rc == 0) {
     out.state = OutConn::State::kConnected;
     ++stats_.connects;
@@ -373,7 +127,6 @@ void TcpTransport::dial(ServerId from, ServerId to, OutConn& out) {
     out.state = OutConn::State::kBackoff;
     out.retry_at = Clock::now() + reconnect_backoff();
   }
-  (void)from;
 }
 
 void TcpTransport::fail_out(OutConn& out) {
@@ -385,10 +138,8 @@ void TcpTransport::fail_out(OutConn& out) {
     // resent whole (the receiver may have gotten all of it). Drop it:
     // transient loss, recovered by gossip FWD.
     const WireFrame& front = out.queue.front();
-    metrics_.dropped += front.units;
-    if (idle_) idle_->sub(front.units);
-    out.queued_envelopes -= front.units;
-    out.queued_bytes -= front.payload_bytes;
+    retire_locked(*out.egress, front.units, front.payload_bytes,
+                  /*dropped=*/true);
     out.queue.pop_front();
     out.front_offset = 0;
   }
@@ -400,16 +151,8 @@ void TcpTransport::fail_out(OutConn& out) {
 // drains the wire queue with gather-writes, as many queued frames per
 // syscall as iovec slots allow, resuming mid-frame at front_offset.
 void TcpTransport::flush_out(ServerId from, OutConn& out) {
-  const std::size_t batch_byte_limit =
-      std::min(kTcpMaxBatchBytes, config_.max_frame_payload);
-  while (!out.pending.empty()) {
-    PackedFrame packed = pack_frame(from, out.pending, batch_byte_limit);
-    if (packed.envelopes > 1) {
-      ++stats_.batches_sent;
-      stats_.batched_envelopes += packed.envelopes;
-      ++out.link->batches_sent;
-      out.link->batched_envelopes += packed.envelopes;
-    }
+  while (!out.egress->pending.empty()) {
+    PackedFrame packed = pack_locked(from, *out.egress);
     out.queue.push_back(
         WireFrame{std::make_shared<const Bytes>(std::move(packed.frame)),
                   static_cast<std::uint32_t>(packed.envelopes),
@@ -440,9 +183,8 @@ void TcpTransport::flush_out(ServerId from, OutConn& out) {
         }
         left -= remaining;
         ++stats_.frames_sent;
-        if (idle_) idle_->sub(front.units);
-        out.queued_envelopes -= front.units;
-        out.queued_bytes -= front.payload_bytes;
+        retire_locked(*out.egress, front.units, front.payload_bytes,
+                      /*dropped=*/false);
         out.queue.pop_front();
         out.front_offset = 0;
       }
@@ -462,75 +204,14 @@ void TcpTransport::service_in(InConn& in) {
     if (n > 0) {
       in.decoder.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
       while (auto frame = in.decoder.next()) {
-        if (frame->header.from >= config_.n_servers) {
+        if (frame->header.from >= n_) {
           ++stats_.corrupt_streams;
           close_fd(in.fd);
           in.dead = true;
           return;
         }
         in.peer = frame->header.from;
-        ++stats_.frames_received;
-        const WireKind kind = frame->header.kind;
-        const ServerId from = frame->header.from;
-        if (kind == WireKind::kBatch) {
-          // Unpack before posting: split_batch bounds-checks every inner
-          // length against the remaining bytes pre-allocation. A malformed
-          // batch is payload corruption, not framing corruption — drop the
-          // batch (counted), keep the stream live.
-          const auto entries = split_batch(frame->payload);
-          if (!entries) {
-            ++stats_.batch_decode_failures;
-            continue;
-          }
-          ++stats_.batches_received;
-          stats_.batched_envelopes_received += entries->size();
-          std::shared_ptr<const Handler> proto = handlers_[in.owner];
-          std::shared_ptr<const Handler> ctrl = control_[in.owner];
-          if (!proto && !ctrl) continue;
-          // Record (kind, offset, length) per inner — the heap buffer is
-          // stable across the move into the shared payload below.
-          struct Inner {
-            WireKind kind;
-            std::size_t off;
-            std::size_t len;
-          };
-          std::vector<Inner> inners;
-          inners.reserve(entries->size());
-          for (const BatchEntry& e : *entries) {
-            inners.push_back(Inner{
-                e.kind,
-                static_cast<std::size_t>(e.envelope.data() -
-                                         frame->payload.data()),
-                e.envelope.size()});
-          }
-          auto payload = std::make_shared<const Bytes>(std::move(frame->payload));
-          // One mailbox wakeup dispatches every inner envelope in order.
-          mailboxes_[in.owner]->push(
-              [proto = std::move(proto), ctrl = std::move(ctrl), from,
-               payload = std::move(payload), inners = std::move(inners)] {
-                for (const Inner& e : inners) {
-                  const auto& handler =
-                      e.kind == WireKind::kControl ? ctrl : proto;
-                  if (!handler) continue;
-                  const Bytes envelope(payload->begin() +
-                                           static_cast<std::ptrdiff_t>(e.off),
-                                       payload->begin() +
-                                           static_cast<std::ptrdiff_t>(e.off +
-                                                                       e.len));
-                  (*handler)(from, envelope);
-                }
-              });
-          continue;
-        }
-        std::shared_ptr<const Handler> handler =
-            kind == WireKind::kControl ? control_[in.owner] : handlers_[in.owner];
-        if (handler) {
-          auto payload =
-              std::make_shared<const Bytes>(std::move(frame->payload));
-          mailboxes_[in.owner]->push(
-              [handler = std::move(handler), from,
-               payload = std::move(payload)] { (*handler)(from, *payload); });
-        }
+        dispatch_locked(in.owner, *frame);
       }
       if (in.decoder.corrupt()) {
         // Never resynchronise a framed stream against a byzantine peer:
@@ -571,11 +252,13 @@ void TcpTransport::poll_loop() {
     // Dial every link that wants a connection; compute the next retry.
     const auto now = Clock::now();
     auto next_retry = Clock::time_point::max();
-    for (auto& [key, out] : out_) {
-      if (out.queue.empty() && out.pending.empty()) continue;
+    for (auto& [key, q] : egress_) {
+      if (q.queued_envelopes == 0) continue;
+      OutConn& out = out_[key];
+      out.egress = &q;
       if (out.state == OutConn::State::kIdle ||
           (out.state == OutConn::State::kBackoff && now >= out.retry_at)) {
-        dial(key.first, key.second, out);
+        dial(key.second, out);
       }
       if (out.state == OutConn::State::kBackoff) {
         next_retry = std::min(next_retry, out.retry_at);
@@ -584,10 +267,10 @@ void TcpTransport::poll_loop() {
 
     fds.clear();
     entries.clear();
-    fds.push_back({wake_rd_, POLLIN, 0});
+    fds.push_back({wake_fd(), POLLIN, 0});
     entries.push_back({Slot::kWake, 0, 0, {0, 0}});
-    for (const ServerId s : config_.local_servers) {
-      fds.push_back({acceptor_fds_[s], POLLIN, 0});
+    for (const ServerId s : local_servers()) {
+      fds.push_back({fds_[s], POLLIN, 0});
       entries.push_back({Slot::kAcceptor, s, 0, {0, 0}});
     }
     for (std::size_t i = 0; i < in_.size(); ++i) {
@@ -598,7 +281,7 @@ void TcpTransport::poll_loop() {
     for (auto& [key, out] : out_) {
       if (out.state == OutConn::State::kConnecting ||
           (out.state == OutConn::State::kConnected &&
-           (!out.queue.empty() || !out.pending.empty()))) {
+           out.egress->queued_envelopes > 0)) {
         fds.push_back({out.fd, POLLOUT, 0});
         entries.push_back({Slot::kOut, 0, 0, key});
       }
@@ -622,15 +305,12 @@ void TcpTransport::poll_loop() {
       if (revents == 0) continue;
       const Entry& e = entries[i];
       switch (e.slot) {
-        case Slot::kWake: {
-          char drain[256];
-          while (::read(wake_rd_, drain, sizeof drain) > 0) {
-          }
+        case Slot::kWake:
+          drain_wake();
           break;
-        }
         case Slot::kAcceptor: {
           for (;;) {
-            const int fd = ::accept(acceptor_fds_[e.server], nullptr, nullptr);
+            const int fd = ::accept(fds_[e.server], nullptr, nullptr);
             if (fd < 0) break;  // EAGAIN or transient error: retry next poll
             if (!set_nonblocking(fd)) {
               ::close(fd);
@@ -640,7 +320,6 @@ void TcpTransport::poll_loop() {
             auto in = std::make_unique<InConn>();
             in->fd = fd;
             in->owner = e.server;
-            in->decoder = FrameDecoder(config_.max_frame_payload);
             in_.push_back(std::move(in));
             ++stats_.accepts;
           }

@@ -24,15 +24,14 @@
 // version or kind) resets the connection rather than attempting to
 // re-synchronise against a potentially byzantine peer.
 //
-// Envelope coalescing (DESIGN.md §13): every send parks as a
-// shared-payload envelope on its link — broadcast() shares one immutable
-// payload buffer across all n−1 links, the SimNetwork single-allocation
-// discipline. At flush time the poll thread packs everything pending into
-// wire frames (pack_frame, net/codec.h) and drains the wire queue with
+// Everything above the syscall — the send front door, the per-link egress
+// queue and its caps, kBatch packing and ingress dispatch — is the shared
+// link layer (rt/link_layer.h). This backend keeps dialing with jittered
+// backoff, the writev() flush, the stream FrameDecoder and the
+// drop_connections() test hook. At flush time the poll thread packs
+// everything queued on a link into wire frames and drains them with
 // writev(), so N small sends cost one frame and one syscall instead of N;
 // a lone envelope on an idle link still ships at once as a plain frame.
-// Receivers unpack kBatch frames (one mailbox task dispatches every inner
-// envelope).
 #pragma once
 
 #include <chrono>
@@ -40,49 +39,17 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
-#include "net/transport.h"
-#include "rt/mailbox.h"
+#include "rt/link_layer.h"
 
 namespace blockdag::rt {
 
-struct TcpConfig {
-  std::uint32_t n_servers = 0;
-  // Numeric IPv4 address every server binds and dials (multi-process
-  // clusters on one host use the loopback address).
-  std::string host = "127.0.0.1";
-  // Server s listens on base_port + s. 0 = kernel-assigned ephemeral ports,
-  // which is race-free for parallel test runs but only works when every
-  // server is local (remote ports could not be derived).
-  std::uint16_t base_port = 0;
-  // ServerIds hosted by this process. Empty = all of them (the in-process
-  // `--runtime tcp` deployment).
-  std::vector<ServerId> local_servers;
-  // Delay before re-dialing a failed or refused connection. Retries repeat
-  // forever while traffic is queued: a joining process may come up later.
-  std::chrono::milliseconds reconnect_delay{25};
-  // ± fraction applied to every reconnect delay so links that failed
-  // together (e.g. a peer process SIGKILLed mid-run) do not re-dial in
-  // lockstep against the reborn listener. 0 disables (tests that pin the
-  // retry schedule). See net/backoff.h.
-  double reconnect_jitter = 0.25;
-  std::uint64_t reconnect_jitter_seed = 0x7c0ffee5ULL;
-  // Per-peer send queue ceiling in *envelopes*; beyond it new sends are
-  // dropped (counted in WireMetrics::dropped and per-link evictions) —
-  // transient loss, recovered by gossip FWD.
-  std::size_t max_queued_frames_per_peer = 16384;
-  // Companion byte budget on the same queue: a frame cap alone admits
-  // cap × payload bytes, which for ~2 KiB WOTS-signed blocks is tens of
-  // MiB per peer. Whichever cap trips first evicts the new envelope.
-  std::size_t max_queued_bytes_per_peer = 64u << 20;
-  // Frame payload ceiling, enforced on receive and on kBatch packing.
-  std::size_t max_frame_payload = kMaxFramePayload;
-};
+// TCP needs only the deployment settings every socket backend shares:
+// n_servers, host, base_port (server s listens on base_port + s; 0 =
+// ephemeral, all-local clusters only) and local_servers (empty = all).
+using TcpConfig = LinkConfig;
 
 // kBatch payload ceiling on TCP (the envelope ceiling is kMaxBatchEnvelopes,
 // net/codec.h). The flush window is adaptive with no timer: new work on an
@@ -91,71 +58,35 @@ struct TcpConfig {
 // latency bound is the poll servicing latency, well under a few ms.
 inline constexpr std::size_t kTcpMaxBatchBytes = 128u << 10;
 
-struct TcpStats {
+// Delay before re-dialing a failed or refused connection. Retries repeat
+// forever while traffic is queued: a joining process may come up later.
+inline constexpr std::chrono::milliseconds kTcpReconnectDelay{25};
+// ± fraction applied to every reconnect delay so links that failed
+// together (e.g. a peer process SIGKILLed mid-run) do not re-dial in
+// lockstep against the reborn listener (net/backoff.h), and its seed.
+inline constexpr double kTcpReconnectJitter = 0.25;
+inline constexpr std::uint64_t kTcpReconnectJitterSeed = 0x7c0ffee5ULL;
+
+struct TcpStats : LinkLayerStats {
   std::uint64_t dials = 0;           // connect() attempts
   std::uint64_t connects = 0;        // successful outbound establishments
   std::uint64_t accepts = 0;         // inbound connections accepted
   std::uint64_t resets = 0;          // established connections lost/reset
   std::uint64_t frames_sent = 0;     // wire frames fully written (batch = 1)
-  std::uint64_t frames_received = 0; // complete wire frames decoded
   std::uint64_t corrupt_streams = 0; // inbound streams poisoned by FrameDecoder
-  // Envelope coalescing (kBatch frames carrying >1 inner envelope).
-  std::uint64_t batches_sent = 0;
-  std::uint64_t batched_envelopes = 0;           // inners across batches_sent
-  std::uint64_t batches_received = 0;
-  std::uint64_t batched_envelopes_received = 0;
-  // Malformed kBatch payloads: the batch is dropped, the stream stays live
-  // (payload-level corruption, unlike a framing violation).
-  std::uint64_t batch_decode_failures = 0;
   std::uint64_t writev_calls = 0;    // gather-writes issued on flush
-  // Send-queue cap evictions (frame cap or byte budget), all links.
-  std::uint64_t evicted_envelopes = 0;
-  std::uint64_t evicted_bytes = 0;
 };
 
 // Per-directed-link counters (from → to).
-struct TcpLinkStats {
-  std::uint64_t enqueued = 0;          // envelopes admitted to the queue
-  std::uint64_t evicted = 0;           // envelopes refused by the caps
-  std::uint64_t batches_sent = 0;      // kBatch frames packed
-  std::uint64_t batched_envelopes = 0; // inners across those batches
-};
+using TcpLinkStats = LinkEgressStats;
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public LinkLayer {
  public:
-  // `mailboxes` is indexed by ServerId and must be non-null exactly for the
-  // local servers; pointers must outlive the transport. `idle` (optional)
-  // counts queued-but-unsent frames as outstanding work so wait_idle()
-  // covers the send path. Acceptors are bound in the constructor (check
-  // ok()); no traffic moves until start().
+  // See LinkLayer for `mailboxes` and `idle`; acceptors are bound here
+  // (check ok()), and no traffic moves until start().
   TcpTransport(TcpConfig config, std::vector<Mailbox*> mailboxes,
                IdleTracker* idle = nullptr);
-  ~TcpTransport();  // stop()s
-
-  // False if any acceptor failed to bind/listen (port already in use).
-  bool ok() const { return ok_; }
-  // Actual listen port of `server` (resolves ephemeral binds for local
-  // servers; base_port + s for remote ones).
-  std::uint16_t port_of(ServerId server) const;
-
-  void start();  // launches the poll thread; idempotent
-  void stop();   // closes every socket, drains queues, joins; idempotent
-
-  // Transport interface.
-  void attach(ServerId server, Handler handler) override;
-  std::uint32_t size() const override { return config_.n_servers; }
-  void send(ServerId from, ServerId to, WireKind kind, Bytes payload) override;
-  void broadcast(ServerId from, WireKind kind, const Bytes& payload) override;
-  void send_many(ServerId from, ServerId to,
-                 const std::vector<Envelope>& envelopes) override;
-  void broadcast_many(ServerId from,
-                      const std::vector<Envelope>& envelopes) override;
-  WireMetrics wire_metrics() const override;
-
-  // Control plane: frames sent with WireKind::kControl are routed to this
-  // handler instead of the attached protocol handler (used by the
-  // multi-process runtime for its digest-exchange settle protocol).
-  void set_control_handler(ServerId server, Handler handler);
+  ~TcpTransport() override;  // stop()s
 
   // Test hook: hard-closes every established socket between `a` and `b`
   // (both directions). Queued-but-unsent frames survive and are resent
@@ -180,16 +111,11 @@ class TcpTransport final : public Transport {
     int fd = -1;
     State state = State::kIdle;
     std::chrono::steady_clock::time_point retry_at{};
-    // Envelopes admitted but not yet packed into frames.
-    std::deque<Envelope> pending;
-    // Encoded frames awaiting the kernel.
+    EgressQueue* egress = nullptr;  // this link's queue in the link layer
+    // Encoded frames awaiting the kernel. Their envelopes stay counted in
+    // egress->queued_envelopes until written.
     std::deque<WireFrame> queue;
     std::size_t front_offset = 0;  // bytes of queue.front() already written
-    // Cap accounting across pending + queue, in envelopes and payload bytes.
-    std::size_t queued_envelopes = 0;
-    std::size_t queued_bytes = 0;
-    // Per-link counters live here so they survive stop() clearing out_.
-    TcpLinkStats* link = nullptr;  // owned by link_stats_
   };
   struct InConn {
     int fd = -1;
@@ -199,44 +125,19 @@ class TcpTransport final : public Transport {
     bool dead = false;
   };
 
-  bool is_local(ServerId s) const { return s < mailboxes_.size() && mailboxes_[s]; }
-  void deliver_local_many(ServerId to, ServerId from,
-                          const std::vector<Envelope>& envelopes);
-  void wake();
-  void poll_loop();
+  void poll_loop() override;
   // These run with mu_ held.
-  bool admit_locked(OutConn& out, std::size_t payload_bytes);
-  bool enqueue_envelope_locked(ServerId from, ServerId to,
-                               const Envelope& envelope);
-  void dial(ServerId from, ServerId to, OutConn& out);
+  void close_locked() override;
+  void dial(ServerId to, OutConn& out);
   void fail_out(OutConn& out);
   void service_in(InConn& in);
   void flush_out(ServerId from, OutConn& out);
   std::chrono::steady_clock::duration reconnect_backoff();
 
-  TcpConfig config_;
-  std::vector<Mailbox*> mailboxes_;
-  IdleTracker* idle_;
-  bool ok_ = false;
-  std::vector<int> acceptor_fds_;        // indexed by ServerId; -1 if remote
-  std::vector<std::uint16_t> ports_;     // indexed by ServerId
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-  std::thread thread_;
-
-  mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
   std::map<std::pair<ServerId, ServerId>, OutConn> out_;  // (from, to)
-  // Per-link counters, node-stable (OutConn::link points in) and retained
-  // across stop() so post-run diagnostics can still read them.
-  std::map<std::pair<ServerId, ServerId>, TcpLinkStats> link_stats_;
   std::vector<std::unique_ptr<InConn>> in_;
-  std::vector<std::shared_ptr<const Handler>> handlers_;
-  std::vector<std::shared_ptr<const Handler>> control_;
-  std::uint64_t reconnect_prng_;  // jitter stream; guarded by mu_
-  WireMetrics metrics_;
-  TcpStats stats_;
+  std::uint64_t reconnect_prng_ = kTcpReconnectJitterSeed;  // jitter stream
+  TcpStats stats_;  // the TCP-only fields; the rest live in the link layer
 };
 
 }  // namespace blockdag::rt

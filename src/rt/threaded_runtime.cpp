@@ -66,6 +66,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     auto transport =
         std::make_unique<TcpTransport>(std::move(tcp), std::move(mailboxes), &idle_);
     tcp_ = transport.get();
+    link_ = tcp_;
     transport_ = std::move(transport);
   } else if (config_.backend == TransportBackend::kUdp) {
     UdpConfig udp = config_.udp;
@@ -74,6 +75,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     auto transport =
         std::make_unique<UdpTransport>(std::move(udp), std::move(mailboxes), &idle_);
     udp_ = transport.get();
+    link_ = udp_;
     transport_ = std::move(transport);
   } else {
     assert(local_.size() == config_.n_servers &&
@@ -122,8 +124,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     node->thread = std::thread([node] { drain_loop(*node); });
   }
   // Sockets only move bytes once every handler is attached.
-  if (tcp_) tcp_->start();
-  if (udp_) udp_->start();
+  if (link_) link_->start();
 }
 
 void ThreadedRuntime::mount_node(ServerId server) {
@@ -166,21 +167,12 @@ void ThreadedRuntime::attach_async_verifier(ServerId server) {
       });
 }
 
-bool ThreadedRuntime::transport_ok() const {
-  if (tcp_) return tcp_->ok();
-  if (udp_) return udp_->ok();
-  return true;
-}
+bool ThreadedRuntime::transport_ok() const { return !link_ || link_->ok(); }
 
 void ThreadedRuntime::set_control_handler(ServerId server,
                                           Transport::Handler handler) {
-  if (tcp_) {
-    tcp_->set_control_handler(server, std::move(handler));
-  } else if (udp_) {
-    udp_->set_control_handler(server, std::move(handler));
-  } else {
-    assert(false && "the loopback backend has no control plane");
-  }
+  assert(link_ && "the loopback backend has no control plane");
+  link_->set_control_handler(server, std::move(handler));
 }
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
@@ -303,8 +295,7 @@ void ThreadedRuntime::shutdown() {
   // deliveries), then let every node drain and exit its loop.
   wheel_.stop();
   if (pool_) pool_->stop();
-  if (tcp_) tcp_->stop();
-  if (udp_) udp_->stop();
+  if (link_) link_->stop();
   for (const ServerId s : local_) nodes_[s]->mailbox->close();
   for (const ServerId s : local_) {
     if (nodes_[s]->thread.joinable()) nodes_[s]->thread.join();

@@ -1,6 +1,6 @@
 // ThreadedRuntime: a full in-process deployment of shim(P), one OS thread
 // per server, over a real-time TimerWheel and a pluggable byte-moving
-// backend: the in-process loopback Transport or real TCP sockets.
+// backend: the in-process loopback Transport or real TCP or UDP sockets.
 //
 // The counterpart of runtime/cluster.h on the other side of the
 // Transport/TimerService seam: the *same* Shim/GossipServer/Interpreter
@@ -356,6 +356,7 @@ class ThreadedRuntime {
   // after every node thread joined (no owner can be mid-batch by then).
   std::unique_ptr<ParallelInterpreter> interp_engine_;
   std::unique_ptr<Transport> transport_;
+  LinkLayer* link_ = nullptr;    // borrowed view of a socket transport_
   TcpTransport* tcp_ = nullptr;  // borrowed view of transport_ when kTcp
   UdpTransport* udp_ = nullptr;  // borrowed view of transport_ when kUdp
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -21,9 +21,11 @@
 //
 // Topology: one UDP socket per hosted server, bound to base_port + id (or
 // an ephemeral port when the whole cluster is in-process), serviced by one
-// poll thread per transport instance. Complete frames are posted into the
-// owning server's mailbox — the single-writer-per-server discipline of
-// rt/mailbox.h, identical to the TCP backend.
+// poll thread per transport instance. Everything above the syscall — the
+// send front door, the per-link egress queue and its caps, kBatch packing
+// and the mailbox posts of decoded frames — is the link layer it shares
+// with TCP (rt/link_layer.h). This backend keeps the per-link
+// SenderChannel/ReceiverChannel pump, the fault injector and sendto().
 //
 // Delivery contract (Assumption 1): retransmission makes delivery between
 // live, reachable endpoints eventual; what exceeds the retransmit budget
@@ -37,19 +39,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "net/datagram.h"
 #include "net/frame.h"
-#include "net/transport.h"
-#include "rt/mailbox.h"
+#include "rt/link_layer.h"
 #include "util/rng.h"
 
 namespace blockdag::rt {
@@ -72,14 +69,9 @@ struct LinkFault {
   bool blackhole = false;  // partition: every datagram on the link dies
 };
 
-struct UdpConfig {
-  std::uint32_t n_servers = 0;
-  std::string host = "127.0.0.1";
-  // Server s binds base_port + s; 0 = kernel-assigned ephemeral ports
-  // (race-free for parallel tests, all-local clusters only).
-  std::uint16_t base_port = 0;
-  // ServerIds hosted by this process. Empty = all of them.
-  std::vector<ServerId> local_servers;
+// The shared deployment settings (n_servers, host, base_port,
+// local_servers: see LinkConfig) plus what only datagrams need.
+struct UdpConfig : LinkConfig {
   // Reliability tuning shared by every channel (MTU, RTO/backoff,
   // retransmit cap, windows).
   DatagramChannelConfig channel{};
@@ -89,22 +81,21 @@ struct UdpConfig {
   LinkFault default_fault{};
 };
 
-// Envelope coalescing (DESIGN.md §13): sends stage as envelopes per link
-// and pump() packs everything staged into wire frames (pack_frame,
-// net/codec.h) before offering them to the sender channel, so one frame —
-// and its seq/ack/retransmit state — can carry many envelopes. The kBatch
-// payload ceiling is deliberately smaller than TCP's: a frame is the
+// Envelope coalescing (DESIGN.md §13): pump() packs everything queued on a
+// link into wire frames before offering them to the sender channel, so one
+// frame — and its seq/ack/retransmit state — can carry many envelopes. The
+// kBatch payload ceiling is deliberately smaller than TCP's: a frame is the
 // retransmission unit here, and a fatter frame spans more MTU chunks, so
 // one lost chunk under injected loss holds up more envelopes.
 inline constexpr std::size_t kUdpMaxBatchBytes = 16u << 10;
 
 // Aggregate counters. Everything the fault tests assert nonzero lives
 // here, so injection can never silently no-op (tests/rt/udp_runtime_test).
-struct UdpStats {
+// All of them survive stop().
+struct UdpStats : LinkLayerStats {
   std::uint64_t datagrams_sent = 0;      // sendto() completions (all kinds)
   std::uint64_t datagrams_received = 0;  // recvfrom() datagrams
   std::uint64_t frames_sent = 0;         // frames accepted into channels
-  std::uint64_t frames_received = 0;     // complete frames decoded
   std::uint64_t acks_sent = 0;
   std::uint64_t acks_received = 0;
   std::uint64_t retransmits = 0;         // RTO-expired re-sends
@@ -116,19 +107,13 @@ struct UdpStats {
   std::uint64_t injected_drops = 0;
   std::uint64_t injected_dups = 0;
   std::uint64_t injected_delays = 0;     // datagrams held back (incl. reorders)
-  // Envelope coalescing (kBatch frames carrying >1 inner envelope).
-  std::uint64_t batches_sent = 0;
-  std::uint64_t batched_envelopes = 0;
-  std::uint64_t batches_received = 0;
-  std::uint64_t batched_envelopes_received = 0;
-  // Malformed kBatch payloads: batch dropped, channel state untouched.
-  std::uint64_t batch_decode_failures = 0;
 };
 
-// Per-directed-link view (the TcpStats pattern, but per peer): sender-side
-// counters are populated when `from` is hosted locally, receiver-side ones
-// when `to` is. In an in-process cluster both halves are visible.
-struct UdpLinkStats {
+// Per-directed-link view: the egress counters plus the channel's.
+// Sender-side counters are populated when `from` is hosted locally,
+// receiver-side ones when `to` is. In an in-process cluster both halves are
+// visible.
+struct UdpLinkStats : LinkEgressStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t channel_resets = 0;
@@ -137,43 +122,20 @@ struct UdpLinkStats {
   std::uint64_t injected_delays = 0;
   std::uint64_t duplicates_dropped = 0;  // dedup at the receiving end
   std::uint64_t chunks_delivered = 0;
-  std::uint64_t batches_sent = 0;        // kBatch frames packed on this link
-  std::uint64_t batched_envelopes = 0;   // inners across those batches
 };
 
-class UdpTransport final : public Transport {
+class UdpTransport final : public LinkLayer {
  public:
-  // `mailboxes` is indexed by ServerId and must be non-null exactly for
-  // the local servers; pointers must outlive the transport. `idle`
-  // (optional) counts offered-but-unacked frames as outstanding work so
-  // wait_idle() covers the retransmission pipeline. Sockets are bound in
-  // the constructor (check ok()); no traffic moves until start().
+  // See LinkLayer for `mailboxes` and `idle`, which here also counts
+  // offered-but-unacked frames, so wait_idle() covers the retransmission
+  // pipeline. Sockets are bound here (check ok()); no traffic moves until
+  // start().
   UdpTransport(UdpConfig config, std::vector<Mailbox*> mailboxes,
                IdleTracker* idle = nullptr);
-  ~UdpTransport();  // stop()s
+  ~UdpTransport() override;  // stop()s
 
-  // False if any socket failed to bind (port already in use).
-  bool ok() const { return ok_; }
-  std::uint16_t port_of(ServerId server) const;
-
-  void start();  // launches the poll thread; idempotent
-  void stop();   // closes every socket, drops queues, joins; idempotent
-
-  // Transport interface.
-  void attach(ServerId server, Handler handler) override;
-  std::uint32_t size() const override { return config_.n_servers; }
-  void send(ServerId from, ServerId to, WireKind kind, Bytes payload) override;
-  void broadcast(ServerId from, WireKind kind, const Bytes& payload) override;
-  void send_many(ServerId from, ServerId to,
-                 const std::vector<Envelope>& envelopes) override;
-  void broadcast_many(ServerId from,
-                      const std::vector<Envelope>& envelopes) override;
+  // Adds the frames the sender channels dropped (queue overflow, resets).
   WireMetrics wire_metrics() const override;
-
-  // Control plane: frames sent with WireKind::kControl are routed to this
-  // handler instead of the attached protocol handler (multi-process
-  // `simctl serve`/`join` digest exchange, same contract as TcpTransport).
-  void set_control_handler(ServerId server, Handler handler);
 
   // ---- fault injection (thread-safe; applied to subsequent datagrams) ----
 
@@ -196,18 +158,15 @@ class UdpTransport final : public Transport {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // Channel state of one directed link. Kept across stop(), so its
+  // counters stay readable after teardown.
   struct Link {
     std::unique_ptr<SenderChannel> sender;      // local from → to
     std::unique_ptr<ReceiverChannel> receiver;  // from → local to
-    // Envelopes staged for this link, packed into frames by pump() before
-    // the sender channel sees them.
-    std::deque<Envelope> staged;
     std::uint64_t injected_drops = 0;
     std::uint64_t injected_dups = 0;
     std::uint64_t injected_delays = 0;
     std::uint64_t datagrams_sent = 0;
-    std::uint64_t batches_sent = 0;
-    std::uint64_t batched_envelopes = 0;
   };
   struct Delayed {
     Clock::time_point due;
@@ -217,20 +176,13 @@ class UdpTransport final : public Transport {
     bool operator>(const Delayed& other) const { return due > other.due; }
   };
 
-  bool is_local(ServerId s) const {
-    return s < mailboxes_.size() && mailboxes_[s];
-  }
   // Link state of the directed pair, created on first use. mu_ held.
   Link& link(ServerId from, ServerId to);
   const LinkFault& fault_of(ServerId from, ServerId to) const;
-  void deliver_local_many(ServerId to, ServerId from,
-                          const std::vector<Envelope>& envelopes);
   void deliver_frames(ServerId owner, std::vector<Frame>& frames);
-  // Stages one envelope on the link. mu_ held.
-  void stage_locked(Link& l, const Envelope& envelope);
-  // Packs everything staged on the link into wire frames and offers them
+  // Packs everything queued on the link into wire frames and offers them
   // to the sender channel. mu_ held (pump() calls it).
-  void pack_staged(ServerId from, Link& l);
+  void pack_queued(ServerId from, ServerId to, EgressQueue& q);
   // Injection decision + sendto()/delay-queue for one outbound datagram.
   // mu_ held. `injectable` is false for datagrams the injector already
   // processed (delayed releases, duplicate copies).
@@ -240,9 +192,9 @@ class UdpTransport final : public Transport {
   // Pump senders/acks/delayed queue; returns the earliest future deadline
   // (retransmit or delayed release). mu_ held.
   Clock::time_point pump(Clock::time_point now);
-  void service_socket(ServerId owner, Clock::time_point now);
-  void wake();
-  void poll_loop();
+  void service_socket(ServerId owner);
+  void poll_loop() override;
+  void close_locked() override;  // mu_ held
   static std::uint64_t to_ns(Clock::time_point t) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -250,22 +202,8 @@ class UdpTransport final : public Transport {
             .count());
   }
 
-  UdpConfig config_;
-  std::vector<Mailbox*> mailboxes_;
-  IdleTracker* idle_;
-  bool ok_ = false;
-  std::vector<int> socket_fds_;       // indexed by ServerId; -1 if remote
-  std::vector<std::uint16_t> ports_;  // indexed by ServerId
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-  std::thread thread_;
-
-  mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
+  const DatagramChannelConfig channel_config_;
   std::map<std::pair<ServerId, ServerId>, Link> links_;  // (from, to)
-  std::vector<std::shared_ptr<const Handler>> handlers_;
-  std::vector<std::shared_ptr<const Handler>> control_;
   // Fault state: default + per-link overrides + partition bitmap (n×n,
   // row-major), consulted per outbound datagram.
   Rng fault_rng_;
@@ -274,8 +212,7 @@ class UdpTransport final : public Transport {
   std::vector<bool> blackholed_;
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<Delayed>>
       delayed_;
-  WireMetrics metrics_;
-  UdpStats stats_;
+  UdpStats stats_;  // the UDP-only fields; the rest live in the link layer
 };
 
 }  // namespace blockdag::rt

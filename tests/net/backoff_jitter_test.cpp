@@ -86,7 +86,7 @@ TEST(BackoffJitter, DisabledIsIdentityAndDoesNotConsumeTheStream) {
 // crash/restart fault injector depends on survivors not re-dialing and
 // re-transmitting in synchronized waves against a reborn member.
 TEST(BackoffJitter, SocketBackendsDefaultToTwentyFivePercent) {
-  EXPECT_DOUBLE_EQ(rt::TcpConfig{}.reconnect_jitter, 0.25);
+  EXPECT_DOUBLE_EQ(rt::kTcpReconnectJitter, 0.25);
   EXPECT_DOUBLE_EQ(DatagramChannelConfig{}.rto_jitter, 0.25);
 }
 

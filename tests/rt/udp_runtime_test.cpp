@@ -297,6 +297,74 @@ TEST(UdpRuntime, SendManyCoalescesIntoKBatchFramesOverASocket) {
   EXPECT_EQ(stats.batch_decode_failures, 0u);
 }
 
+TEST(UdpRuntime, CountersSurviveStop) {
+  // Retransmits, resets, dedup hits, injected faults and the channels'
+  // dropped frames must read the same after stop() as before it: post-run
+  // diagnostics read them after teardown.
+  testing::MailboxRig rig(2);
+  rt::UdpConfig cfg;
+  cfg.n_servers = 2;
+  // Fast RTOs: the blackhole below exhausts the default retransmit budget
+  // in well under 100 ms.
+  cfg.channel.initial_rto_ns = 1'000'000;
+  cfg.channel.max_rto_ns = 8'000'000;
+  rt::UdpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  std::atomic<std::uint32_t> arrived{0};
+  transport.attach(1, [&](ServerId, const Bytes&) { arrived.fetch_add(1); });
+  LinkFault lossy;
+  lossy.drop = 0.3;
+  lossy.duplicate = 0.3;
+  transport.set_link_fault(0, 1, lossy);
+  transport.start();
+
+  // Phase 1: loss and duplication on 0 → 1, recovered by retransmission.
+  // 1000-byte envelopes, so their frames span many datagrams.
+  constexpr std::uint32_t kEnvelopes = 64;
+  Bytes body(1000, 0xab);
+  body[0] = static_cast<std::uint8_t>(WireKind::kBlock);
+  for (std::uint32_t i = 0; i < kEnvelopes; ++i) {
+    transport.send(0, 1, WireKind::kBlock, body);
+  }
+  ASSERT_TRUE(testing::wait_until([&] { return arrived.load() >= kEnvelopes; },
+                                  std::chrono::seconds(10)));
+  // Phase 2: a blackhole exhausts the retransmit budget, so the channel
+  // resets and drops its queued frames.
+  transport.set_partition({0}, {1}, true);
+  transport.send(0, 1, WireKind::kBlock, testing::numbered_envelope(kEnvelopes));
+  ASSERT_TRUE(testing::wait_until(
+      [&] { return transport.stats().channel_resets > 0; },
+      std::chrono::seconds(10)));
+
+  const rt::UdpStats before = transport.stats();
+  const rt::UdpLinkStats link_before = transport.link_stats(0, 1);
+  const std::uint64_t dropped_before = transport.wire_metrics().dropped;
+  EXPECT_GT(before.retransmits, 0u);
+  EXPECT_GT(before.injected_drops, 0u);
+  EXPECT_GT(before.injected_dups, 0u);
+  EXPECT_GT(link_before.chunks_delivered, 0u);
+  EXPECT_GT(dropped_before, 0u);
+
+  transport.stop();
+  rig.join();
+  // Counters only grow while the poll thread runs on until stop() joins it.
+  const rt::UdpStats after = transport.stats();
+  const rt::UdpLinkStats link_after = transport.link_stats(0, 1);
+  EXPECT_GE(after.retransmits, before.retransmits);
+  EXPECT_GE(after.channel_resets, before.channel_resets);
+  EXPECT_GE(after.duplicates_dropped, before.duplicates_dropped);
+  EXPECT_GE(after.injected_drops, before.injected_drops);
+  EXPECT_GE(after.injected_dups, before.injected_dups);
+  EXPECT_GE(after.injected_delays, before.injected_delays);
+  EXPECT_GE(link_after.retransmits, link_before.retransmits);
+  EXPECT_GE(link_after.channel_resets, link_before.channel_resets);
+  EXPECT_GE(link_after.injected_drops, link_before.injected_drops);
+  EXPECT_GE(link_after.datagrams_sent, link_before.datagrams_sent);
+  EXPECT_GE(link_after.chunks_delivered, link_before.chunks_delivered);
+  EXPECT_GE(transport.wire_metrics().dropped, dropped_before);
+  EXPECT_EQ(rig.idle().count(), 0u);
+}
+
 TEST(UdpRuntime, BroadcastAfterStopDropsOneEnvelopePerPeer) {
   testing::MailboxRig rig(4);
   rt::UdpConfig cfg;

@@ -7,9 +7,9 @@
 # harness smoke (every bench runs seconds-scale and must emit parseable
 # BENCH_*.json), an Asan build running the tier1 ctest label, then a Tsan
 # build running the threaded-runtime, TCP-runtime and UDP-runtime
-# convergence tests and the real-runtime scenario runs under
-# ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
-# the full command reference.
+# convergence tests, the socket link layer's cap and stop-accounting cases
+# and the real-runtime scenario runs under ThreadSanitizer. Mirrors
+# .github/workflows/ci.yml; see BUILDING.md for the full command reference.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,17 +58,17 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Asan \
 cmake --build build-ci-asan -j "$jobs"
 (cd build-ci-asan && ctest --output-on-failure -j "$jobs" -L tier1)
 
-echo "==> Tsan build + threaded/TCP/UDP runtime + live scenario + verifier-pool smoke (ThreadSanitizer)"
+echo "==> Tsan build + threaded/TCP/UDP runtime + link layer + live scenario + verifier-pool smoke (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
       -DBLOCKDAG_BUILD_BENCHES=OFF -DBLOCKDAG_BUILD_EXAMPLES=OFF \
       -DBLOCKDAG_BUILD_TOOLS=OFF
 cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
-               rt_mailbox_batch_test runtime_live_scenario_test \
+               rt_mailbox_batch_test rt_link_layer_test runtime_live_scenario_test \
                crypto_verifier_pool_test interpret_parallel_interpreter_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|runtime/live_scenario_test|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol, and
