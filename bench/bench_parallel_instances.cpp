@@ -2,32 +2,17 @@
 // parallel 'for free'" / "with every new block every server creates a new
 // instance of P" (Sections 1, 4).
 //
-// Two sections:
-//
-//  1. marginal_cost — sweep the number K of parallel BRB instances on a
-//     fixed 4-server cluster and report the marginal cost of each
-//     additional instance: extra blocks (≈ 0 — instances share blocks),
-//     extra wire bytes (only the literal request inscriptions). The
-//     "e2e wall ms" column is the whole simulated run (gossip + pacing +
-//     interpretation) and is NOT an interpretation measurement.
-//
-//  2. interpretation_ab — the real cost of K instances is local
-//     interpretation, so time *only* Algorithm 2: grow a DAG once with
-//     the cluster, then re-interpret it offline with a fresh Interpreter
-//     per rep — serial vs the sharded engine
-//     (interpret/parallel_interpreter.h) at 2/4/8 workers. Every
-//     parallel run's per-block digest_of() is asserted byte-identical to
-//     the serial run (Lemma 4.2); speedup is min-of-reps over min-of-reps.
-//     Speedup is only meaningful when hardware_concurrency >= workers —
-//     the box's core count is printed and recorded in the JSON notes.
+// marginal_cost — sweep the number K of parallel BRB instances on a fixed
+// 4-server cluster and report the marginal cost of each additional
+// instance: extra blocks (≈ 0 — instances share blocks), extra wire bytes
+// (only the literal request inscriptions). The "e2e wall ms" column is the
+// whole simulated run (gossip + pacing + interpretation) and is NOT an
+// interpretation measurement; bench_interpret times Algorithm 2 alone.
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "interpret/interpreter.h"
-#include "interpret/parallel_interpreter.h"
 #include "protocols/brb.h"
 #include "runtime/bench_report.h"
 #include "runtime/cluster.h"
@@ -46,8 +31,7 @@ struct ParResult {
 };
 
 // Grows a DAG by running K BRB instances to delivery on an n-server
-// cluster. The cluster is returned (not just the DAG) so the DAG's blocks
-// stay alive for offline re-interpretation.
+// cluster.
 std::unique_ptr<Cluster> grow(const brb::BrbFactory& factory, std::uint32_t n,
                               std::uint32_t k, bool* all_delivered) {
   ClusterConfig cfg;
@@ -89,54 +73,11 @@ ParResult run_marginal(const brb::BrbFactory& factory, std::uint32_t k) {
   return r;
 }
 
-std::vector<Bytes> digests_of(const Interpreter& interp, const BlockDag& dag) {
-  std::vector<Bytes> out;
-  out.reserve(dag.size());
-  for (const BlockPtr& b : dag.topological_order()) {
-    out.push_back(interp.digest_of(b->ref()));
-  }
-  return out;
-}
-
-struct AbTiming {
-  double ms;  // min over reps, interpretation only
-  InterpreterStats stats;
-  std::vector<Bytes> digests;
-};
-
-// Times interp.run() / engine->run(interp) alone — DAG growth, interpreter
-// construction and pool startup are all outside the timed region.
-AbTiming time_interpretation(const BlockDag& dag, const brb::BrbFactory& factory,
-                             std::uint32_t n, int reps,
-                             ParallelInterpreter* engine) {
-  AbTiming out{};
-  out.ms = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Interpreter interp(dag, factory, n);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (engine != nullptr) {
-      engine->run(interp);
-    } else {
-      interp.run();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < out.ms) out.ms = ms;
-    if (rep == reps - 1) {
-      out.stats = interp.stats();
-      out.digests = digests_of(interp, dag);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchReport report("bench_parallel_instances", argc, argv);
   brb::BrbFactory factory;
-  const unsigned hw = std::thread::hardware_concurrency();
-  report.note("hardware_concurrency", std::to_string(hw));
 
   std::printf("CLAIM-PAR: marginal cost of parallel instances (n=4, BRB)\n\n");
   const std::vector<std::uint32_t> sweep =
@@ -157,63 +98,6 @@ int main(int argc, char** argv) {
       "Expected shape (paper §1/§4): block count stays ~flat in K (instances\n"
       "ride existing blocks), KB/instance falls toward the bare request size,\n"
       "materialized messages grow ~linearly in K — parallel instances are\n"
-      "'for free' on the wire, paid only in local interpretation.\n\n");
-
-  // ---- Section 2: interpretation-only A/B, serial vs sharded engine ----
-  std::printf("Interpretation A/B: Algorithm 2 only, serial vs sharded engine\n");
-  std::printf("(this box: hardware_concurrency=%u — speedups are only\n"
-              " meaningful when the box has at least as many cores as workers)\n\n",
-              hw);
-  struct AbConfig { std::uint32_t n, k; };
-  const std::vector<AbConfig> ab_sweep =
-      report.smoke() ? std::vector<AbConfig>{{4, 64}}
-                     : std::vector<AbConfig>{{4, 1024}, {8, 512}, {32, 256}};
-  const int reps = report.smoke() ? 1 : 3;
-  report.note("interpretation_ab_reps", std::to_string(reps));
-  const std::vector<std::size_t> worker_counts{2, 4, 8};
-
-  Table ab({"n", "K", "mode", "interp ms", "speedup", "work units",
-            "max shard", "merge ms", "digests == serial"});
-  bool all_digests_match = true;
-  for (const AbConfig& c : ab_sweep) {
-    bool delivered = false;
-    auto cluster = grow(factory, c.n, c.k, &delivered);
-    const BlockDag& dag = cluster->shim(0).dag();
-
-    const AbTiming serial = time_interpretation(dag, factory, c.n, reps, nullptr);
-    ab.add_row({Table::num(static_cast<std::uint64_t>(c.n)),
-                Table::num(static_cast<std::uint64_t>(c.k)), "serial",
-                Table::num(serial.ms, 2), "1.00", "-", "-", "-", "-"});
-
-    for (const std::size_t workers : worker_counts) {
-      ParallelInterpretConfig pcfg;
-      pcfg.workers = workers;
-      pcfg.min_batch_work = 0;  // A/B measures the sharded path, not the gate
-      ParallelInterpreter engine(pcfg);
-      engine.start();
-      const AbTiming par = time_interpretation(dag, factory, c.n, reps, &engine);
-      const bool match = par.digests == serial.digests;
-      all_digests_match = all_digests_match && match;
-      ab.add_row({Table::num(static_cast<std::uint64_t>(c.n)),
-                  Table::num(static_cast<std::uint64_t>(c.k)),
-                  "parallel x" + std::to_string(workers),
-                  Table::num(par.ms, 2), Table::num(serial.ms / par.ms, 2),
-                  Table::num(par.stats.work_units),
-                  Table::num(par.stats.max_shard_width),
-                  Table::num(static_cast<double>(par.stats.merge_ns) / 1e6, 2),
-                  match ? "yes" : "NO"});
-    }
-  }
-  report.add("interpretation_ab", ab);
-  report.note("all_digests_match", all_digests_match ? "true" : "false");
-  std::printf(
-      "Determinism contract: every parallel row must show digests == serial\n"
-      "(byte-identical digest_of on every block, Lemma 4.2). Speedup at w\n"
-      "workers approaches w only when K spreads across many (instance,label)\n"
-      "shards AND the box has >= w cores.\n");
-  if (!all_digests_match) {
-    std::fprintf(stderr, "FAIL: parallel interpretation diverged from serial\n");
-    return 1;
-  }
+      "'for free' on the wire, paid only in local interpretation.\n");
   return report.finish();
 }

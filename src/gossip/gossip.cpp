@@ -220,6 +220,9 @@ void GossipServer::disseminate(bool even_if_empty) {
   ++stats_.blocks_built;
   ++stats_.blocks_inserted;
   if (on_inserted_) on_inserted_(block);
+  // The insert hook may fail-stop this server (its block log refused the
+  // block): the block must then never be sent and k must not advance.
+  if (halted_) return;
 
   // Line 17: send B to every server. (Self-delivery short-circuits: the
   // block is already in G, so the receive path ignores it.)

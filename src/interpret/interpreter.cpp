@@ -41,7 +41,6 @@ const BlockInterpretation* Interpreter::state_of(const Hash256& ref) const {
 }
 
 std::size_t Interpreter::run() {
-  assert(!batch_active_ && "serial run inside a parallel batch");
   sync_states();
   const std::size_t n = dag_.node_count();
   std::size_t done = 0;
@@ -218,10 +217,6 @@ bool Interpreter::restore_block(
     ActiveLabelSet::Handle active_labels,
     FlatMap<Label, std::vector<Message>> ms_out,
     const std::vector<std::pair<Label, Bytes>>& pis_serialized) {
-  // Checkpoint restore happens only at batch quiescence: the engine's run()
-  // is synchronous on the owner thread, so a restore can never observe (or
-  // race) a half-merged batch.
-  assert(!batch_active_ && "restore_block inside a parallel batch");
   sync_states();
   const BlockIdx idx = dag_.index_of(ref);
   if (idx == kNoBlockIdx || !dag_.alive(idx) || states_[idx].interpreted) {
@@ -271,7 +266,6 @@ Bytes Interpreter::digest_of(const Hash256& ref) const {
 }
 
 void Interpreter::forget_pruned() {
-  assert(!batch_active_ && "forget_pruned inside a parallel batch");
   sync_states();
   const std::size_t n = dag_.node_count();
   // Slot stability: pruning tombstones slots, it never compacts them —

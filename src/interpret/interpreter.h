@@ -109,17 +109,10 @@ struct InterpreterStats {
   std::uint64_t instance_clones = 0;       // copy-on-write clones performed
                                            // (fresh creates are not clones)
 
-  // Parallel-engine counters (interpret/parallel_interpreter.h). All stay
-  // zero on the serial path — the sim runtime never constructs the engine,
-  // so these never perturb seed-replay state. They describe *how* batches
-  // were executed, never *what* was computed: every field above is
-  // byte-identical between the serial and parallel paths.
-  std::uint64_t parallel_batches = 0;  // batches fanned out across the pool
-  std::uint64_t serial_batches = 0;    // engine calls that fell back to serial
-  std::uint64_t work_units = 0;        // (block, label) simulations in
-                                       // parallel batches
-  std::uint64_t max_shard_width = 0;   // widest single shard, in work units
-  std::uint64_t merge_ns = 0;          // time spent in deterministic merges
+  // Always 0: no parallel engine exists; kept because e2ebench reads them.
+  std::uint64_t parallel_batches = 0;
+  std::uint64_t serial_batches = 0;
+  std::uint64_t merge_ns = 0;
 };
 
 class Interpreter {
@@ -181,11 +174,6 @@ class Interpreter {
   BlockIdx resume_index() const { return cursor_; }
 
  private:
-  // The parallel engine shards interpret_block's inner loops across a
-  // worker pool and commits merged results through the private state below
-  // (interpret/parallel_interpreter.cpp documents the determinism contract).
-  friend class ParallelInterpreter;
-
   bool interpreted_at(BlockIdx idx) const {
     return idx < states_.size() && states_[idx].interpreted;
   }
@@ -210,10 +198,6 @@ class Interpreter {
   std::uint32_t n_servers_;
   std::vector<BlockInterpretation> states_;  // indexed by BlockIdx
   BlockIdx cursor_ = 0;  // index into the DAG's dense slot array
-  // True while the parallel engine has this interpreter's batch in flight.
-  // State mutations that would race the shards (restore_block, pruning)
-  // assert against it — restores happen only at batch quiescence.
-  bool batch_active_ = false;
   IndicationHandler on_indication_;
   InterpreterStats stats_;
 };

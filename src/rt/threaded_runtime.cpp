@@ -35,20 +35,6 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     pool_->start();  // workers just park on the queue until submissions come
   }
 
-  // Parallel interpretation: one shared engine, every hosted shim submits
-  // its batches as an owner. Auto sizes to the hardware; a single-threaded
-  // box gets no engine (fan-out would only add overhead there).
-  const std::size_t interp_workers = config_.interpret_workers.value_or(
-      std::thread::hardware_concurrency() > 1
-          ? static_cast<std::size_t>(std::thread::hardware_concurrency())
-          : 0);
-  if (interp_workers > 0) {
-    ParallelInterpretConfig icfg = config_.interpret;
-    icfg.workers = interp_workers;
-    interp_engine_ = std::make_unique<ParallelInterpreter>(icfg);
-    interp_engine_->start();
-  }
-
   nodes_.resize(config_.n_servers);
   std::vector<Mailbox*> mailboxes(config_.n_servers, nullptr);
   for (const ServerId s : local_) {
@@ -136,9 +122,6 @@ void ThreadedRuntime::mount_node(ServerId server) {
                                      *node.sigs, factory_, config_.n_servers,
                                      config_.gossip, config_.pacing,
                                      config_.seq_mode);
-  // Attaching here covers restart() incarnations too. Restore replay stays
-  // serial regardless (the shim routes around the engine while restoring).
-  if (interp_engine_) node.shim->set_parallel_interpreter(interp_engine_.get());
   // Egress rides drain_loop's flush; restart() incarnations re-enable here
   // (the flush hook dereferences node.shim, so it follows the swap).
   node.shim->gossip().set_egress_batching(true);
@@ -300,10 +283,6 @@ void ThreadedRuntime::shutdown() {
   for (const ServerId s : local_) {
     if (nodes_[s]->thread.joinable()) nodes_[s]->thread.join();
   }
-  // Only after every node thread joined: shims are batch owners, and a
-  // stopped engine makes owners process whole batches themselves — joining
-  // first guarantees no batch is in flight when the workers exit.
-  if (interp_engine_) interp_engine_->stop();
 }
 
 void ThreadedRuntime::request(ServerId server, Label label, Bytes request) {
@@ -462,11 +441,6 @@ InterpreterStats ThreadedRuntime::interpreter_stats() {
     total.messages_materialized += st.messages_materialized;
     total.indications += st.indications;
     total.instance_clones += st.instance_clones;
-    total.parallel_batches += st.parallel_batches;
-    total.serial_batches += st.serial_batches;
-    total.work_units += st.work_units;
-    total.max_shard_width = std::max(total.max_shard_width, st.max_shard_width);
-    total.merge_ns += st.merge_ns;
   }
   return total;
 }

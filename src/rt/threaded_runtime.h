@@ -42,7 +42,6 @@
 
 #include "crypto/signature.h"
 #include "crypto/verifier_pool.h"
-#include "interpret/parallel_interpreter.h"
 #include "rt/loopback_transport.h"
 #include "rt/mailbox.h"
 #include "rt/tcp_transport.h"
@@ -86,17 +85,6 @@ struct ThreadedConfig {
   // Benches force it off to price raw inline verification.
   std::optional<bool> use_verifier_pool;
   VerifierPoolConfig verifier_pool{};
-  // Parallel interpretation (interpret/parallel_interpreter.h). Worker
-  // threads for the shared engine every hosted shim routes Algorithm 2
-  // through. Unset = automatic: hardware_concurrency() workers when the
-  // machine has more than one hardware thread, else off. 0 = off (serial
-  // interpretation, the pre-engine behaviour). The engine changes *when*
-  // states are computed, never what: digests stay byte-identical (Lemma
-  // 4.2).
-  std::optional<std::size_t> interpret_workers;
-  // Tuning knobs for the engine other than `workers` (which the field
-  // above resolves); `interpret.workers` itself is ignored.
-  ParallelInterpretConfig interpret{};
   // Hosted servers that get a mailbox/thread/timers but NO protocol stack:
   // the harness attaches its own wire handler via raw_transport() and
   // drives work through post() — adversary hosting for the threads fuzzer.
@@ -234,14 +222,10 @@ class ThreadedRuntime {
   // every hosted handle's submit/cache counters. All-zero when the pool is
   // disabled (ideal scheme by default).
   VerifierPoolStats verifier_stats();
-  // Aggregate interpreter counters across hosted protocol servers (sums;
-  // max_shard_width is a max). The parallel_* fields are all-zero when the
-  // interpretation engine is off.
+  // Aggregate interpreter counters across hosted protocol servers (sums).
   InterpreterStats interpreter_stats();
-  // Resolved worker count of the interpretation engine (0 = serial).
-  std::size_t interpret_workers() const {
-    return interp_engine_ ? interp_engine_->config().workers : 0;
-  }
+  // Always 0: interpretation is serial; kept because e2ebench reads it.
+  std::size_t interpret_workers() const { return 0; }
   WireMetrics wire_metrics() const { return transport_->wire_metrics(); }
 
   // --- Adversary hosting (raw_servers; threads-fuzz harness only) ---
@@ -352,9 +336,6 @@ class ThreadedRuntime {
   IdleTracker idle_;
   TimerWheel wheel_{idle_};
   std::unique_ptr<VerifierPool> pool_;  // null when disabled
-  // Shared parallel-interpretation engine; null when off. Stopped only
-  // after every node thread joined (no owner can be mid-batch by then).
-  std::unique_ptr<ParallelInterpreter> interp_engine_;
   std::unique_ptr<Transport> transport_;
   LinkLayer* link_ = nullptr;    // borrowed view of a socket transport_
   TcpTransport* tcp_ = nullptr;  // borrowed view of transport_ when kTcp

@@ -64,10 +64,6 @@ struct ScenarioConfig {
   // the derived plan — only the crypto the cluster runs under.
   SigScheme sig_scheme = SigScheme::kIdeal;
   ScenarioRuntime runtime = ScenarioRuntime::kSim;
-  // Parallel-interpretation workers on the real runtimes (unset = auto,
-  // 0 = serial). Never perturbs the derived plan; the simulator has no
-  // engine (see scenario_config_error).
-  std::optional<std::uint32_t> interpret_workers;
 };
 
 struct FaultPlan {

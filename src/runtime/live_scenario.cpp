@@ -172,7 +172,6 @@ ScenarioResult run_live_scenario(const ScenarioConfig& config) {
   cfg.seed = config.seed;
   cfg.sig_scheme = config.sig_scheme;
   cfg.pacing.interval = sim_ms(2);
-  if (config.interpret_workers) cfg.interpret_workers = *config.interpret_workers;
   if (config.runtime == ScenarioRuntime::kUdp) {
     // FWD retry matched to the loss regime: a 5ms retry against a lossy,
     // RTO-bound link just queues duplicate recovery payloads behind the

@@ -95,12 +95,7 @@ std::string scenario_config_error(const ScenarioConfig& config) {
   if (!factory_for(config.protocol)) {
     return "unknown protocol '" + config.protocol + "'";
   }
-  if (config.runtime == ScenarioRuntime::kSim) {
-    if (config.interpret_workers) {
-      return "--interpret-workers needs a real-runtime slice "
-             "(--runtime threads|tcp|udp)";
-    }
-  } else if (config.n_servers < 3) {
+  if (config.runtime != ScenarioRuntime::kSim && config.n_servers < 3) {
     return std::string("--runtime ") + scenario_runtime_name(config.runtime) +
            " needs --n 3 or more (churn and partitions keep a live majority)";
   }
@@ -143,9 +138,6 @@ std::string repro_line(const ScenarioConfig& config) {
           " --duration-ns " + std::to_string(duration);
   if (config.sig_scheme != SigScheme::kIdeal) {
     line += std::string(" --sig ") + sig_scheme_name(config.sig_scheme);
-  }
-  if (config.interpret_workers) {
-    line += " --interpret-workers " + std::to_string(*config.interpret_workers);
   }
   return line;
 }

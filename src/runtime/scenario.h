@@ -52,11 +52,9 @@ struct ScenarioResult {
 // null for an unknown name.
 const ProtocolFactory* factory_for(const std::string& protocol);
 
-// Empty when `config` can run; otherwise why not: an unknown protocol,
-// interpret_workers on the simulator (it never constructs the engine,
-// keeping seeded replays byte-deterministic), or fewer than 3 servers on a
-// real runtime (the churn and partition plans keep a live majority, which
-// needs n >= 3).
+// Empty when `config` can run; otherwise why not: an unknown protocol, or
+// fewer than 3 servers on a real runtime (the churn and partition plans
+// keep a live majority, which needs n >= 3).
 std::string scenario_config_error(const ScenarioConfig& config);
 
 // The fuzz derivation for one seed. `pinned` carries the sweep's options;

@@ -1,7 +1,5 @@
 #include "shim/shim.h"
 
-#include "interpret/parallel_interpreter.h"
-
 namespace blockdag {
 
 Shim::Shim(ServerId self, TimerService& timers, Transport& net, SignatureProvider& sigs,
@@ -37,17 +35,8 @@ void Shim::request(Label label, Bytes request) {
   if (started_ && pacing_.eager_request_threshold != 0 &&
       rqsts_.size() >= pacing_.eager_request_threshold) {
     gossip_.disseminate(/*even_if_empty=*/false);
-    run_interpreter();
+    interpreter_.run();
   }
-}
-
-std::size_t Shim::run_interpreter() {
-  // Restore replay must stay serial: restore_block()s interleave with
-  // run()s and the engine asserts batch quiescence across them.
-  if (interp_engine_ != nullptr && !restoring_) {
-    return interp_engine_->run(interpreter_);
-  }
-  return interpreter_.run();
 }
 
 void Shim::on_block_inserted(const BlockPtr& block) {
@@ -57,11 +46,12 @@ void Shim::on_block_inserted(const BlockPtr& block) {
   // quiet too: replayed blocks are already in the log they came from.
   if (restoring_) return;
   if (block_sink_) block_sink_(block);
+  if (gossip_.halted()) return;  // the sink fail-stopped this server
   // The DAG grew: interpret newly eligible blocks. Interpretation is
   // decoupled in the paper (it could run entirely off-line, Section 4);
   // running it inline keeps indication latency measurements tight while
   // changing nothing about the computed states (Lemma 4.2).
-  run_interpreter();
+  interpreter_.run();
 }
 
 std::size_t Shim::collect_garbage() {
@@ -78,7 +68,7 @@ void Shim::tick() {
 void Shim::tick_disseminate() { gossip_.disseminate(!pacing_.skip_empty); }
 
 void Shim::tick_interpret() {
-  run_interpreter();
+  interpreter_.run();
   if (maintenance_) maintenance_();
 }
 

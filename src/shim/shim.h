@@ -23,8 +23,6 @@
 
 namespace blockdag {
 
-class ParallelInterpreter;
-
 // A delivered indication, as surfaced to the user of P.
 struct UserIndication {
   Label label = 0;
@@ -142,16 +140,6 @@ class Shim {
   // Interpretation + the maintenance hook (checkpoint/GC cadence).
   void tick_interpret();
 
-  // Routes this shim's interpretation through a parallel engine
-  // (interpret/parallel_interpreter.h). The engine is borrowed and must
-  // outlive the shim; null reverts to the serial interpreter. The sim
-  // runtime never sets one, keeping seeded replay byte-deterministic.
-  // Checkpoint/snapshot restore always runs serially regardless — restores
-  // happen only at batch quiescence.
-  void set_parallel_interpreter(ParallelInterpreter* engine) {
-    interp_engine_ = engine;
-  }
-
   ServerId self() const { return gossip_.self(); }
   const BlockDag& dag() const { return gossip_.dag(); }
   GossipServer& gossip() { return gossip_; }
@@ -165,9 +153,6 @@ class Shim {
  private:
   void on_block_inserted(const BlockPtr& block);
   void schedule_next_dissemination();
-  // interpreter_.run(), through the parallel engine when one is attached
-  // (never during restore replay — that path must stay serial/synchronous).
-  std::size_t run_interpreter();
 
   TimerService& timers_;
   // The armed dissemination beat, cancelled by stop() so a stopped shim
@@ -179,7 +164,6 @@ class Shim {
   Interpreter interpreter_;
   PacingConfig pacing_;
   std::uint32_t n_servers_;
-  ParallelInterpreter* interp_engine_ = nullptr;  // borrowed; null = serial
   bool started_ = false;
   bool restoring_ = false;
   IndicationHandler on_indication_;

@@ -25,9 +25,13 @@ void Checkpointer::on_block(const BlockPtr& block) {
                                                   : LogKind::kRecvBlock;
   if (storage_->append_block(kind, block->encode())) {
     ++stats_.blocks_logged;
-  } else {
-    ++stats_.store_failures;
+    return;
   }
+  ++stats_.store_failures;
+  // An unlogged own block must never leave: a restart would replay the
+  // shorter log, reuse its (n, k) and equivocate. Fail-stop instead. A lost
+  // received block is refetched by state sync, so that failure is benign.
+  if (kind == LogKind::kOwnBlock) shim_.halt();
 }
 
 void Checkpointer::on_tick() {

@@ -3,7 +3,9 @@
 //
 // Mounted on a Shim via its maintenance hook and block sink, it
 //   * appends every inserted block to the StorageSink's block log (own vs
-//     received kind, so replay can rebuild the construction state);
+//     received kind, so replay can rebuild the construction state). A
+//     failed own-block append halts the shim before the block is sent;
+//     a failed received-block append is only counted;
 //   * every K interpreted blocks (CheckpointerConfig::epoch_blocks) runs
 //     one epoch step: collect_garbage() → build_checkpoint → sign → store.
 //     Storing rotates the block log, so disk usage stays proportional to

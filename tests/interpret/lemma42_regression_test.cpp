@@ -7,14 +7,18 @@
 //
 // The copy-on-write structures this pins down: shared active-label sets,
 // flat PIs/Ms buffers keyed by dense BlockIdx, and the sort+unique inbox
-// realization of the Ms[in] union semantics.
+// realization of the Ms[in] union semantics. Besides honest random DAGs,
+// the inputs include hostile shapes: equivocation forks in a parent chain
+// and a DAG grown by a cluster with byzantine builders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "interpret/interpreter.h"
 #include "protocols/brb.h"
+#include "runtime/cluster.h"
 #include "testing/random_dag.h"
 #include "util/rng.h"
 
@@ -43,6 +47,36 @@ void interpret_shuffled(Interpreter& interp, const BlockDag& dag, std::uint64_t 
   }
 }
 
+// run() and a shuffled interpret_one() walk over `dag` must agree on every
+// block's digest and buffers, and on the aggregate effort.
+void expect_orders_agree(const BlockDag& dag, std::uint32_t n_servers,
+                         std::uint64_t shuffle_seed, const std::string& what) {
+  brb::BrbFactory factory;
+  Interpreter sequential(dag, factory, n_servers);
+  EXPECT_EQ(sequential.run(), dag.size()) << what;
+
+  Interpreter shuffled(dag, factory, n_servers);
+  interpret_shuffled(shuffled, dag, shuffle_seed);
+
+  for (const BlockPtr& b : dag.topological_order()) {
+    EXPECT_EQ(sequential.digest_of(b->ref()), shuffled.digest_of(b->ref()))
+        << what << " block=" << b->ref().short_hex();
+    // Buffer contents agree too, not just digests (rules out digest
+    // collisions hiding order dependence).
+    const auto* a = sequential.state_of(b->ref());
+    const auto* s = shuffled.state_of(b->ref());
+    ASSERT_NE(a, nullptr) << what;
+    ASSERT_NE(s, nullptr) << what;
+    EXPECT_TRUE(a->ms_in == s->ms_in) << what;
+    EXPECT_TRUE(a->ms_out == s->ms_out) << what;
+  }
+  // Aggregate effort is order-independent as well.
+  EXPECT_EQ(sequential.stats().messages_delivered, shuffled.stats().messages_delivered);
+  EXPECT_EQ(sequential.stats().messages_materialized,
+            shuffled.stats().messages_materialized);
+  EXPECT_EQ(sequential.stats().requests_processed, shuffled.stats().requests_processed);
+}
+
 TEST(Lemma42Regression, RunAndShuffledOrdersAgreeOnEveryDigest) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     BlockForge forge(5);
@@ -51,32 +85,42 @@ TEST(Lemma42Regression, RunAndShuffledOrdersAgreeOnEveryDigest) {
     cfg.rounds = 8;
     cfg.broadcasts = 4;
     const auto rd = make_random_dag(forge, cfg, seed);
-    brb::BrbFactory factory;
-
-    Interpreter sequential(rd.dag, factory, 5);
-    EXPECT_EQ(sequential.run(), rd.dag.size());
-
-    Interpreter shuffled(rd.dag, factory, 5);
-    interpret_shuffled(shuffled, rd.dag, seed * 977 + 13);
-
-    for (const BlockPtr& b : rd.dag.topological_order()) {
-      EXPECT_EQ(sequential.digest_of(b->ref()), shuffled.digest_of(b->ref()))
-          << "seed=" << seed << " block=" << b->ref().short_hex();
-      // Buffer contents agree too, not just digests (rules out digest
-      // collisions hiding order dependence).
-      const auto* a = sequential.state_of(b->ref());
-      const auto* s = shuffled.state_of(b->ref());
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(s, nullptr);
-      EXPECT_TRUE(a->ms_in == s->ms_in);
-      EXPECT_TRUE(a->ms_out == s->ms_out);
-    }
-    // Aggregate effort is order-independent as well.
-    EXPECT_EQ(sequential.stats().messages_delivered, shuffled.stats().messages_delivered);
-    EXPECT_EQ(sequential.stats().messages_materialized,
-              shuffled.stats().messages_materialized);
-    EXPECT_EQ(sequential.stats().requests_processed, shuffled.stats().requests_processed);
+    expect_orders_agree(rd.dag, 5, seed * 977 + 13, "seed=" + std::to_string(seed));
   }
+
+  // Equivocation forks in the parent chain: two distinct blocks at
+  // (server 0, k=1), both children of b0 and both referenced by server 1.
+  BlockForge forge(2);
+  const BlockPtr b0 = forge.block(0, 0, {}, {{1, brb::make_broadcast(Bytes{7})}});
+  const BlockPtr fork_a = forge.block(0, 1, {b0->ref()});
+  const BlockPtr fork_b =
+      forge.block(0, 1, {b0->ref()}, {{2, brb::make_broadcast(Bytes{9})}});
+  ASSERT_NE(fork_a->ref(), fork_b->ref());
+  const BlockPtr c = forge.block(1, 0, {fork_a->ref(), fork_b->ref()});
+  const BlockPtr d = forge.block(0, 2, {fork_a->ref(), c->ref()});
+  BlockDag forked;
+  for (const BlockPtr& b : {b0, fork_a, fork_b, c, d}) {
+    ASSERT_TRUE(forked.insert(b));
+  }
+  expect_orders_agree(forked, 2, 7, "equivocation forks");
+
+  // A hostile DAG grown by the deterministic cluster: an equivocator and a
+  // duplicate-referencer in the mix.
+  brb::BrbFactory factory;
+  ClusterConfig ccfg;
+  ccfg.n_servers = 5;
+  ccfg.seed = 1234;
+  ccfg.byzantine[3] = ByzantineKind::kEquivocator;
+  ccfg.byzantine[4] = ByzantineKind::kDuplicateReferencer;
+  Cluster cluster(factory, ccfg);
+  cluster.start();
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    cluster.request(i % 3, 1 + i, brb::make_broadcast(Bytes{static_cast<std::uint8_t>(i)}));
+  }
+  cluster.run_for(sim_ms(400));
+  cluster.stop();
+  ASSERT_GT(cluster.shim(0).dag().size(), 0u);
+  expect_orders_agree(cluster.shim(0).dag(), 5, 1234, "byzantine cluster");
 }
 
 TEST(Lemma42Regression, IncrementalRunMatchesOneShotRun) {

@@ -77,11 +77,12 @@ TEST(LiveScenario, DerivationMatchesPinnedPlans) {
     const LivePlan plan = derive_live_plan(cfg);
     EXPECT_EQ(plan.summary(), p.summary)
         << scenario_runtime_name(p.runtime) << " seed " << p.seed;
-    // The scheme and the worker count never perturb a plan.
-    ScenarioConfig other = cfg;
-    other.interpret_workers = 4;
-    if (p.runtime == ScenarioRuntime::kUdp) other.sig_scheme = SigScheme::kWots;
-    EXPECT_EQ(derive_live_plan(other).summary(), plan.summary());
+    // The scheme never perturbs a UDP plan.
+    if (p.runtime == ScenarioRuntime::kUdp) {
+      ScenarioConfig other = cfg;
+      other.sig_scheme = SigScheme::kWots;
+      EXPECT_EQ(derive_live_plan(other).summary(), plan.summary());
+    }
   }
 }
 
@@ -123,18 +124,13 @@ TEST(LiveScenario, RejectsClustersBelowThree) {
     cfg.n_servers = 3;
     EXPECT_EQ(scenario_config_error(cfg), "");
   }
-  ScenarioConfig sim;
-  sim.interpret_workers = 2;
-  EXPECT_FALSE(scenario_config_error(sim).empty());
 }
 
 TEST(LiveScenario, ReproLinePinsEveryField) {
-  ScenarioConfig cfg = fuzz_config(ScenarioRuntime::kUdp, 7, SigScheme::kWots);
-  cfg.interpret_workers = 4;
+  const ScenarioConfig cfg = fuzz_config(ScenarioRuntime::kUdp, 7, SigScheme::kWots);
   EXPECT_EQ(repro_line(cfg),
             "simctl replay --runtime udp --seed 7 --protocol fifo --n 4 "
-            "--instances 6 --duration-ns 1000000000 --sig wots "
-            "--interpret-workers 4");
+            "--instances 6 --duration-ns 1000000000 --sig wots");
   ScenarioConfig sim;
   sim.seed = 3;
   sim.duration = sim_ms(10);  // the simulator clamps to 1s

@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
+#include "gossip/wire.h"
 #include "protocols/brb.h"
 #include "rt/threaded_runtime.h"
 #include "runtime/cluster.h"
+#include "sim/scheduler.h"
 #include "sync/checkpointer.h"
 #include "sync/storage.h"
 
@@ -235,6 +239,68 @@ TEST(Checkpointer, RestoreFromStorageResumesWithoutFullReplay) {
   // And the restored server can keep building: construction state (next_k,
   // building preds) came back, so its next block extends its own chain.
   EXPECT_EQ(restored.gossip().next_seq(), original.gossip().next_seq());
+}
+
+// Keeps every payload a server hands its transport; delivers nothing.
+class RecordingTransport final : public Transport {
+ public:
+  void attach(ServerId, Handler) override {}
+  std::uint32_t size() const override { return 4; }
+  void send(ServerId, ServerId, WireKind, Bytes payload) override {
+    sent.push_back(std::move(payload));
+  }
+  void broadcast(ServerId, WireKind, const Bytes& payload) override {
+    sent.push_back(payload);
+  }
+  WireMetrics wire_metrics() const override { return {}; }
+
+  std::vector<Bytes> sent;
+};
+
+// A sink whose `fail_at`-th own-block append (1-based) fails, as on ENOSPC.
+class FailingOwnAppend final : public sync::StorageSink {
+ public:
+  explicit FailingOwnAppend(std::uint64_t fail_at) : fail_at_(fail_at) {}
+  bool store_checkpoint(std::uint64_t, const Bytes&) override { return true; }
+  bool append_block(sync::LogKind kind, const Bytes&) override {
+    return kind != sync::LogKind::kOwnBlock || ++own_appends_ != fail_at_;
+  }
+  bool load_latest(std::uint64_t&, Bytes&, std::vector<sync::LogRecord>&) override {
+    return true;
+  }
+
+ private:
+  std::uint64_t fail_at_;
+  std::uint64_t own_appends_ = 0;
+};
+
+TEST(Checkpointer, FailedOwnAppendFailStopsBeforeTheBlockIsSent) {
+  // The K-th own block is built and inserted, but its log append fails. It
+  // must never leave the server: a restart would replay the shorter log,
+  // rebuild k = K-1 and sign a second block there (accidental equivocation).
+  constexpr SeqNo kFailAt = 3;
+  brb::BrbFactory factory;
+  Scheduler timers;
+  RecordingTransport net;
+  const auto sigs = make_signature_provider(SigScheme::kIdeal, 4, 1);
+  Shim shim(0, timers, net, *sigs, factory, 4);
+  FailingOwnAppend sink(kFailAt);
+  sync::Checkpointer checkpointer(shim, *sigs, 4, &sink);
+  for (SeqNo i = 0; i < kFailAt + 2; ++i) shim.tick();
+
+  EXPECT_TRUE(shim.gossip().halted());
+  EXPECT_EQ(checkpointer.stats().store_failures, 1u);
+  EXPECT_EQ(shim.gossip().next_seq(), kFailAt - 1);
+  std::vector<SeqNo> sent_ks;
+  for (const Bytes& wire : net.sent) {
+    const auto msg = decode_wire(wire);
+    ASSERT_TRUE(msg.has_value());
+    const auto* env = std::get_if<BlockEnvelope>(&*msg);
+    ASSERT_NE(env, nullptr);
+    EXPECT_EQ(env->block.n(), 0u);
+    sent_ks.push_back(env->block.k());
+  }
+  EXPECT_EQ(sent_ks, (std::vector<SeqNo>{0, 1}));
 }
 
 }  // namespace

@@ -35,9 +35,6 @@ echo "==> Crash-churn fuzz slice (kill/restart plans on the threaded runtime)"
 echo "==> Forger fuzz slice (real wots signatures + raw-hosted forger adversary)"
 ./build-ci/simctl fuzz --runtime threads --seeds 1..8 --sig wots
 
-echo "==> Parallel-interpretation fuzz slice (crash churn with the sharded engine forced on)"
-./build-ci/simctl fuzz --runtime threads --seeds 1..8 --interpret-workers 4
-
 echo "==> TCP fuzz slice (crash churn over real localhost sockets)"
 ./build-ci/simctl fuzz --runtime tcp --seeds 1..8
 
@@ -66,18 +63,14 @@ cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
                rt_mailbox_batch_test rt_link_layer_test runtime_live_scenario_test \
-               crypto_verifier_pool_test interpret_parallel_interpreter_test
+               crypto_verifier_pool_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
-# The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
-# sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
-# interpreter shares the verifier pool's owner-drains-the-bag protocol, and
-# its tiny-batch case races shard completion against the owner reusing the
-# batch's stack frame; the mailbox batch-drain races four producers
-# against the swap).
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test)$')
+# The verifier pool's shutdown race is timing-shaped: loop the Tsan binaries
+# so the sanitizer sees many distinct stop()-vs-batch interleavings (and
+# the mailbox batch-drain's four producers racing the swap).
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
-  ./build-ci-tsan/interpret_parallel_interpreter_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
 done
 

@@ -62,8 +62,7 @@
 //   simctl fuzz --seeds A..B [--runtime sim|udp|threads|tcp]
 //               [--protocol P|mix] [--n N]
 //               [--instances K] [--duration S | --duration-ns NS]
-//               [--sig ideal|hmac|wots] [--interpret-workers N]
-//               [--repro-file FILE]
+//               [--sig ideal|hmac|wots] [--repro-file FILE]
 //     Runs one seeded adversarial scenario per seed (randomized partitions,
 //     latency/drop regimes, crash/recovery churn, byzantine mixes, request
 //     bursts) with the property checkers always on. Every failure prints a
@@ -84,8 +83,7 @@
 //
 //   simctl replay --seed S [--runtime sim|udp|threads|tcp] [--protocol P]
 //                 [--n N] [--instances K] [--duration S | --duration-ns NS]
-//                 [--sig ideal|hmac|wots] [--interpret-workers N]
-//                 [--trace FILE]
+//                 [--sig ideal|hmac|wots] [--trace FILE]
 //     Re-runs exactly one scenario (same derivation as fuzz), prints the
 //     derived fault plan and the result, and optionally writes a JSON
 //     trace. Simulator replays are exact: a scenario is a pure function of
@@ -133,10 +131,6 @@ struct Options {
   std::uint64_t seed = 1;
   double drop = 0.0;
   SigScheme sig = SigScheme::kIdeal;
-  // Parallel-interpretation workers on the real runtimes (unset = auto:
-  // hardware threads; 0 = serial). Simulator runs reject it — the sim never
-  // constructs the engine, keeping seeded replays byte-deterministic.
-  std::optional<std::uint32_t> interpret_workers;
   std::string dot_file;
   std::map<ServerId, ByzantineKind> byzantine;
 };
@@ -192,10 +186,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = next();
       if (!v) return false;
       opt.drop = std::stod(v);
-    } else if (arg == "--interpret-workers") {
-      const char* v = next();
-      if (!v) return false;
-      opt.interpret_workers = static_cast<std::uint32_t>(std::stoul(v));
     } else if (arg == "--wots") {
       opt.sig = SigScheme::kWots;  // alias for --sig wots
     } else if (arg == "--sig") {
@@ -263,9 +253,6 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   cfg.seed = opt.seed;
   cfg.sig_scheme = opt.sig;
   cfg.pacing.interval = sim_ms(opt.interval_ms);
-  if (opt.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*opt.interpret_workers);
-  }
   if (opt.runtime == "tcp") {
     cfg.backend = rt::TransportBackend::kTcp;  // ephemeral localhost ports
   } else if (opt.runtime == "udp") {
@@ -350,15 +337,6 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
               static_cast<unsigned long long>(is.messages_materialized),
               static_cast<unsigned long long>(is.indications),
               static_cast<unsigned long long>(is.instance_clones));
-  std::printf("parallel interpret             : %zu workers, %llu parallel / "
-              "%llu serial batches, %llu work units, max shard %llu, "
-              "merge %.2f ms\n",
-              runtime.interpret_workers(),
-              static_cast<unsigned long long>(is.parallel_batches),
-              static_cast<unsigned long long>(is.serial_batches),
-              static_cast<unsigned long long>(is.work_units),
-              static_cast<unsigned long long>(is.max_shard_width),
-              static_cast<double>(is.merge_ns) / 1e6);
 
   const WireMetrics wire = runtime.wire_metrics();
   Table traffic({"wire class", "messages", "bytes"});
@@ -466,13 +444,6 @@ int run(const Options& opt) {
 
   if (opt.runtime == "threads" || opt.runtime == "tcp" || opt.runtime == "udp") {
     return run_threaded(opt, *factory);
-  }
-  if (opt.interpret_workers) {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real runtime (threads|tcp|udp): "
-                 "the simulator never parallelizes interpretation, keeping "
-                 "seeded replays byte-deterministic\n");
-    return 2;
   }
 
   ClusterConfig cfg;
@@ -631,10 +602,6 @@ struct MemberOptions {
   // GC changes the live set the digest settle compares.
   std::string data_dir;
   std::uint64_t checkpoint_blocks = 32;  // epoch cadence (with --data-dir)
-  // Parallel-interpretation workers (unset = auto, 0 = serial). Purely
-  // local tuning: members of one cluster need not agree on it — the engine
-  // never changes what is computed (Lemma 4.2), only on how many threads.
-  std::optional<std::uint32_t> interpret_workers;
 };
 
 bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
@@ -697,9 +664,6 @@ bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
       std::uint64_t k = 0;
       if (!v || !parse_u64(v, k) || k == 0) return false;
       opt.checkpoint_blocks = k;
-    } else if (arg == "--interpret-workers") {
-      if (!v || !parse_u32(v, u)) return false;
-      opt.interpret_workers = u;
     } else {
       return false;
     }
@@ -741,9 +705,6 @@ int run_member(const MemberOptions& opt, const char* role) {
   cfg.sig_scheme = opt.sig;
   cfg.pacing.interval = sim_ms(opt.interval_ms);
   cfg.gossip.fwd_retry_delay = sim_ms(20);
-  if (opt.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*opt.interpret_workers);
-  }
   if (opt.runtime == "udp") {
     cfg.backend = rt::TransportBackend::kUdp;
     cfg.udp.base_port = opt.port;
@@ -949,16 +910,10 @@ int run_member(const MemberOptions& opt, const char* role) {
               to_hex(last_dag).substr(0, 16).c_str(),
               to_hex(last_interp).substr(0, 16).c_str());
   const InterpreterStats is = runtime.interpreter_stats();
-  std::printf("interpretation: %llu blocks, %llu delivered, %llu indications "
-              "(%zu workers, %llu parallel / %llu serial batches, "
-              "%llu work units)\n",
+  std::printf("interpretation: %llu blocks, %llu delivered, %llu indications\n",
               static_cast<unsigned long long>(is.blocks_interpreted),
               static_cast<unsigned long long>(is.messages_delivered),
-              static_cast<unsigned long long>(is.indications),
-              runtime.interpret_workers(),
-              static_cast<unsigned long long>(is.parallel_batches),
-              static_cast<unsigned long long>(is.serial_batches),
-              static_cast<unsigned long long>(is.work_units));
+              static_cast<unsigned long long>(is.indications));
   if (store) {
     const auto recovery = runtime.sync_snapshot(opt.id);
     std::printf(
@@ -1007,7 +962,6 @@ int cmd_member(int argc, char** argv, bool join) {
                  "                    [--interval MS] [--seed X] "
                  "[--sig ideal|hmac|wots]\n"
                  "                    [--data-dir DIR] [--checkpoint K]\n"
-                 "                    [--interpret-workers N]\n"
                  "       simctl join --id I --n N --port PORT [same options]\n"
                  "(--data-dir: persist checkpoints + block log, restore on "
                  "restart; exit 3 on corrupt state. All members must agree "
@@ -1087,10 +1041,6 @@ bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
       const auto scheme = parse_sig_scheme(v);
       if (!scheme) return false;
       opt.pinned.sig_scheme = *scheme;
-    } else if (arg == "--interpret-workers") {
-      std::uint32_t u = 0;
-      if (!(v = next()) || !parse_u32(v, u)) return false;
-      opt.pinned.interpret_workers = u;
     } else if (arg == "--repro-file" && !replay) {
       if (!(v = next())) return false;
       opt.repro_file = v;
@@ -1129,7 +1079,6 @@ int cmd_fuzz(int argc, char** argv) {
                  "                   [--n N] [--instances K] [--duration S |"
                  " --duration-ns NS]\n"
                  "                   [--sig ideal|hmac|wots] [--repro-file FILE]\n"
-                 "                   [--interpret-workers N]\n"
                  "(--sig hmac|wots also arms the forger adversary: sim adds\n"
                  " kForger to the byzantine pool; threads/tcp host a raw forger\n"
                  " flooding invalidly-signed blocks at the cluster)\n");
@@ -1169,8 +1118,7 @@ int cmd_replay(int argc, char** argv) {
                  "beacon|mix]\n"
                  "                     [--n N] [--instances K] [--duration S |"
                  " --duration-ns NS]\n"
-                 "                     [--sig ideal|hmac|wots] [--trace FILE]\n"
-                 "                     [--interpret-workers N]\n");
+                 "                     [--sig ideal|hmac|wots] [--trace FILE]\n");
     return 2;
   }
   const ScenarioConfig cfg = scenario_for_seed(opt.first_seed, opt.pinned);
@@ -1237,7 +1185,6 @@ int main(int argc, char** argv) {
                  "              [--seconds S] [--instances K] [--interval MS]\n"
                  "              [--seed X] [--drop P] [--byzantine ID:KIND ...]\n"
                  "              [--sig ideal|hmac|wots] [--dot FILE]\n"
-                 "              [--interpret-workers N]  (real runtimes only)\n"
                  "       simctl serve --n N --port PORT [options]\n"
                  "       simctl join --id I --n N --port PORT [options]\n"
                  "       simctl fuzz --seeds A..B [options]\n"
