@@ -73,17 +73,14 @@ RunResult run_sim(std::uint32_t n, SimTime virtual_duration, std::uint32_t reque
 
 RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t requests,
                        rt::TransportBackend backend,
-                       SigScheme sig = SigScheme::kIdeal,
-                       std::optional<bool> pool = std::nullopt,
-                       SimTime beat = kBeat) {
+                       SigScheme sig = SigScheme::kIdeal, SimTime beat = kBeat) {
   brb::BrbFactory factory;
   rt::ThreadedConfig cfg;
   cfg.n_servers = n;
   cfg.seed = 42 + n;
   cfg.pacing.interval = beat;
   cfg.backend = backend;  // kTcp: ephemeral localhost ports
-  cfg.sig_scheme = sig;
-  cfg.use_verifier_pool = pool;  // nullopt = automatic (on iff sig is real)
+  cfg.sig_scheme = sig;  // a real scheme verifies on the verifier pool
   rt::ThreadedRuntime runtime(factory, cfg);
   if (runtime.tcp() && !runtime.tcp()->ok()) return {};
   const auto t0 = std::chrono::steady_clock::now();
@@ -112,11 +109,11 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
   return out;
 }
 
-// CLAIM-SIG-AB: the price of REAL signature verification on the hot path,
-// and how much the verifier pool claws back. Three rows per backend:
-// ideal (no real crypto), the real scheme verified inline on the gossip
-// thread (pool forced off), and the same scheme with verification batched
-// onto the worker pool (the default wiring for real schemes).
+// CLAIM-SIG-AB: the price of REAL signature verification on the hot path.
+// Rows per backend: ideal (no real crypto), then each real scheme with
+// verification batched onto the worker pool (the only wiring for real
+// schemes). The inline rows of the committed 2026-08-08 baselines priced
+// verification on the gossip thread itself (DESIGN.md §11).
 void sweep_signatures(BenchReport& report, SimTime duration) {
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
@@ -124,16 +121,13 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
   struct Row {
     const char* name;
     SigScheme sig;
-    std::optional<bool> pool;
   };
   const Row rows[] = {
-      {"ideal", SigScheme::kIdeal, std::nullopt},
-      {"hmac inline", SigScheme::kHmac, false},
-      {"hmac +pool", SigScheme::kHmac, true},
-      {"wots inline", SigScheme::kWots, false},
-      {"wots +pool", SigScheme::kWots, true},
+      {"ideal", SigScheme::kIdeal},
+      {"hmac +pool", SigScheme::kHmac},
+      {"wots +pool", SigScheme::kWots},
   };
-  std::printf("\nCLAIM-SIG-AB: ideal vs real schemes, inline vs verifier pool\n");
+  std::printf("\nCLAIM-SIG-AB: ideal vs real schemes on the verifier pool\n");
   Table table({"n", "runtime", "sig", "blocks", "blocks/s", "verified",
                "cache hits", "converged"});
   for (std::uint32_t n : ns) {
@@ -144,7 +138,7 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
           backend == rt::TransportBackend::kTcp ? "tcp" : "threads";
       for (const Row& row : rows) {
         const RunResult r =
-            run_threaded(n, duration, requests, backend, row.sig, row.pool);
+            run_threaded(n, duration, requests, backend, row.sig);
         table.add_row({Table::num(static_cast<std::uint64_t>(n)), backend_name,
                        row.name, Table::num(r.blocks),
                        Table::num(r.blocks_per_s(), 0),
@@ -179,7 +173,7 @@ bool sweep_fast_beat(BenchReport& report, SimTime duration) {
     const std::uint32_t requests = 8 * n;
     const RunResult r =
         run_threaded(n, duration, requests, rt::TransportBackend::kTcp,
-                     SigScheme::kIdeal, std::nullopt, kFastBeat);
+                     SigScheme::kIdeal, kFastBeat);
     all_converged = all_converged && r.converged;
     const double env_per_batch =
         r.batches ? static_cast<double>(r.batched_envelopes) /
@@ -364,8 +358,8 @@ int main(int argc, char** argv) {
       "allows; threads and tcp rows spend that much real time. threads→tcp\n"
       "is the price of the real network stack: frame codec, syscalls,\n"
       "kernel socket buffers and the poll-thread handoff. In the sig A/B,\n"
-      "ideal→'inline' prices real verification on the gossip thread;\n"
-      "'inline'→'+pool' is the verifier pool's claw-back. fast_beat makes\n"
+      "ideal→'+pool' prices real verification on the verifier pool.\n"
+      "fast_beat makes\n"
       "the wire, not the pacing clock, the bottleneck; wire times the send\n"
       "path alone.\n");
   const int rc = report.finish();

@@ -70,17 +70,14 @@ RunResult run_sim(std::uint32_t n, SimTime virtual_duration, std::uint32_t reque
 
 RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t requests,
                        rt::TransportBackend backend, double drop = 0.0,
-                       SigScheme sig = SigScheme::kIdeal,
-                       std::optional<bool> pool = std::nullopt,
-                       SimTime beat = kBeat) {
+                       SigScheme sig = SigScheme::kIdeal, SimTime beat = kBeat) {
   brb::BrbFactory factory;
   rt::ThreadedConfig cfg;
   cfg.n_servers = n;
   cfg.seed = 42 + n;
   cfg.pacing.interval = beat;
   cfg.backend = backend;  // socket backends: ephemeral localhost ports
-  cfg.sig_scheme = sig;
-  cfg.use_verifier_pool = pool;  // nullopt = automatic (on iff sig is real)
+  cfg.sig_scheme = sig;  // a real scheme verifies on the verifier pool
   cfg.udp.fault_seed = 42 + n;
   cfg.udp.default_fault.drop = drop;
   // Quick RTOs so the lossy row measures steady-state retransmission cost,
@@ -116,10 +113,10 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
   return out;
 }
 
-// CLAIM-SIG-AB over the UDP wire: ideal vs real WOTS verified inline on
-// the gossip thread vs the same scheme batched onto the verifier pool.
-// Retransmitted datagrams re-deliver already-known blocks, so the UDP rows
-// also show the verdict cache absorbing duplicate verifications.
+// CLAIM-SIG-AB over the UDP wire: ideal vs real WOTS batched onto the
+// verifier pool. Retransmitted datagrams re-deliver already-known blocks,
+// so the UDP rows also show the verdict cache absorbing duplicate
+// verifications.
 void sweep_signatures(BenchReport& report, SimTime duration) {
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
@@ -127,22 +124,19 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
   struct Row {
     const char* name;
     SigScheme sig;
-    std::optional<bool> pool;
   };
   const Row rows[] = {
-      {"ideal", SigScheme::kIdeal, std::nullopt},
-      {"wots inline", SigScheme::kWots, false},
-      {"wots +pool", SigScheme::kWots, true},
+      {"ideal", SigScheme::kIdeal},
+      {"wots +pool", SigScheme::kWots},
   };
-  std::printf("\nCLAIM-SIG-AB (udp): ideal vs inline wots vs pooled wots\n");
+  std::printf("\nCLAIM-SIG-AB (udp): ideal vs pooled wots\n");
   Table table({"n", "sig", "blocks", "blocks/s", "verified", "cache hits",
                "rexmit", "converged"});
   for (std::uint32_t n : ns) {
     const std::uint32_t requests = 2 * n;
     for (const Row& row : rows) {
       const RunResult r = run_threaded(n, duration, requests,
-                                       rt::TransportBackend::kUdp, 0.0, row.sig,
-                                       row.pool);
+                                       rt::TransportBackend::kUdp, 0.0, row.sig);
       table.add_row({Table::num(static_cast<std::uint64_t>(n)), row.name,
                      Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
                      Table::num(r.verifier.verified),
@@ -153,45 +147,53 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
   report.add("signatures_ab", table);
 }
 
-// FAST-BEAT over the UDP wire (DESIGN.md §13). Same idea as the TCP
-// sweep: 200µs beats and a deep request backlog so per-envelope cost —
-// here one datagram-channel frame (seq/ack state, MTU chunking, RTO
-// bookkeeping) per envelope — dominates and envelopes coalesce. On UDP a
-// kBatch is one *frame*, so coalescing also shrinks the reliability
-// layer's working set: fewer seqs to ack, fewer chunks to track, fewer
-// retransmission timers. The lossy row prices the other side: when 10% of
-// datagrams vanish, one lost chunk stalls a whole batch. Convergence is
-// asserted per leg; a divergence fails the bench (exit 1).
+// FAST-BEAT (DESIGN.md §13): 200µs beats and a deep request backlog, so
+// per-envelope cost dominates. The loopback legs have no sockets: they
+// load the in-process batching layers — the mailbox batch-drain (one
+// condvar round per queue swap instead of per task) and gossip egress
+// buffering (one mailbox push per destination per flush). The UDP legs add
+// one datagram-channel frame (seq/ack state, MTU chunking, RTO
+// bookkeeping) per envelope unless envelopes coalesce; on UDP a kBatch is
+// one *frame*, so coalescing also shrinks the reliability layer's working
+// set: fewer seqs to ack, fewer chunks to track, fewer retransmission
+// timers. The lossy row prices the other side: when 10% of datagrams
+// vanish, one lost chunk stalls a whole batch. Convergence is asserted per
+// leg; a divergence fails the bench (exit 1).
 bool sweep_fast_beat(BenchReport& report, SimTime duration) {
   constexpr SimTime kFastBeat = sim_us(200);
   const std::vector<std::uint32_t> ns =
       report.smoke() ? std::vector<std::uint32_t>{4}
                      : std::vector<std::uint32_t>{4, 8, 16};
-  std::printf("\nFAST-BEAT (udp): dissemination at 200us beats\n");
-  Table table({"n", "loss", "blocks", "blocks/s", "batches", "env/batch",
-               "rexmit", "converged"});
+  std::printf("\nFAST-BEAT (threads, udp): dissemination at 200us beats\n");
+  Table table({"n", "backend", "loss", "blocks", "blocks/s", "batches",
+               "env/batch", "rexmit", "converged"});
   bool all_converged = true;
   struct Leg {
     std::uint32_t n;
+    rt::TransportBackend backend;
     double drop;
   };
   std::vector<Leg> legs;
-  for (std::uint32_t n : ns) legs.push_back({n, 0.0});
-  legs.push_back({report.smoke() ? 4u : 8u, 0.10});  // the lossy-wire row
+  for (std::uint32_t n : ns) legs.push_back({n, rt::TransportBackend::kLoopback, 0.0});
+  for (std::uint32_t n : ns) legs.push_back({n, rt::TransportBackend::kUdp, 0.0});
+  // The lossy-wire row.
+  legs.push_back({report.smoke() ? 4u : 8u, rt::TransportBackend::kUdp, 0.10});
   for (const Leg& leg : legs) {
     const std::uint32_t requests = 8 * leg.n;
-    const RunResult r =
-        run_threaded(leg.n, duration, requests, rt::TransportBackend::kUdp,
-                     leg.drop, SigScheme::kIdeal, std::nullopt, kFastBeat);
+    const bool udp = leg.backend == rt::TransportBackend::kUdp;
+    const RunResult r = run_threaded(leg.n, duration, requests, leg.backend,
+                                     leg.drop, SigScheme::kIdeal, kFastBeat);
     all_converged = all_converged && r.converged;
     const double env_per_batch =
         r.batches ? static_cast<double>(r.batched_envelopes) /
                         static_cast<double>(r.batches)
                   : 0;
     table.add_row({Table::num(static_cast<std::uint64_t>(leg.n)),
-                   leg.drop > 0 ? "10%" : "0%", Table::num(r.blocks),
-                   Table::num(r.blocks_per_s(), 0), Table::num(r.batches),
-                   Table::num(env_per_batch, 1), Table::num(r.retransmits),
+                   udp ? "udp" : "threads", leg.drop > 0 ? "10%" : "0%",
+                   Table::num(r.blocks), Table::num(r.blocks_per_s(), 0),
+                   udp ? Table::num(r.batches) : "-",
+                   udp ? Table::num(env_per_batch, 1) : "-",
+                   udp ? Table::num(r.retransmits) : "-",
                    r.converged ? "yes" : "NO"});
   }
   report.add("fast_beat", table);
@@ -250,8 +252,9 @@ int main(int argc, char** argv) {
       "explicit acks, RTO bookkeeping); udp→'udp 10%%loss' prices an actual\n"
       "lossy wire — retransmission with real work to do. The lossy row\n"
       "converges with faults still active: recovery is the reliability\n"
-      "layer's job, not the benchmark harness's. fast_beat makes the wire,\n"
-      "not the pacing clock, the bottleneck, so envelopes share\n"
+      "layer's job, not the benchmark harness's. fast_beat makes the\n"
+      "in-process batching layers (threads) and the wire (udp), not the\n"
+      "pacing clock, the bottleneck, so envelopes share mailbox wakeups and\n"
       "reliability-layer frames.\n");
   const int rc = report.finish();
   return fast_beat_ok ? rc : 1;

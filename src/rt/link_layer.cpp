@@ -119,6 +119,7 @@ void LinkLayer::stop() {
     (void)key;
     q.pending.clear();
     retire_locked(q, q.queued_envelopes, q.queued_bytes, /*dropped=*/true);
+    write_off_locked(q);
   }
   for (int& fd : fds_) close_fd(fd);
   close_fd(wake_rd_);
@@ -263,6 +264,15 @@ void LinkLayer::drain_wake() {
   }
 }
 
+bool LinkLayer::links_settled() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, q] : egress_) {
+    (void)key;
+    if (q.frames_sent != q.frames_dispatched) return false;
+  }
+  return true;
+}
+
 PackedFrame LinkLayer::pack_locked(ServerId from, EgressQueue& q) {
   PackedFrame packed = pack_frame(from, q.pending, max_batch_bytes_);
   if (packed.envelopes > 1) {
@@ -282,7 +292,39 @@ void LinkLayer::retire_locked(EgressQueue& q, std::size_t envelopes,
   if (idle_ && envelopes > 0) idle_->sub(envelopes);
 }
 
-void LinkLayer::dispatch_locked(ServerId owner, Frame& frame) {
+void LinkLayer::sent_locked(ServerId to, EgressQueue& q, std::size_t envelopes,
+                            std::size_t bytes) {
+  q.queued_envelopes -= envelopes;
+  q.queued_bytes -= bytes;
+  std::size_t release = envelopes;
+  if (is_local(to)) {
+    ++q.frames_sent;
+    --release;  // the frame's own unit, until dispatch
+  }
+  if (idle_ && release > 0) idle_->sub(release);
+}
+
+void LinkLayer::write_off_locked(EgressQueue& q) {
+  const std::uint64_t lost = q.frames_sent - q.frames_dispatched;
+  q.frames_sent = q.frames_dispatched;
+  if (idle_ && lost > 0) idle_->sub(lost);
+}
+
+void LinkLayer::dispatch_locked(ServerId owner, Frame& frame, bool counted) {
+  const ServerId from = frame.header.from;
+  post_locked(owner, frame);
+  // Released only after the post, which holds its own unit, so the
+  // IdleTracker never dips to zero between the wire and the mailbox.
+  if (!counted || !is_local(from)) return;
+  const auto it = egress_.find({from, owner});
+  if (it == egress_.end() || it->second.frames_sent == it->second.frames_dispatched) {
+    return;
+  }
+  ++it->second.frames_dispatched;
+  if (idle_) idle_->sub();
+}
+
+void LinkLayer::post_locked(ServerId owner, Frame& frame) {
   ++counters_.frames_received;
   const ServerId from = frame.header.from;
   const WireKind kind = frame.header.kind;

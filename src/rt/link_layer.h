@@ -14,7 +14,14 @@
 //   * ingress dispatch of decoded frames: kBatch unpacking, control-plane
 //     routing and one mailbox post per frame;
 //   * handler tables, the wake pipe, host parsing, port derivation and the
-//     poll thread's lifetime.
+//     poll thread's lifetime;
+//   * the exact link-settle rule (DESIGN.md §7): on every directed link
+//     with both ends hosted here, frames sent must equal frames dispatched
+//     to the receiver's mailbox. Each frame in between keeps one of its
+//     envelopes' IdleTracker units, so wait_idle() also covers bytes still
+//     inside kernel buffers. A reset that destroys frames in flight (a TCP
+//     connection dying, a UDP channel reset) writes them off, so the count
+//     can never wedge.
 // A backend keeps only its syscall side: it binds its sockets, runs the
 // poll loop, turns queued envelopes into wire traffic and hands decoded
 // frames back to dispatch_locked().
@@ -129,6 +136,11 @@ class LinkLayer : public Transport {
   // multi-process runtime for its digest-exchange settle protocol).
   void set_control_handler(ServerId server, Handler handler);
 
+  // The link-settle rule: true when every directed link between two hosted
+  // servers has dispatched every frame it sent (less the frames a reset
+  // wrote off).
+  bool links_settled() const;
+
  protected:
   // One directed link's egress queue. Node-stable (std::map) and kept
   // across stop(), so backends may hold pointers into it and its counters
@@ -139,6 +151,9 @@ class LinkLayer : public Transport {
     // payload bytes.
     std::size_t queued_envelopes = 0;
     std::size_t queued_bytes = 0;
+    // The settle counts; both stay 0 unless the receiver is hosted here.
+    std::uint64_t frames_sent = 0;
+    std::uint64_t frames_dispatched = 0;
     LinkEgressStats stats;
   };
 
@@ -174,6 +189,16 @@ class LinkLayer : public Transport {
   // Packs the front of `q.pending` into one wire frame (net/codec.h),
   // counting batches. `q.pending` must be non-empty.
   PackedFrame pack_locked(ServerId from, EgressQueue& q);
+  // retire_locked() for a frame of `envelopes` the backend has handed to
+  // the wire (TCP: written to the kernel; UDP: accepted by the sender
+  // channel). For a hosted receiver the frame is counted as sent and keeps
+  // one unit until dispatch_locked() or write_off_locked() releases it.
+  void sent_locked(ServerId to, EgressQueue& q, std::size_t envelopes,
+                   std::size_t bytes);
+  // Writes off the frames a reset destroyed: they will never be
+  // dispatched, so their units are released and the link's settle counts
+  // rebased.
+  void write_off_locked(EgressQueue& q);
   // Releases `envelopes` units and `bytes` from the cap accounting once the
   // backend is done with them; `dropped` charges them to
   // WireMetrics::dropped.
@@ -182,8 +207,9 @@ class LinkLayer : public Transport {
   // Posts one decoded frame to `owner`'s mailbox: a kBatch frame is split
   // and every inner envelope dispatched in order by one task; kControl
   // envelopes go to the control handler. `frame.header.from` must be a
-  // valid ServerId (each backend polices that its own way).
-  void dispatch_locked(ServerId owner, Frame& frame);
+  // valid ServerId (each backend polices that its own way). `counted` is
+  // false for a frame of a stream a reset already wrote off.
+  void dispatch_locked(ServerId owner, Frame& frame, bool counted = true);
   LinkEgressStats egress_stats_locked(ServerId from, ServerId to) const;
 
   const std::uint32_t n_;
@@ -201,6 +227,8 @@ class LinkLayer : public Transport {
   bool is_local(ServerId s) const {
     return s < mailboxes_.size() && mailboxes_[s];
   }
+  // dispatch_locked's mailbox post.
+  void post_locked(ServerId owner, Frame& frame);
   // Admits one envelope to the from → to queue or evicts it; true if the
   // queue was empty (the poll thread needs a wake). mu_ held.
   bool enqueue_locked(ServerId from, ServerId to, const Envelope& envelope);

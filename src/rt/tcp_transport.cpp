@@ -143,6 +143,9 @@ void TcpTransport::fail_out(OutConn& out) {
     out.queue.pop_front();
     out.front_offset = 0;
   }
+  // The frames already written died with the connection; the queue is
+  // resent on the next dial.
+  write_off_locked(*out.egress);
   out.state = OutConn::State::kBackoff;
   out.retry_at = Clock::now() + reconnect_backoff();
 }
@@ -150,7 +153,7 @@ void TcpTransport::fail_out(OutConn& out) {
 // mu_ held. Packs everything pending on the link into wire frames and
 // drains the wire queue with gather-writes, as many queued frames per
 // syscall as iovec slots allow, resuming mid-frame at front_offset.
-void TcpTransport::flush_out(ServerId from, OutConn& out) {
+void TcpTransport::flush_out(ServerId from, ServerId to, OutConn& out) {
   while (!out.egress->pending.empty()) {
     PackedFrame packed = pack_locked(from, *out.egress);
     out.queue.push_back(
@@ -183,8 +186,7 @@ void TcpTransport::flush_out(ServerId from, OutConn& out) {
         }
         left -= remaining;
         ++stats_.frames_sent;
-        retire_locked(*out.egress, front.units, front.payload_bytes,
-                      /*dropped=*/false);
+        sent_locked(to, *out.egress, front.units, front.payload_bytes);
         out.queue.pop_front();
         out.front_offset = 0;
       }
@@ -344,7 +346,7 @@ void TcpTransport::poll_loop() {
               out.state = OutConn::State::kConnected;
               ++stats_.connects;
               set_nodelay(out.fd);
-              flush_out(e.key.first, out);
+              flush_out(e.key.first, e.key.second, out);
             } else {
               close_fd(out.fd);
               out.state = OutConn::State::kBackoff;
@@ -354,7 +356,7 @@ void TcpTransport::poll_loop() {
             if (revents & (POLLERR | POLLHUP)) {
               fail_out(out);
             } else {
-              flush_out(e.key.first, out);
+              flush_out(e.key.first, e.key.second, out);
             }
           }
           break;

@@ -129,9 +129,10 @@ class TcpTransport final : public LinkLayer {
   // These run with mu_ held.
   void close_locked() override;
   void dial(ServerId to, OutConn& out);
+  // Fails the connection, writing off the frames it had in flight.
   void fail_out(OutConn& out);
   void service_in(InConn& in);
-  void flush_out(ServerId from, OutConn& out);
+  void flush_out(ServerId from, ServerId to, OutConn& out);
   std::chrono::steady_clock::duration reconnect_backoff();
 
   std::map<std::pair<ServerId, ServerId>, OutConn> out_;  // (from, to)

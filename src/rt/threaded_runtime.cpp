@@ -23,9 +23,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     if (!std::binary_search(raw.begin(), raw.end(), s)) shimmed_.push_back(s);
   }
 
-  const bool pool_on = config_.use_verifier_pool.value_or(
-      config_.sig_scheme != SigScheme::kIdeal);
-  if (pool_on) {
+  if (config_.sig_scheme != SigScheme::kIdeal) {
     const SigScheme scheme = config_.sig_scheme;
     const std::uint32_t n = config_.n_servers;
     const std::uint64_t seed = config_.seed;
@@ -300,71 +298,14 @@ bool ThreadedRuntime::wait_idle(std::chrono::nanoseconds timeout) {
 bool ThreadedRuntime::quiesce_and_converge(std::size_t max_rounds,
                                            std::chrono::nanoseconds round_timeout) {
   stop();
-  if (!wait_idle(round_timeout)) return false;
-  // Same fixed point as Cluster::quiesce_and_converge: identical DAGs are
-  // necessary but not sufficient — materialized messages are consumed only
-  // when the receiver builds a block referencing them (Algorithm 2 lines
-  // 7–11), so keep ticking until interpretation stops moving too.
-  std::uint64_t last_progress = UINT64_MAX;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    // On the socket backends wait_idle() covers everything up to the
-    // kernel's buffers; give in-flight frames a beat to surface into
-    // mailboxes. Sampling early is safe (a latent frame implies some DAG
-    // is ahead of another, so the digests cannot agree), just slower. UDP
-    // gets a longer beat: a frame is "idle" once acked at the sender, but
-    // its delivery may still be crossing the receiving mailbox, and
-    // injected delays hold datagrams back by design.
-    if (udp_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    } else if (tcp_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    bool converged = true;
-    bool first = true;
-    Bytes reference;
-    std::uint64_t progress = 0;
-    // Under checkpointing each server GCs on its own epoch cadence, so two
-    // servers with the same joint DAG can hold different *live* sets at
-    // sample time. Forcing a GC pass right before sampling makes the live
-    // set a pure function of the DAG again (prune everything below all n
-    // tips), restoring digest comparability.
-    const bool force_gc = config_.checkpoint.epoch_blocks != 0;
-    for (const ServerId s : shimmed_) {
-      const auto [digest, moved] = call(s, [force_gc](Shim& shim) {
-        if (force_gc) shim.collect_garbage();
-        const InterpreterStats& stats = shim.interpreter().stats();
-        return std::make_pair(blockdag::rt::dag_digest(shim.dag()),
-                              stats.messages_delivered +
-                                  stats.messages_materialized + stats.indications);
-      });
-      progress += moved;
-      if (first) {
-        reference = digest;
-        first = false;
-      } else if (digest != reference) {
-        converged = false;
-      }
-    }
-    if (converged && progress == last_progress) return true;
-    last_progress = progress;
-    // Two-phase round, no barrier between the phases: every server's
-    // dissemination is queued first, then every server's interpretation.
-    // Per-server mailbox FIFO keeps disseminate-before-interpret locally,
-    // while globally a server already interpreting overlaps with servers
-    // still pushing blocks onto the wire — instead of each server strictly
-    // alternating the two inside one tick. Same fixed point either way:
-    // interpretation is a pure function of the DAG (Lemma 4.2).
-    for (const ServerId s : shimmed_) {
-      Shim* shim = nodes_[s]->shim.get();
-      nodes_[s]->mailbox->push([shim] { shim->tick_disseminate(); });
-    }
-    for (const ServerId s : shimmed_) {
-      Shim* shim = nodes_[s]->shim.get();
-      nodes_[s]->mailbox->push([shim] { shim->tick_interpret(); });
-    }
-    if (!wait_idle(round_timeout)) return false;
-  }
-  return false;
+  const auto drain = [this, round_timeout] { return wait_idle(round_timeout); };
+  if (!drain()) return false;
+  return converge_rounds(
+      max_rounds, config_.checkpoint.epoch_blocks != 0,
+      [this](const std::function<void(Shim&)>& fn) {
+        for (const ServerId s : shimmed_) call(s, fn);
+      },
+      drain);
 }
 
 Bytes ThreadedRuntime::dag_digest(ServerId server) {
@@ -394,22 +335,6 @@ std::uint64_t ThreadedRuntime::total_blocks_inserted() {
   std::uint64_t total = 0;
   for (const ServerId s : shimmed_) {
     total += call(s, [](Shim& shim) { return shim.gossip().stats().blocks_inserted; });
-  }
-  return total;
-}
-
-std::uint64_t ThreadedRuntime::total_blocks_rejected() {
-  std::uint64_t total = 0;
-  for (const ServerId s : shimmed_) {
-    total += call(s, [](Shim& shim) { return shim.gossip().stats().blocks_rejected; });
-  }
-  return total;
-}
-
-std::uint64_t ThreadedRuntime::total_rejected_evicted() {
-  std::uint64_t total = 0;
-  for (const ServerId s : shimmed_) {
-    total += call(s, [](Shim& shim) { return shim.gossip().stats().rejected_evicted; });
   }
   return total;
 }
@@ -460,6 +385,35 @@ Bytes dag_digest(const BlockDag& dag) {
   for (const Hash256& ref : sorted_refs(dag)) h.update(ref.span());
   const Sha256::Digest d = h.finalize();
   return Bytes(d.begin(), d.end());
+}
+
+bool converge_rounds(std::size_t max_rounds, bool collect_garbage,
+                     const EachShim& each, const std::function<bool()>& drain) {
+  std::uint64_t last_progress = UINT64_MAX;
+  for (std::size_t round = 0; round < max_rounds; ++round) {
+    std::optional<Bytes> reference;
+    bool agree = true;
+    std::uint64_t progress = 0;
+    each([&](Shim& shim) {
+      if (collect_garbage) shim.collect_garbage();
+      Bytes digest = dag_digest(shim.dag());
+      if (!reference) {
+        reference = std::move(digest);
+      } else if (digest != *reference) {
+        agree = false;
+      }
+      const InterpreterStats& stats = shim.interpreter().stats();
+      progress += stats.messages_delivered + stats.messages_materialized +
+                  stats.indications;
+    });
+    if (agree && progress == last_progress) return true;
+    last_progress = progress;
+    each([](Shim& shim) { shim.tick_disseminate(); });
+    if (!drain()) return false;
+    each([](Shim& shim) { shim.tick_interpret(); });
+    if (!drain()) return false;
+  }
+  return false;
 }
 
 Bytes interpretation_digest(const Interpreter& interpreter, const BlockDag& dag) {

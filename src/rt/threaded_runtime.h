@@ -79,11 +79,9 @@ struct ThreadedConfig {
   // Every node (and every verifier-pool worker) builds its own provider
   // from (scheme, n_servers, seed), so instances can verify each other's
   // signatures without key exchange.
+  // A real (non-ideal) scheme verifies off-thread, batched on the verifier
+  // pool (crypto/verifier_pool.h); the ideal one inline.
   SigScheme sig_scheme = SigScheme::kIdeal;
-  // Off-thread batched verification (crypto/verifier_pool.h). Unset =
-  // automatic: the pool runs exactly when the scheme is real (non-ideal).
-  // Benches force it off to price raw inline verification.
-  std::optional<bool> use_verifier_pool;
   VerifierPoolConfig verifier_pool{};
   // Hosted servers that get a mailbox/thread/timers but NO protocol stack:
   // the harness attaches its own wire handler via raw_transport() and
@@ -191,16 +189,16 @@ class ThreadedRuntime {
   }
 
   // Blocks until no task is queued or running anywhere, no timer is armed,
-  // and no sent frame awaits the wire (requires stopped dissemination
-  // loops to be reachable at all).
+  // no sent frame awaits the wire and no frame between two hosted servers
+  // awaits its receiver's mailbox (requires stopped dissemination loops to
+  // be reachable at all).
   bool wait_idle(std::chrono::nanoseconds timeout);
 
-  // stop(), then drive manual dissemination rounds until every hosted
-  // server holds an identical DAG and interpretation has reached a fixed
-  // point — the threaded analogue of Cluster::quiesce_and_converge (Lemma
-  // 3.7 joint DAG + Algorithm 2 lines 7–11 consumption). `round_timeout`
-  // bounds each round's settle; returns false if `max_rounds` or a timeout
-  // was not enough.
+  // stop(), then converge_rounds() over the hosted protocol servers, each
+  // round drained by wait_idle(), which also covers frames inside kernel
+  // buffers (the link-settle rule, rt/link_layer.h). `round_timeout`
+  // bounds each drain; returns false if `max_rounds` or a timeout was not
+  // enough.
   bool quiesce_and_converge(std::size_t max_rounds = 64,
                             std::chrono::nanoseconds round_timeout =
                                 std::chrono::seconds(10));
@@ -214,10 +212,6 @@ class ThreadedRuntime {
   // Aggregates over the hosted protocol servers.
   std::size_t indicated_count(Label label);
   std::uint64_t total_blocks_inserted();
-  // Sum of gossip blocks_rejected — the forger-fuzz "rejection observed"
-  // witness — and of rejected-ring evictions.
-  std::uint64_t total_blocks_rejected();
-  std::uint64_t total_rejected_evicted();
   // Aggregate verifier-pool counters: pool-global worker stats merged with
   // every hosted handle's submit/cache counters. All-zero when the pool is
   // disabled (ideal scheme by default).
@@ -348,5 +342,21 @@ class ThreadedRuntime {
 // tests can cross-check them on sim-side DAGs too).
 Bytes dag_digest(const BlockDag& dag);
 Bytes interpretation_digest(const Interpreter& interpreter, const BlockDag& dag);
+
+// Runs a function on every correct server's shim, in server order, and
+// returns once all of them ran.
+using EachShim = std::function<void(const std::function<void(Shim&)>&)>;
+
+// The fixed-point round loop behind both runtimes' quiesce_and_converge
+// (DESIGN.md §6): two-phase rounds — every server disseminates, drain(),
+// every server interprets, drain() — until every server holds the
+// identical DAG (Lemma 3.7) AND a round moved no interpreter counter, so
+// every materialized message has been consumed (Algorithm 2 lines 7–11).
+// The caller has stopped dissemination and drained once. With
+// `collect_garbage` each server GCs before it is sampled (checkpoint
+// epochs prune on per-server cadences; live sets compare only at the GC
+// fixpoint). False if `max_rounds` or a drain (timeout) was not enough.
+bool converge_rounds(std::size_t max_rounds, bool collect_garbage,
+                     const EachShim& each, const std::function<bool()>& drain);
 
 }  // namespace blockdag::rt

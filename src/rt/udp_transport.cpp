@@ -105,8 +105,10 @@ void UdpTransport::pack_queued(ServerId from, ServerId to, EgressQueue& q) {
     if (offered) {
       ++stats_.frames_sent;
       if (idle_) idle_->add();
+      sent_locked(to, q, packed.envelopes, packed.payload_bytes);
+    } else {
+      retire_locked(q, packed.envelopes, packed.payload_bytes, /*dropped=*/true);
     }
-    retire_locked(q, packed.envelopes, packed.payload_bytes, !offered);
   }
 }
 
@@ -164,17 +166,6 @@ void UdpTransport::emit(ServerId from, ServerId to,
   transmit(from, to, *datagram);
 }
 
-void UdpTransport::deliver_frames(ServerId owner, std::vector<Frame>& frames) {
-  for (Frame& frame : frames) {
-    if (frame.header.from >= n_) {
-      ++stats_.malformed_dropped;
-      continue;
-    }
-    dispatch_locked(owner, frame);
-  }
-  frames.clear();
-}
-
 void UdpTransport::service_socket(ServerId owner) {
   std::uint8_t buf[65536];
   std::vector<Frame> frames;
@@ -211,7 +202,17 @@ void UdpTransport::service_socket(ServerId owner) {
       l.receiver = std::make_unique<ReceiverChannel>(channel_config_);
     }
     l.receiver->on_data(*view, frames);
-    if (!frames.empty()) deliver_frames(owner, frames);
+    // A frame of an epoch the sender has since reset was written off with
+    // that reset; it still delivers, but no longer counts.
+    const bool counted = !l.sender || l.sender->epoch() == l.receiver->epoch();
+    for (Frame& frame : frames) {
+      if (frame.header.from >= n_) {
+        ++stats_.malformed_dropped;
+        continue;
+      }
+      dispatch_locked(owner, frame, counted);
+    }
+    frames.clear();
   }
 }
 
@@ -227,7 +228,12 @@ UdpTransport::Clock::time_point UdpTransport::pump(Clock::time_point now) {
   for (auto& [key, l] : links_) {
     if (l.sender) {
       batch.clear();
+      const std::uint32_t epoch = l.sender->epoch();
       l.sender->poll(to_ns(now), batch);
+      if (l.sender->epoch() != epoch) {
+        // A channel reset dropped every frame in flight on the link.
+        write_off_locked(egress_[key]);
+      }
       for (Bytes& d : batch) {
         emit(key.first, key.second,
              std::make_shared<const Bytes>(std::move(d)), /*injectable=*/true,

@@ -179,7 +179,6 @@ class UdpTransport final : public LinkLayer {
   // Link state of the directed pair, created on first use. mu_ held.
   Link& link(ServerId from, ServerId to);
   const LinkFault& fault_of(ServerId from, ServerId to) const;
-  void deliver_frames(ServerId owner, std::vector<Frame>& frames);
   // Packs everything queued on the link into wire frames and offers them
   // to the sender channel. mu_ held (pump() calls it).
   void pack_queued(ServerId from, ServerId to, EgressQueue& q);

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "rt/threaded_runtime.h"
+
 namespace blockdag {
 
 Cluster::Cluster(const ProtocolFactory& factory, ClusterConfig config)
@@ -108,40 +110,17 @@ bool Cluster::quiesce_and_converge(std::size_t max_rounds) {
   // budget's exhaustion) so each round's blocks actually arrive instead of
   // the recovery chasing freshly dropped blocks forever.
   net_->set_drop_regime(0.0, 0);
-  // Identical DAGs are not enough: a message materialized in the out-buffer
-  // of a freshly inserted block is only *consumed* once its receiver builds
-  // a block referencing it (Algorithm 2 lines 7–11), so liveness-flavoured
-  // properties need dissemination rounds until the interpreted protocol
-  // state stops moving too. The cascade is finite — deterministic instances
-  // emit finitely many messages — so the joint fixed point exists.
-  std::uint64_t last_progress = UINT64_MAX;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    std::uint64_t progress = 0;
-    for (const auto& shim : shims_) {
-      if (!shim) continue;
-      const InterpreterStats& stats = shim->interpreter().stats();
-      progress += stats.messages_delivered + stats.messages_materialized +
-                  stats.indications;
-    }
-    if (dags_converged() && progress == last_progress) return true;
-    last_progress = progress;
-    // Two-phase round: every server disseminates first (blocks cross the
-    // wire and insert-triggered interpretation runs as deliveries land),
-    // then every server's interpretation + maintenance step runs. This
-    // overlaps interpretation against dissemination instead of strictly
-    // alternating them per server, and reaches the same fixed point —
-    // interpretation is a pure function of the DAG (Lemma 4.2), so phase
-    // order affects only when states appear, never what they are.
-    for (auto& shim : shims_) {
-      if (shim) shim->tick_disseminate();
-    }
-    sched_.run();
-    for (auto& shim : shims_) {
-      if (shim) shim->tick_interpret();
-    }
-    sched_.run();
-  }
-  return false;
+  return rt::converge_rounds(
+      max_rounds, /*collect_garbage=*/false,
+      [this](const std::function<void(Shim&)>& fn) {
+        for (const auto& shim : shims_) {
+          if (shim) fn(*shim);
+        }
+      },
+      [this] {
+        sched_.run();
+        return true;
+      });
 }
 
 bool Cluster::dags_converged() const {

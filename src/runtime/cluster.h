@@ -99,15 +99,14 @@ class Cluster {
   // malformed snapshot.
   bool recover(ServerId server, const Bytes& snapshot);
 
-  // quiesce(), then drive manual dissemination rounds (tick + drain) until
-  // BOTH every correct server holds the identical joint DAG of Lemma 3.7
-  // AND the interpreted protocol state has reached a fixed point (a round
-  // with no new message deliveries, materializations or indications — so
-  // every pending in-message has been consumed per Algorithm 2 lines 7–11
-  // and "eventually"-properties are now checkable). The extra rounds flush
-  // references to blocks only some correct servers held at quiesce time
-  // (equivocations sent to one half, blocks a crashed server missed)
-  // through gossip + FWD. Returns false if `max_rounds` was not enough.
+  // quiesce(), stop transient drops, then rt::converge_rounds() over the
+  // correct servers, each round drained by the scheduler: every correct
+  // server holds the identical joint DAG of Lemma 3.7 and interpretation
+  // has reached a fixed point, so "eventually"-properties are checkable.
+  // The rounds flush references to blocks only some correct servers held
+  // at quiesce time (equivocations sent to one half, blocks a crashed
+  // server missed) through gossip + FWD. Returns false if `max_rounds` was
+  // not enough.
   bool quiesce_and_converge(std::size_t max_rounds = 64);
 
   // True when every pair of correct servers' DAGs agree on their common

@@ -1,6 +1,8 @@
 #include "runtime/faultplan.h"
 
 #include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 
 #include "util/rng.h"
 
@@ -33,6 +35,99 @@ LatencyModel random_latency(Rng& rng) {
   return model;
 }
 
+void appendf(std::string& out, const char* fmt, ...) {
+  char buf[160];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  out += buf;
+}
+
+void derive_wire_profile(const ScenarioConfig& config, FaultPlan& plan) {
+  const std::uint32_t n = config.n_servers;
+  const SimTime d = plan.duration;
+  Rng rng(config.seed ^ 0x9e3779b97f4a7c15ULL);  // distinct from the injector's RNG
+  plan.wire.drop = 0.25 * rng.unit();
+  plan.wire.reorder = 0.30 * rng.unit();
+  plan.wire.duplicate = 0.20 * rng.unit();
+  switch (rng.below(3)) {  // geo-latency band
+    case 0: break;  // same rack: no added delay
+    case 1:
+      plan.wire.delay_min_us = 100;
+      plan.wire.delay_max_us = 2000;
+      break;
+    case 2:
+      plan.wire.delay_min_us = 1000;
+      plan.wire.delay_max_us = 8000;
+      break;
+  }
+  // Asymmetric hostility: up to n−1 directed links markedly worse than the
+  // baseline (loss is not symmetric in real networks; acks die too).
+  const std::uint64_t hostile = rng.below(n);
+  for (std::uint64_t k = 0; k < hostile; ++k) {
+    const auto from = static_cast<ServerId>(rng.below(n));
+    auto to = static_cast<ServerId>(rng.below(n));
+    if (to == from) to = (to + 1) % n;
+    rt::LinkFault fault = plan.wire;
+    fault.drop = 0.20 + 0.20 * rng.unit();
+    plan.hostile_links.push_back({from, to, fault});
+  }
+  const bool partition = rng.chance(0.5);
+  const auto isolated = static_cast<ServerId>(rng.below(n));
+  if (partition) {
+    FaultPlan::Partition part{d / 3, {isolated}, {}, 2 * (d / 3)};
+    for (ServerId s = 0; s < n; ++s) {
+      if (s != isolated) part.side_b.push_back(s);
+    }
+    plan.partitions.push_back(std::move(part));
+  }
+  plan.bursts.push_back({0, 0, config.instances});  // everything up front
+}
+
+void derive_churn(const ScenarioConfig& config, FaultPlan& plan) {
+  static const std::uint64_t kEpochs[] = {3, 4, 6, 8};
+  const std::uint32_t n = config.n_servers;
+  const SimTime d = plan.duration;
+  // The forger needs a real scheme (under the ideal provider there is no
+  // verification cost worth attacking) and a cluster big enough to spare a
+  // server to the adversary.
+  const bool forger = config.allow_forger && n >= 4;
+  if (forger) plan.byzantine[n - 1] = ByzantineKind::kForger;
+  const std::uint32_t honest = forger ? n - 1 : n;
+  Rng rng(config.seed ^ 0x5ca1ab1e0ddba11ULL);  // distinct from other derivations
+  plan.epoch_blocks = kEpochs[rng.below(4)];
+  // One or two churn events with distinct victims: at most a minority is
+  // ever down (crash faults, not partitions — the rest must keep going).
+  // Victims come from the honest range only — the forger never "crashes"
+  // (an adversary that stops attacking proves nothing).
+  const std::uint64_t max_events = honest >= 5 ? 2 : 1;
+  const std::size_t n_events = 1 + rng.below(max_events);
+  for (std::size_t k = 0; k < n_events; ++k) {
+    auto server = static_cast<ServerId>(rng.below(honest));
+    if (k > 0 && server == plan.churn[0].server) server = (server + 1) % honest;
+    const double crash_frac = 0.15 + 0.35 * rng.unit();  // mid-run
+    const double restart_frac = crash_frac + 0.15 + 0.25 * rng.unit();
+    plan.churn.push_back({server, static_cast<SimTime>(crash_frac * d),
+                          static_cast<SimTime>(restart_frac * d)});
+  }
+  // One instance per burst, spread over the first 80% of the run, each
+  // moved past any window from 300ms before a crash to that restart.
+  for (std::uint32_t i = 0; i < config.instances; ++i) {
+    auto at = static_cast<SimTime>(0.8 * (i + 1.0) / config.instances * d);
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (const FaultPlan::Churn& c : plan.churn) {
+        if (at + sim_ms(300) > c.crash_at && at < c.recover_at) {
+          at = c.recover_at;
+          moved = true;
+        }
+      }
+    }
+    plan.bursts.push_back({at, i, 1});
+  }
+}
+
 }  // namespace
 
 const char* scenario_runtime_name(ScenarioRuntime runtime) {
@@ -57,13 +152,25 @@ SimTime effective_duration(const ScenarioConfig& config) {
   // The plan invariants (burst/crash separation as duration fractions vs
   // the absolute pacing interval) assume at least a second of simulated
   // time; shorter requests are rounded up rather than silently unsound.
+  if (config.runtime != ScenarioRuntime::kSim) return config.duration;
   return std::max<SimTime>(config.duration, sim_sec(1));
 }
 
 FaultPlan derive_fault_plan(const ScenarioConfig& config) {
   FaultPlan plan;
+  plan.runtime = config.runtime;
+  plan.sig_scheme = config.sig_scheme;
+  plan.duration = effective_duration(config);
+  if (config.runtime == ScenarioRuntime::kUdp) {
+    derive_wire_profile(config, plan);
+    return plan;
+  }
+  if (config.runtime != ScenarioRuntime::kSim) {
+    derive_churn(config, plan);
+    return plan;
+  }
   Rng rng(config.seed ^ 0xfa171e5cafeb10c5ULL);
-  const SimTime d = effective_duration(config);
+  const SimTime d = plan.duration;
   const std::uint32_t n = config.n_servers;
   const std::uint32_t f = max_faulty(n);
 
@@ -204,6 +311,38 @@ std::string side_str(const std::vector<ServerId>& side) {
 
 std::string FaultPlan::summary() const {
   std::string out;
+  if (runtime == ScenarioRuntime::kUdp) {
+    out += "---- wire-fault profile ----\n";
+    appendf(out, "base: drop=%.3f reorder=%.3f dup=%.3f delay=%u..%u us\n",
+            wire.drop, wire.reorder, wire.duplicate, wire.delay_min_us,
+            wire.delay_max_us);
+    for (const HostileLink& link : hostile_links) {
+      appendf(out, "hostile link %u->%u: drop=%.3f\n", link.from, link.to,
+              link.fault.drop);
+    }
+    for (const Partition& p : partitions) {
+      appendf(out, "partition: {%u} | rest, middle third, healed before settle\n",
+              p.side_a.front());
+    }
+    return out;
+  }
+  if (runtime != ScenarioRuntime::kSim) {
+    out += "---- crash-churn plan ----\n";
+    appendf(out, "checkpoint every %llu blocks, backend=%s, sig=%s\n",
+            static_cast<unsigned long long>(epoch_blocks),
+            runtime == ScenarioRuntime::kTcp ? "tcp" : "loopback",
+            sig_scheme_name(sig_scheme));
+    for (const auto& [server, kind] : byzantine) {
+      appendf(out, "forger adversary at server %u (raw-hosted, rejected ring "
+                   "capped at 64)\n", server);
+    }
+    for (const Churn& c : churn) {
+      appendf(out, "kill server %u at %2.0f%%, restart at %2.0f%%\n", c.server,
+              100.0 * static_cast<double>(c.crash_at) / static_cast<double>(duration),
+              100.0 * static_cast<double>(c.recover_at) / static_cast<double>(duration));
+    }
+    return out;
+  }
   out += "pacing " + ms(pacing.interval) + ", latency " +
          latency_str(initial_net.latency) + ", drop " +
          std::to_string(initial_net.drop_probability);

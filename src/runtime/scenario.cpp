@@ -1,5 +1,17 @@
 #include "runtime/scenario.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cassert>
+#include <chrono>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
+#include <optional>
+#include <queue>
+#include <thread>
+
 #include "crypto/sha256.h"
 #include "protocols/bcb.h"
 #include "protocols/brb.h"
@@ -9,12 +21,45 @@
 #include "runtime/bench_report.h"  // json_escape
 #include "runtime/checkers.h"
 #include "runtime/cluster.h"
+#include "rt/threaded_runtime.h"
+#include "sync/storage.h"
 #include "util/hex.h"
 #include "util/serialize.h"
 
 namespace blockdag {
 
 namespace {
+
+// What the bursts promised, for the property checkers.
+struct Expectations {
+  struct Broadcast {  // brb / bcb
+    Label label;
+    ServerId broadcaster;
+    Bytes value;
+  };
+  struct Stream {  // fifo
+    Label label;
+    ServerId origin;
+    std::vector<Bytes> values;
+  };
+  struct Proposal {  // pbft: same value proposed by every live correct server
+    Label label;
+    Bytes value;
+    std::vector<ServerId> proposers;
+  };
+  std::vector<Broadcast> broadcasts;
+  std::vector<Stream> streams;
+  std::vector<Proposal> proposals;
+  std::vector<Label> beacon_labels;
+  std::vector<Label> all_labels;
+};
+
+// request(ℓ, r) at one server of whichever runtime runs the scenario.
+using RequestFn = std::function<void(ServerId, Label, Bytes)>;
+
+// Every correct server's indication log (Shim::indications()), keyed by
+// server; the keys are the correct set the checkers quantify over.
+using IndicationLogs = std::map<ServerId, std::vector<UserIndication>>;
 
 Bytes value_for(std::uint64_t seed, std::uint32_t instance, std::uint32_t part) {
   return Bytes{static_cast<std::uint8_t>(1 + (seed + instance * 37 + part * 101) % 251),
@@ -36,10 +81,525 @@ std::size_t indicated_at(const IndicationLogs& logs, Label label) {
   return count;
 }
 
-IndicationLogs correct_logs(const Cluster& cluster) {
+void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
+                 const std::vector<ServerId>& correct, const RequestFn& request,
+                 Expectations& expect) {
+  if (correct.empty()) return;
+  for (std::uint32_t i = burst.first_instance;
+       i < burst.first_instance + burst.count && i < config.instances; ++i) {
+    const Label label = kScenarioLabelBase + i;
+    expect.all_labels.push_back(label);
+    if (config.protocol == "brb" || config.protocol == "bcb") {
+      const ServerId target = correct[i % correct.size()];
+      const Bytes value = value_for(config.seed, i, 0);
+      expect.broadcasts.push_back({label, target, value});
+      request(target, label,
+                      config.protocol == "brb" ? brb::make_broadcast(value)
+                                               : bcb::make_send(value));
+    } else if (config.protocol == "fifo") {
+      const ServerId origin = correct[i % correct.size()];
+      Expectations::Stream stream{label, origin, {}};
+      const std::uint32_t len = 3 + i % 3;
+      for (std::uint32_t j = 0; j < len; ++j) {
+        const Bytes value = value_for(config.seed, i, j);
+        stream.values.push_back(value);
+        request(origin, label, fifo::make_broadcast(value));
+      }
+      expect.streams.push_back(std::move(stream));
+    } else if (config.protocol == "pbft") {
+      // Every live correct server proposes the same value: any correct
+      // leader the complaint path rotates to can then lead the slot.
+      const Bytes value = value_for(config.seed, i, 0);
+      expect.proposals.push_back({label, value, correct});
+      for (ServerId s : correct) {
+        request(s, label, pbft::make_propose(value));
+      }
+    } else if (config.protocol == "beacon") {
+      // f+1 distinct contributors make the beacon fire (at least one of
+      // them correct — here all of them are).
+      const std::uint32_t needed = plausibility_quorum(config.n_servers);
+      for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
+        request(correct[c], label,
+                        beacon::make_contribute(config.seed * 1000003 +
+                                                i * 31 + c));
+      }
+      expect.beacon_labels.push_back(label);
+    }
+  }
+}
+
+std::vector<std::string> check_properties(const ScenarioConfig& config,
+                                          const IndicationLogs& logs,
+                                          const Expectations& expect,
+                                          bool run_completed) {
+  std::vector<ServerId> correct;
+  for (const auto& [server, log] : logs) correct.push_back(server);
+  std::vector<std::string> out;
+  // Feeds every scenario indication to `record`, which parses and records
+  // it and returns false if it does not parse.
+  const auto scan = [&](auto&& record) {
+    for (const auto& [s, log] : logs) {
+      for (const UserIndication& ind : log) {
+        if (ind.label < kScenarioLabelBase) continue;  // byzantine noise labels
+        if (!record(s, ind)) {
+          out.push_back("unparseable indication at server " + std::to_string(s) +
+                        " label " + std::to_string(ind.label));
+        }
+      }
+    }
+  };
+  const auto append = [&out](const std::vector<std::string>& violations) {
+    out.insert(out.end(), violations.begin(), violations.end());
+  };
+
+  if (config.protocol == "brb" || config.protocol == "bcb") {
+    BrbChecker checker;
+    for (const auto& b : expect.broadcasts) {
+      checker.expect_broadcast(b.label, b.broadcaster, b.value, true);
+    }
+    scan([&](ServerId s, const UserIndication& ind) {
+      const auto v = config.protocol == "brb" ? brb::parse_deliver(ind.indication)
+                                              : bcb::parse_deliver(ind.indication);
+      if (v) checker.record_delivery(s, ind.label, *v);
+      return v.has_value();
+    });
+    append(checker.violations(correct, run_completed));
+  } else if (config.protocol == "fifo") {
+    FifoChecker checker;
+    for (const auto& stream : expect.streams) {
+      for (const Bytes& value : stream.values) {
+        checker.expect_broadcast(stream.label, stream.origin, value, true);
+      }
+    }
+    scan([&](ServerId s, const UserIndication& ind) {
+      const auto d = fifo::parse_deliver(ind.indication);
+      if (d) checker.record_delivery(s, ind.label, d->origin, d->seq, d->value);
+      return d.has_value();
+    });
+    append(checker.violations(correct, run_completed));
+  } else if (config.protocol == "pbft") {
+    ConsensusChecker checker;
+    for (const auto& p : expect.proposals) {
+      for (ServerId proposer : p.proposers) {
+        checker.expect_proposal(p.label, proposer, p.value);
+      }
+    }
+    scan([&](ServerId s, const UserIndication& ind) {
+      const auto v = pbft::parse_decide(ind.indication);
+      if (v) checker.record_decision(s, ind.label, *v);
+      return v.has_value();
+    });
+    append(checker.violations(correct, run_completed));
+  } else if (config.protocol == "beacon") {
+    // Agreement + no-double-emit via the consensus checker (a beacon value
+    // is never "proposed", so its validity/termination clauses stay idle);
+    // termination is checked directly below.
+    ConsensusChecker checker;
+    scan([&](ServerId s, const UserIndication& ind) {
+      checker.record_decision(s, ind.label, ind.indication);
+      return true;
+    });
+    append(checker.violations(correct, /*expect_termination=*/false));
+    if (run_completed) {
+      for (Label label : expect.beacon_labels) {
+        if (indicated_at(logs, label) < correct.size()) {
+          out.push_back("beacon termination violated at label " +
+                        std::to_string(label));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void count_indications(const IndicationLogs& logs, const Expectations& expect,
+                       ScenarioResult& result) {
+  for (const auto& [server, log] : logs) {
+    for (const UserIndication& ind : log) {
+      if (ind.label >= kScenarioLabelBase) ++result.deliveries;
+    }
+  }
+  for (Label label : expect.all_labels) {
+    if (indicated_at(logs, label) == logs.size()) ++result.labels_complete;
+  }
+}
+
+// The one runtime interface the driver below runs on. SimTarget adapts
+// Cluster, LiveTarget adapts rt::ThreadedRuntime; everything else about a
+// scenario — the plan walk, the checks, the run digest — is shared.
+class ScenarioTarget {
+ public:
+  virtual ~ScenarioTarget() = default;
+
+  // The timeline: `action` runs at plan time `t` (ns after start()), in
+  // (time, scheduling) order; run_until(t) returns once the runtime has
+  // reached t.
+  virtual void at(SimTime t, std::function<void()> action) = 0;
+  virtual void start() = 0;
+  virtual void run_until(SimTime t) = 0;
+
+  virtual void request(ServerId server, Label label, Bytes request) = 0;
+  virtual void crash(ServerId server) = 0;
+  virtual bool restart(ServerId server) = 0;  // false: recovery failed
+  virtual void partition(const FaultPlan::Partition& partition) = 0;
+
+  // Stops dissemination and drives the runtime's quiesce_and_converge;
+  // false if it did not converge.
+  virtual bool quiesce() = 0;
+  // One manual dissemination beat at every correct server, drained.
+  virtual void tick_round() = 0;
+
+  // Live, honest servers, ascending.
+  virtual std::vector<ServerId> correct() = 0;
+  // Runs `read` on a correct server's state, on the thread that owns it.
+  virtual void inspect(ServerId server,
+                       const std::function<void(const Shim&)>& read) = 0;
+  // Every forger's invalidly-signed blocks, after quiesce().
+  virtual std::vector<Hash256> forged_refs() = 0;
+  // The backend's own sanity counters, after quiesce().
+  virtual void check_sanity(std::vector<std::string>& violations) = 0;
+};
+
+class SimTarget final : public ScenarioTarget {
+ public:
+  SimTarget(const ScenarioConfig& config, const FaultPlan& plan)
+      : cluster_(*factory_for(config.protocol), cluster_config(config, plan)) {
+    // The simulated network's own fault grammar, like the UDP profile a
+    // LiveTarget installs.
+    for (const auto& regime : plan.regimes) {
+      cluster_.scheduler().at(regime.at, [this, &regime] {
+        cluster_.network().set_latency_model(regime.latency);
+        cluster_.network().set_drop_regime(regime.drop_probability,
+                                           regime.max_drops_per_pair);
+      });
+    }
+  }
+
+  void at(SimTime t, std::function<void()> action) override {
+    cluster_.scheduler().at(t, std::move(action));
+  }
+  void start() override { cluster_.start(); }
+  void run_until(SimTime t) override { cluster_.run_until(t); }
+
+  void request(ServerId server, Label label, Bytes request) override {
+    cluster_.request(server, label, std::move(request));
+  }
+  void crash(ServerId server) override {
+    if (!cluster_.is_correct(server)) return;
+    snapshots_[server] = cluster_.snapshot_of(server);
+    cluster_.crash(server);
+  }
+  bool restart(ServerId server) override {
+    const auto it = snapshots_.find(server);
+    return it == snapshots_.end() || cluster_.recover(server, it->second);
+  }
+  void partition(const FaultPlan::Partition& p) override {
+    cluster_.network().partition(p.side_a, p.side_b, p.heal_at);
+  }
+
+  bool quiesce() override { return cluster_.quiesce_and_converge(); }
+  void tick_round() override {
+    for (ServerId s : cluster_.correct_servers()) cluster_.shim(s).tick();
+    cluster_.scheduler().run();
+  }
+
+  std::vector<ServerId> correct() override { return cluster_.correct_servers(); }
+  void inspect(ServerId server,
+               const std::function<void(const Shim&)>& read) override {
+    read(cluster_.shim(server));
+  }
+  std::vector<Hash256> forged_refs() override {
+    std::vector<Hash256> out;
+    for (ServerId s = 0; s < cluster_.config().n_servers; ++s) {
+      if (const ByzantineServer* byz = cluster_.byzantine(s)) {
+        const std::vector<Hash256> refs = byz->forged_refs();
+        out.insert(out.end(), refs.begin(), refs.end());
+      }
+    }
+    return out;
+  }
+  void check_sanity(std::vector<std::string>&) override {}
+
+ private:
+  static ClusterConfig cluster_config(const ScenarioConfig& config,
+                                      const FaultPlan& plan) {
+    ClusterConfig cfg;
+    cfg.n_servers = config.n_servers;
+    cfg.seed = config.seed;
+    cfg.sig_scheme = config.sig_scheme;
+    cfg.net = plan.initial_net;
+    cfg.pacing = plan.pacing;
+    cfg.byzantine = plan.byzantine;
+    cfg.gossip.fwd_retry_delay = sim_ms(15);
+    // Bound each FWD chase: an unlimited retry loop towards a permanently
+    // missing ref (possible only under a regression or a byzantine dangle)
+    // would spin the quiesce drain forever — a hang instead of a reported
+    // violation. The chase re-arms with a fresh budget whenever a new block
+    // references the still-missing pred, so legitimate crash-recovery
+    // walk-backs are unaffected; a true dangle surfaces as a convergence
+    // failure.
+    cfg.gossip.max_fwd_retries = 128;
+    return cfg;
+  }
+
+  Cluster cluster_;
+  std::map<ServerId, Bytes> snapshots_;  // gossip state at crash time
+};
+
+// rt::ThreadedRuntime under a plan of the udp or crash-churn grammar. Its
+// timeline is a wall-clock one: run_until() sleeps until each due event.
+class LiveTarget final : public ScenarioTarget {
+ public:
+  // The forger's beat: the cadence it has always flooded at here.
+  static constexpr SimTime kForgerBeat = sim_ms(5);
+
+  // Null when the backend's sockets failed to bind.
+  static std::unique_ptr<LiveTarget> make(const ScenarioConfig& config,
+                                          const FaultPlan& plan) {
+    auto target = std::unique_ptr<LiveTarget>(new LiveTarget(config, plan));
+    if (!target->runtime_->transport_ok()) return nullptr;
+    return target;
+  }
+
+  void at(SimTime t, std::function<void()> action) override {
+    timeline_.push({t, next_seq_++, std::move(action)});
+  }
+  void start() override {
+    t0_ = std::chrono::steady_clock::now();
+    runtime_->start();
+    if (forger_) {
+      next_beat_ = runtime_->raw_timers(forger_id_).now();
+      runtime_->post(forger_id_, [this] { tick_forger(); });
+    }
+  }
+  void run_until(SimTime t) override {
+    while (!timeline_.empty() && timeline_.top().at <= t) {
+      Event event = timeline_.top();
+      timeline_.pop();
+      std::this_thread::sleep_until(t0_ + std::chrono::nanoseconds(event.at));
+      event.action();
+    }
+    std::this_thread::sleep_until(t0_ + std::chrono::nanoseconds(t));
+  }
+
+  void request(ServerId server, Label label, Bytes request) override {
+    runtime_->request(server, label, std::move(request));
+  }
+  void crash(ServerId server) override {
+    runtime_->crash(server);
+    down_[server] = true;
+  }
+  bool restart(ServerId server) override {
+    down_[server] = false;
+    restarted_[server] = true;
+    return runtime_->restart(server);
+  }
+  void partition(const FaultPlan::Partition& p) override {
+    runtime_->udp()->set_partition(p.side_a, p.side_b, true);
+    at(p.heal_at, [this, &p] {
+      runtime_->udp()->set_partition(p.side_a, p.side_b, false);
+    });
+  }
+
+  bool quiesce() override {
+    if (forger_) stop_at_ = runtime_->raw_timers(forger_id_).now();
+    // Deep settle budget: lossy links stay hostile through settle, so the
+    // retransmit/FWD gap-closing can need many beats on a bad seed (with
+    // ±RTO jitter on top); converged runs still exit on the early rounds.
+    return runtime_->quiesce_and_converge(/*max_rounds=*/256);
+  }
+  void tick_round() override {
+    for (ServerId s : correct()) {
+      runtime_->call(s, [](Shim& shim) { shim.tick(); });
+    }
+    runtime_->wait_idle(std::chrono::seconds(10));
+  }
+
+  std::vector<ServerId> correct() override {
+    std::vector<ServerId> out;
+    for (ServerId s : runtime_->protocol_servers()) {
+      if (!down_[s]) out.push_back(s);
+    }
+    return out;
+  }
+  void inspect(ServerId server,
+               const std::function<void(const Shim&)>& read) override {
+    runtime_->call(server, [&read](Shim& shim) { read(shim); });
+  }
+  std::vector<Hash256> forged_refs() override {
+    // After quiesce() the forger's thread is idle, and wait_idle() ordered
+    // its last task before this read.
+    return forger_ ? forger_->forged_refs() : std::vector<Hash256>{};
+  }
+
+  void check_sanity(std::vector<std::string>& violations) override {
+    if (runtime_->udp()) {
+      const rt::UdpStats stats = runtime_->udp()->stats();
+      if (wire_.drop > 0.01 && stats.injected_drops == 0) {
+        violations.push_back("drop profile never fired (injector no-op?)");
+      }
+      if (wire_.duplicate > 0.01 && stats.injected_dups == 0) {
+        violations.push_back("duplicate profile never fired (injector no-op?)");
+      }
+      if (stats.corrupt_streams != 0) {
+        violations.push_back("corrupt frame stream on a reliable channel");
+      }
+      if (stats.malformed_dropped != 0) {
+        violations.push_back("malformed datagrams between honest endpoints");
+      }
+    }
+    if (!stores_.empty()) {
+      // The epochs really happened: someone checkpointed. Every restarted
+      // server synced: the engine retries with backoff until it completes,
+      // and its timers kept quiesce()'s wait_idle from returning before.
+      std::uint64_t checkpoints = 0;
+      for (ServerId s : runtime_->protocol_servers()) {
+        const auto snap = runtime_->sync_snapshot(s);
+        checkpoints += snap.checkpointer.checkpoints_stored;
+        if (!restarted_[s]) continue;
+        if (!snap.sync_completed) {
+          violations.push_back("server " + std::to_string(s) +
+                               " never completed state sync after restart");
+        }
+        if (snap.sync.completions == 0) {
+          violations.push_back("server " + std::to_string(s) +
+                               " reports zero sync completions after restart");
+        }
+      }
+      if (checkpoints == 0) {
+        violations.push_back("no checkpoint was ever stored (cadence no-op?)");
+      }
+    }
+    if (forger_) {
+      // The small rejected ring evicts under the flood, and the verifier
+      // pool's verdict cache absorbs the re-floods of evicted refs.
+      std::uint64_t evicted = 0;
+      for (ServerId s : correct()) {
+        inspect(s, [&](const Shim& shim) { evicted += shim.gossip().stats().rejected_evicted; });
+      }
+      if (evicted == 0) {
+        violations.push_back("rejected ring never evicted under forger flood");
+      }
+      if (runtime_->verifier_stats().cache_hits == 0) {
+        violations.push_back("verifier pool verdict cache never hit under "
+                             "re-flooded forgeries");
+      }
+    }
+  }
+
+ private:
+  struct Event {
+    SimTime at;
+    std::uint64_t seq;
+    std::function<void()> action;
+    bool operator>(const Event& other) const {
+      return at != other.at ? at > other.at : seq > other.seq;
+    }
+  };
+
+  LiveTarget(const ScenarioConfig& config, const FaultPlan& plan)
+      : wire_(plan.wire),
+        stores_(plan.epoch_blocks != 0 ? config.n_servers : 0),
+        down_(config.n_servers, false),
+        restarted_(config.n_servers, false) {
+    const std::uint32_t n = config.n_servers;
+    rt::ThreadedConfig cfg;
+    cfg.n_servers = n;
+    cfg.seed = config.seed;
+    cfg.sig_scheme = config.sig_scheme;
+    cfg.pacing.interval = sim_ms(2);
+    if (config.runtime == ScenarioRuntime::kUdp) {
+      // FWD retry matched to the loss regime: a 5ms retry against a lossy,
+      // RTO-bound link just queues duplicate recovery payloads behind the
+      // head-of-line chunk and starves the catch-up of a partitioned server.
+      cfg.gossip.fwd_retry_delay = sim_ms(20);
+      cfg.backend = rt::TransportBackend::kUdp;  // ephemeral ports
+      cfg.udp.fault_seed = config.seed;
+      cfg.udp.default_fault = plan.wire;
+      cfg.udp.channel.initial_rto_ns = 5'000'000;
+      cfg.udp.channel.max_rto_ns = 80'000'000;
+    } else {
+      cfg.gossip.fwd_retry_delay = sim_ms(5);
+      if (config.runtime == ScenarioRuntime::kTcp) {
+        cfg.backend = rt::TransportBackend::kTcp;  // ephemeral ports
+      }
+    }
+    if (!stores_.empty()) {
+      cfg.storage = [this](ServerId s) { return &stores_[s]; };
+      cfg.checkpoint.epoch_blocks = plan.epoch_blocks;
+      cfg.enable_state_sync = true;
+      cfg.sync.progress_timeout = sim_ms(50);
+      cfg.sync.retry_base = sim_ms(10);
+    }
+    for (const auto& [server, kind] : plan.byzantine) {
+      // The live grammars host one kind of adversary: the forger.
+      assert(kind == ByzantineKind::kForger);
+      forger_id_ = server;
+      cfg.raw_servers = {server};
+      // Small rejected ring: the forger's re-floods (offsets 96.. from its
+      // newest forgery) then land on refs already evicted from it, which is
+      // exactly what makes verifier-pool verdict-cache hits assertable.
+      cfg.gossip.rejected_capacity = 64;
+    }
+    runtime_ = std::make_unique<rt::ThreadedRuntime>(*factory_for(config.protocol), cfg);
+    if (!runtime_->transport_ok()) return;
+    for (const FaultPlan::HostileLink& link : plan.hostile_links) {
+      runtime_->udp()->set_link_fault(link.from, link.to, link.fault);
+    }
+    if (!plan.byzantine.empty()) {
+      forger_sigs_ = make_signature_provider(config.sig_scheme, n, config.seed);
+      forger_ = make_byzantine(ByzantineKind::kForger, forger_id_,
+                               runtime_->raw_timers(forger_id_),
+                               runtime_->raw_transport(), *forger_sigs_,
+                               config.seed ^ (0x1000 + forger_id_));
+      ByzantineServer* raw = forger_.get();
+      runtime_->raw_transport().attach(
+          forger_id_,
+          [raw](ServerId from, const Bytes& wire) { raw->on_network(from, wire); });
+    }
+  }
+
+  // The forger's mischief beat, on its own thread and timer — the way
+  // Cluster ticks a simulated adversary. One beat per kForgerBeat of
+  // wall-clock until quiesce(): when the forger's thread falls behind (it
+  // verifies every honest block it tracks), the missed beats run back to
+  // back, so the flood depends on neither its backlog nor when it drains.
+  void tick_forger() {
+    TimerService& timers = runtime_->raw_timers(forger_id_);
+    const SimTime now = timers.now();
+    const SimTime stop_at = stop_at_;
+    while (next_beat_ <= std::min(now, stop_at)) {
+      forger_->tick();
+      next_beat_ += kForgerBeat;
+    }
+    if (now < stop_at) {
+      timers.schedule_after(next_beat_ - now, [this] { tick_forger(); });
+    }
+  }
+
+  const rt::LinkFault wire_;
+  // Declared before the runtime: the sinks are the durable state that
+  // survives crash()/restart(), and the forger's wire handler and timer
+  // run on its thread until the runtime's destructor joins it.
+  std::vector<sync::MemStore> stores_;
+  std::unique_ptr<SignatureProvider> forger_sigs_;
+  std::unique_ptr<ByzantineServer> forger_;
+  ServerId forger_id_ = 0;
+  // The forger beats until quiesce() stamps this (wheel time).
+  std::atomic<SimTime> stop_at_{std::numeric_limits<SimTime>::max()};
+  SimTime next_beat_ = 0;  // forger thread only, once started
+  std::unique_ptr<rt::ThreadedRuntime> runtime_;
+  std::vector<bool> down_;
+  std::vector<bool> restarted_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> timeline_;
+  std::uint64_t next_seq_ = 0;
+  std::chrono::steady_clock::time_point t0_;
+};
+
+IndicationLogs correct_logs(ScenarioTarget& target) {
   IndicationLogs logs;
-  for (ServerId s : cluster.correct_servers()) {
-    logs[s] = cluster.shim(s).indications();
+  for (ServerId s : target.correct()) {
+    target.inspect(s, [&](const Shim& shim) { logs[s] = shim.indications(); });
   }
   return logs;
 }
@@ -50,28 +610,28 @@ IndicationLogs correct_logs(const Cluster& cluster) {
 // run quiesces every correct server complains about still-undecided slots
 // and a few manual dissemination rounds carry the view change; repeat until
 // every slot decided or the leader rotation exhausted twice.
-void nudge_pbft_liveness(Cluster& cluster, const Expectations& expect) {
+void nudge_pbft_liveness(ScenarioTarget& target, std::uint32_t n_servers,
+                         const Expectations& expect) {
+  const std::vector<ServerId> correct = target.correct();
+  const auto undecided = [&](Label label) {
+    return indicated_at(correct_logs(target), label) < correct.size();
+  };
   const auto all_decided = [&] {
     for (Label label : expect.all_labels) {
-      if (cluster.indicated_count(label) < cluster.n_correct()) return false;
+      if (undecided(label)) return false;
     }
     return true;
   };
-  const std::size_t max_waves = 2 * cluster.config().n_servers + 4;
+  const std::size_t max_waves = 2 * n_servers + 4;
   for (std::size_t wave = 0; wave < max_waves && !all_decided(); ++wave) {
-    for (ServerId s : cluster.correct_servers()) {
+    for (ServerId s : correct) {
       for (Label label : expect.all_labels) {
-        if (cluster.indicated_count(label) < cluster.n_correct()) {
-          cluster.request(s, label, pbft::make_complain());
-        }
+        if (undecided(label)) target.request(s, label, pbft::make_complain());
       }
     }
     // One round to inscribe the complaints, then a few to carry the new
     // view's PREPREPARE → PREPARE → COMMIT exchange.
-    for (int tick = 0; tick < 5; ++tick) {
-      for (ServerId s : cluster.correct_servers()) cluster.shim(s).tick();
-      cluster.scheduler().run();
-    }
+    for (int tick = 0; tick < 5; ++tick) target.tick_round();
   }
 }
 
@@ -129,328 +689,157 @@ std::string repro_line(const ScenarioConfig& config) {
   // not survive the ns→s→ns round trip for every value, and every plan
   // time is derived from the duration, so a 1 ns slip would replay a
   // different scenario.
-  const SimTime duration = config.runtime == ScenarioRuntime::kSim
-                               ? effective_duration(config)
-                               : config.duration;
   line += " --seed " + std::to_string(config.seed) + " --protocol " +
           config.protocol + " --n " + std::to_string(config.n_servers) +
           " --instances " + std::to_string(config.instances) +
-          " --duration-ns " + std::to_string(duration);
+          " --duration-ns " + std::to_string(effective_duration(config));
   if (config.sig_scheme != SigScheme::kIdeal) {
     line += std::string(" --sig ") + sig_scheme_name(config.sig_scheme);
   }
   return line;
 }
 
-void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
-                 const std::vector<ServerId>& correct, const RequestFn& request,
-                 Expectations& expect) {
-  if (correct.empty()) return;
-  for (std::uint32_t i = burst.first_instance;
-       i < burst.first_instance + burst.count && i < config.instances; ++i) {
-    const Label label = kScenarioLabelBase + i;
-    expect.all_labels.push_back(label);
-    if (config.protocol == "brb" || config.protocol == "bcb") {
-      const ServerId target = correct[i % correct.size()];
-      const Bytes value = value_for(config.seed, i, 0);
-      expect.broadcasts.push_back({label, target, value});
-      request(target, label,
-                      config.protocol == "brb" ? brb::make_broadcast(value)
-                                               : bcb::make_send(value));
-    } else if (config.protocol == "fifo") {
-      const ServerId origin = correct[i % correct.size()];
-      Expectations::Stream stream{label, origin, {}};
-      const std::uint32_t len = 3 + i % 3;
-      for (std::uint32_t j = 0; j < len; ++j) {
-        const Bytes value = value_for(config.seed, i, j);
-        stream.values.push_back(value);
-        request(origin, label, fifo::make_broadcast(value));
-      }
-      expect.streams.push_back(std::move(stream));
-    } else if (config.protocol == "pbft") {
-      // Every live correct server proposes the same value: any correct
-      // leader the complaint path rotates to can then lead the slot.
-      const Bytes value = value_for(config.seed, i, 0);
-      expect.proposals.push_back({label, value, correct});
-      for (ServerId s : correct) {
-        request(s, label, pbft::make_propose(value));
-      }
-    } else if (config.protocol == "beacon") {
-      // f+1 distinct contributors make the beacon fire (at least one of
-      // them correct — here all of them are).
-      const std::uint32_t needed = plausibility_quorum(config.n_servers);
-      for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
-        request(correct[c], label,
-                        beacon::make_contribute(config.seed * 1000003 +
-                                                i * 31 + c));
-      }
-      expect.beacon_labels.push_back(label);
-    }
-  }
-}
-
-std::vector<std::string> check_properties(const ScenarioConfig& config,
-                                          const IndicationLogs& logs,
-                                          const Expectations& expect,
-                                          bool run_completed) {
-  std::vector<ServerId> correct;
-  for (const auto& [server, log] : logs) correct.push_back(server);
-  std::vector<std::string> out;
-  const auto scan = [&](auto&& record) {
-    for (const auto& [s, log] : logs) {
-      for (const UserIndication& ind : log) {
-        if (ind.label < kScenarioLabelBase) continue;  // byzantine noise labels
-        record(s, ind);
-      }
-    }
-  };
-
-  if (config.protocol == "brb" || config.protocol == "bcb") {
-    BrbChecker checker;
-    for (const auto& b : expect.broadcasts) {
-      checker.expect_broadcast(b.label, b.broadcaster, b.value, true);
-    }
-    scan([&](ServerId s, const UserIndication& ind) {
-      const auto v = config.protocol == "brb" ? brb::parse_deliver(ind.indication)
-                                              : bcb::parse_deliver(ind.indication);
-      if (!v) {
-        out.push_back("unparseable indication at server " + std::to_string(s) +
-                      " label " + std::to_string(ind.label));
-        return;
-      }
-      checker.record_delivery(s, ind.label, *v);
-    });
-    const auto v = checker.violations(correct, run_completed);
-    out.insert(out.end(), v.begin(), v.end());
-  } else if (config.protocol == "fifo") {
-    FifoChecker checker;
-    for (const auto& stream : expect.streams) {
-      for (const Bytes& value : stream.values) {
-        checker.expect_broadcast(stream.label, stream.origin, value, true);
-      }
-    }
-    scan([&](ServerId s, const UserIndication& ind) {
-      const auto d = fifo::parse_deliver(ind.indication);
-      if (!d) {
-        out.push_back("unparseable indication at server " + std::to_string(s) +
-                      " label " + std::to_string(ind.label));
-        return;
-      }
-      checker.record_delivery(s, ind.label, d->origin, d->seq, d->value);
-    });
-    const auto v = checker.violations(correct, run_completed);
-    out.insert(out.end(), v.begin(), v.end());
-  } else if (config.protocol == "pbft") {
-    ConsensusChecker checker;
-    for (const auto& p : expect.proposals) {
-      for (ServerId proposer : p.proposers) {
-        checker.expect_proposal(p.label, proposer, p.value);
-      }
-    }
-    scan([&](ServerId s, const UserIndication& ind) {
-      const auto v = pbft::parse_decide(ind.indication);
-      if (!v) {
-        out.push_back("unparseable indication at server " + std::to_string(s) +
-                      " label " + std::to_string(ind.label));
-        return;
-      }
-      checker.record_decision(s, ind.label, *v);
-    });
-    const auto v = checker.violations(correct, run_completed);
-    out.insert(out.end(), v.begin(), v.end());
-  } else if (config.protocol == "beacon") {
-    // Agreement + no-double-emit via the consensus checker (a beacon value
-    // is never "proposed", so its validity/termination clauses stay idle);
-    // termination is checked directly below.
-    ConsensusChecker checker;
-    scan([&](ServerId s, const UserIndication& ind) {
-      checker.record_decision(s, ind.label, ind.indication);
-    });
-    const auto v = checker.violations(correct, /*expect_termination=*/false);
-    out.insert(out.end(), v.begin(), v.end());
-    if (run_completed) {
-      for (Label label : expect.beacon_labels) {
-        if (indicated_at(logs, label) < correct.size()) {
-          out.push_back("beacon termination violated at label " +
-                        std::to_string(label));
-        }
-      }
-    }
-  }
-  return out;
-}
-
-void count_indications(const IndicationLogs& logs, const Expectations& expect,
-                       ScenarioResult& result) {
-  for (const auto& [server, log] : logs) {
-    for (const UserIndication& ind : log) {
-      if (ind.label >= kScenarioLabelBase) ++result.deliveries;
-    }
-  }
-  for (Label label : expect.all_labels) {
-    if (indicated_at(logs, label) == logs.size()) ++result.labels_complete;
-  }
-}
-
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   ScenarioResult result;
+  auto& violations = result.violations;
   if (std::string error = scenario_config_error(config); !error.empty()) {
-    result.violations.push_back(std::move(error));
+    violations.push_back(std::move(error));
     return result;
   }
   const FaultPlan plan = derive_fault_plan(config);
-  const SimTime duration = effective_duration(config);
-
-  ClusterConfig cluster_config;
-  cluster_config.n_servers = config.n_servers;
-  cluster_config.seed = config.seed;
-  cluster_config.sig_scheme = config.sig_scheme;
-  cluster_config.net = plan.initial_net;
-  cluster_config.pacing = plan.pacing;
-  cluster_config.byzantine = plan.byzantine;
-  cluster_config.gossip.fwd_retry_delay = sim_ms(15);
-  // Bound each FWD chase: an unlimited retry loop towards a permanently
-  // missing ref (possible only under a regression or a byzantine dangle)
-  // would spin the quiesce drain forever — a hang instead of a reported
-  // violation. The chase re-arms with a fresh budget whenever a new block
-  // references the still-missing pred, so legitimate crash-recovery
-  // walk-backs are unaffected; a true dangle surfaces as a convergence
-  // failure.
-  cluster_config.gossip.max_fwd_retries = 128;
-
-  Expectations expect;
-  std::map<ServerId, Bytes> snapshots;
-  Cluster cluster(*factory_for(config.protocol), cluster_config);
-  Scheduler& sched = cluster.scheduler();
-
-  for (const auto& partition : plan.partitions) {
-    sched.at(partition.at, [&cluster, &partition] {
-      cluster.network().partition(partition.side_a, partition.side_b,
-                                  partition.heal_at);
-    });
+  std::unique_ptr<ScenarioTarget> target;
+  if (config.runtime == ScenarioRuntime::kSim) {
+    target = std::make_unique<SimTarget>(config, plan);
+  } else {
+    target = LiveTarget::make(config, plan);
+    if (!target) {
+      violations.push_back("failed to bind sockets");
+      return result;
+    }
   }
-  for (const auto& regime : plan.regimes) {
-    sched.at(regime.at, [&cluster, &regime] {
-      cluster.network().set_latency_model(regime.latency);
-      cluster.network().set_drop_regime(regime.drop_probability,
-                                        regime.max_drops_per_pair);
-    });
+  for (const auto& partition : plan.partitions) {
+    target->at(partition.at, [&target, &partition] { target->partition(partition); });
   }
   for (const auto& churn : plan.churn) {
-    sched.at(churn.crash_at, [&cluster, &snapshots, &churn] {
-      if (!cluster.is_correct(churn.server)) return;
-      snapshots[churn.server] = cluster.snapshot_of(churn.server);
-      cluster.crash(churn.server);
-    });
-    sched.at(churn.recover_at, [&cluster, &snapshots, &churn, &result] {
-      const auto it = snapshots.find(churn.server);
-      if (it == snapshots.end()) return;
-      if (!cluster.recover(churn.server, it->second)) {
-        result.violations.push_back("recovery failed for server " +
-                                    std::to_string(churn.server));
+    target->at(churn.crash_at, [&target, &churn] { target->crash(churn.server); });
+    target->at(churn.recover_at, [&target, &churn, &violations] {
+      if (!target->restart(churn.server)) {
+        violations.push_back("recovery failed for server " +
+                             std::to_string(churn.server));
       }
     });
   }
+  Expectations expect;
+  const RequestFn request = [&target](ServerId s, Label label, Bytes bytes) {
+    target->request(s, label, std::move(bytes));
+  };
   for (const auto& burst : plan.bursts) {
-    // Bursts fire when every non-byzantine server is live (they end before
-    // crash windows open — see faultplan.h), so the correct set is the
-    // full honest set.
-    sched.at(burst.at, [&cluster, &config, &burst, &expect] {
-      issue_burst(config, burst, cluster.correct_servers(),
-                  [&cluster](ServerId s, Label label, Bytes request) {
-                    cluster.request(s, label, std::move(request));
-                  },
-                  expect);
+    // Every plan fires a burst only when every honest server is live, so
+    // the correct set is the full honest set.
+    target->at(burst.at, [&config, &burst, &target, &request, &expect] {
+      issue_burst(config, burst, target->correct(), request, expect);
     });
   }
 
-  cluster.start();
+  target->start();
 
-  // Mid-run quiescence point: safety properties must already hold on the
-  // partial execution (no waiting on "eventually").
-  cluster.run_until(duration / 2);
+  // Mid-run point: safety properties must already hold on the partial
+  // execution (no waiting on "eventually").
+  target->run_until(plan.duration / 2);
+  const IndicationLogs mid_run = correct_logs(*target);
   for (const auto& violation :
-       check_properties(config, correct_logs(cluster), expect,
-                        /*run_completed=*/false)) {
-    result.violations.push_back("mid-run: " + violation);
+       check_properties(config, mid_run, expect, /*run_completed=*/false)) {
+    violations.push_back("mid-run: " + violation);
   }
+  ScenarioResult mid_run_counts;
+  count_indications(mid_run, expect, mid_run_counts);
+  result.mid_run_deliveries = mid_run_counts.deliveries;
 
-  cluster.run_until(duration);
-  result.converged = cluster.quiesce_and_converge();
+  target->run_until(plan.duration);
+  result.converged = target->quiesce();
   if (config.protocol == "pbft") {
-    nudge_pbft_liveness(cluster, expect);
-    result.converged = cluster.quiesce_and_converge();
+    nudge_pbft_liveness(*target, config.n_servers, expect);
+    result.converged = target->quiesce();
   }
   if (!result.converged) {
-    result.violations.push_back("joint-DAG convergence failed (Lemma 3.7)");
+    violations.push_back("joint-DAG convergence failed (Lemma 3.7)");
   }
 
-  const IndicationLogs logs = correct_logs(cluster);
+  const IndicationLogs logs = correct_logs(*target);
   const auto final_violations =
       check_properties(config, logs, expect, /*run_completed=*/true);
-  result.violations.insert(result.violations.end(), final_violations.begin(),
-                           final_violations.end());
+  violations.insert(violations.end(), final_violations.begin(),
+                    final_violations.end());
+
+  // Every correct server's blocks with their digest_of (nullopt while
+  // uninterpreted), for the Lemma 4.2 and forgery checks; the witness's in
+  // topological order.
+  const std::vector<ServerId> correct = target->correct();
+  std::map<ServerId, std::map<Hash256, std::optional<Bytes>>> held;
+  std::vector<std::pair<Hash256, std::optional<Bytes>>> witness_blocks;
+  std::uint64_t rejected = 0;
+  for (ServerId s : correct) {
+    target->inspect(s, [&](const Shim& shim) {
+      for (const BlockPtr& block : shim.dag().topological_order()) {
+        std::optional<Bytes> digest;
+        if (shim.interpreter().is_interpreted(block->ref())) {
+          digest = shim.interpreter().digest_of(block->ref());
+        }
+        if (s == correct.front()) witness_blocks.emplace_back(block->ref(), digest);
+        held[s].emplace(block->ref(), std::move(digest));
+      }
+      rejected += shim.gossip().stats().blocks_rejected;
+    });
+  }
 
   // Definition 3.3(i): an invalidly-signed block is never delivered. Every
-  // forger's forged refs must be absent from every correct server's DAG,
-  // and the rejections must actually show up in the gossip stats — a run
-  // where the forger fired but nothing was rejected means the blocks never
-  // reached anyone (a broken adversary), which must fail loudly rather
-  // than vacuously pass.
-  bool forger_present = false;
-  for (const auto& [byz_server, kind] : plan.byzantine) {
-    if (kind != ByzantineKind::kForger) continue;
-    forger_present = true;
-    const ByzantineServer* byz = cluster.byzantine(byz_server);
-    for (const Hash256& ref : byz->forged_refs()) {
-      for (ServerId s : cluster.correct_servers()) {
-        if (cluster.shim(s).dag().contains(ref)) {
-          result.violations.push_back(
-              "forged block " + ref.short_hex() + " from byzantine server " +
-              std::to_string(byz_server) + " delivered at server " +
-              std::to_string(s));
+  // forged ref must be absent from every correct server's DAG, and the
+  // rejections must actually show up in the gossip stats — a run where the
+  // forger fired but nothing was rejected means the blocks never reached
+  // anyone (a broken adversary), which must fail loudly rather than
+  // vacuously pass.
+  const bool forger_present =
+      std::any_of(plan.byzantine.begin(), plan.byzantine.end(), [](const auto& kv) {
+        return kv.second == ByzantineKind::kForger;
+      });
+  if (forger_present) {
+    const std::vector<Hash256> forged = target->forged_refs();
+    if (forged.empty()) violations.push_back("forger never fired (adversary no-op?)");
+    for (const Hash256& ref : forged) {
+      for (ServerId s : correct) {
+        if (held[s].count(ref)) {
+          violations.push_back("forged block " + ref.short_hex() +
+                               " delivered at server " + std::to_string(s));
         }
       }
     }
-  }
-  if (forger_present) {
-    std::uint64_t rejected = 0;
-    for (ServerId s : cluster.correct_servers()) {
-      rejected += cluster.shim(s).gossip().stats().blocks_rejected;
-    }
     if (rejected == 0) {
-      result.violations.push_back(
-          "forger present but no correct server rejected a block");
+      violations.push_back("forger present but no correct server rejected a block");
     }
   }
+  target->check_sanity(violations);
 
   // Lemma 4.2 digests: every block two correct servers share must carry
   // bit-identical interpretation state; after convergence that is every
   // block of the joint DAG.
-  const std::vector<ServerId> correct = cluster.correct_servers();
   const ServerId witness = correct.front();
-  const Shim& witness_shim = cluster.shim(witness);
-  result.blocks = witness_shim.dag().size();
+  result.blocks = witness_blocks.size();
   Sha256 run_hash;
-  for (const BlockPtr& block : witness_shim.dag().topological_order()) {
-    if (!witness_shim.interpreter().is_interpreted(block->ref())) {
-      result.violations.push_back("uninterpreted block at witness: " +
-                                  block->ref().short_hex());
+  for (const auto& [ref, digest] : witness_blocks) {
+    if (!digest) {
+      violations.push_back("uninterpreted block at witness: " + ref.short_hex());
       continue;
     }
-    const Bytes digest = witness_shim.interpreter().digest_of(block->ref());
-    run_hash.update(block->ref().span());
-    run_hash.update(digest);
+    run_hash.update(ref.span());
+    run_hash.update(*digest);
     for (ServerId s : correct) {
       if (s == witness) continue;
-      const Shim& shim = cluster.shim(s);
-      if (!shim.dag().contains(block->ref())) continue;
-      if (!shim.interpreter().is_interpreted(block->ref()) ||
-          shim.interpreter().digest_of(block->ref()) != digest) {
-        result.violations.push_back("digest divergence (Lemma 4.2) at block " +
-                                    block->ref().short_hex() + " between servers " +
-                                    std::to_string(witness) + " and " +
-                                    std::to_string(s));
+      const auto it = held[s].find(ref);
+      if (it == held[s].end()) continue;
+      if (it->second != digest) {
+        violations.push_back("digest divergence (Lemma 4.2) at block " +
+                             ref.short_hex() + " between servers " +
+                             std::to_string(witness) + " and " + std::to_string(s));
       }
     }
   }
@@ -475,7 +864,8 @@ std::string scenario_trace_json(const ScenarioConfig& config,
                                 const FaultPlan& plan,
                                 const ScenarioResult& result) {
   std::string out = "{\n  \"schema\": 1,\n  \"config\": {";
-  out += "\"seed\": " + std::to_string(config.seed);
+  out += "\"runtime\": \"" + std::string(scenario_runtime_name(config.runtime)) + "\"";
+  out += ", \"seed\": " + std::to_string(config.seed);
   out += ", \"n\": " + std::to_string(config.n_servers);
   out += ", \"protocol\": \"" + json_escape(config.protocol) + "\"";
   out += ", \"duration_ms\": " +

@@ -161,6 +161,58 @@ TEST(TcpRuntime, ReconnectAfterConnectionKillConvergesViaFwdRecovery) {
       << "re-dials beyond the initial link establishment";
 }
 
+TEST(TcpRuntime, ConnectionKilledAfterStopStillSettlesExactly) {
+  // The link-settle rule (rt/link_layer.h) across a reset: after stop(),
+  // frames still crossing the 0↔1 connections die with them. The reset
+  // writes them off, so the drain neither waits on them forever nor
+  // settles early; FWD recovery then closes the gap.
+  brb::BrbFactory factory;
+  const std::uint32_t n = 3;
+  ThreadedRuntime runtime(factory, tcp_config(n));
+  ASSERT_TRUE(runtime.tcp()->ok());
+  runtime.start();
+  for (ServerId s = 0; s < n; ++s) {
+    runtime.request(s, 1 + s,
+                    brb::make_broadcast(Bytes{static_cast<std::uint8_t>(s)}));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  runtime.stop();
+  runtime.tcp()->drop_connections(0, 1);
+
+  ASSERT_TRUE(runtime.quiesce_and_converge());
+  EXPECT_TRUE(runtime.tcp()->links_settled());
+  expect_identical_digests(runtime, n);
+  for (ServerId s = 0; s < n; ++s) {
+    EXPECT_EQ(runtime.indicated_count(1 + s), n) << "label " << 1 + s;
+  }
+  EXPECT_GT(runtime.tcp()->stats().resets, 0u);
+}
+
+TEST(TcpRuntime, ResetWritesOffFramesInFlight) {
+  // Connections killed while large frames are still inside kernel
+  // buffers: each reset writes off the frames it destroyed, so the idle
+  // count drains instead of waiting forever for frames that will never
+  // reach the receiver's mailbox.
+  testing::MailboxRig rig(2);
+  rt::TcpConfig cfg;
+  cfg.n_servers = 2;
+  rt::TcpTransport transport(cfg, rig.mailboxes(), &rig.idle());
+  ASSERT_TRUE(transport.ok());
+  transport.attach(1, [](ServerId, const Bytes&) {});
+  transport.start();
+  Bytes big(48u << 10, 0x5a);  // each frame spans many socket reads
+  big[0] = static_cast<std::uint8_t>(WireKind::kBlock);  // envelopes lead with their tag
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 64; ++i) transport.send(0, 1, WireKind::kBlock, big);
+    transport.drop_connections(0, 1);
+  }
+  EXPECT_TRUE(rig.idle().wait_idle(std::chrono::seconds(10)));
+  EXPECT_TRUE(transport.links_settled());
+  EXPECT_GT(transport.stats().resets, 0u);
+  transport.stop();
+  rig.join();
+}
+
 TEST(TcpRuntime, StopAndShutdownAreClean) {
   // Start, inject, shut down without converging: no hangs, no leaks (Asan
   // covers leaks; Tsan covers teardown races against the poll thread and

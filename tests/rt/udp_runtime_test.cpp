@@ -130,6 +130,33 @@ TEST(UdpRuntime, ConvergesUnderSeededLossReorderAndDuplication) {
   EXPECT_GT(link_retransmits, 0u);
 }
 
+TEST(UdpRuntime, DelayedDatagramsSettleBeforeConvergenceSamples) {
+  // The link-settle rule (rt/link_layer.h) under injected 1–8ms delays:
+  // every frame between two hosted servers counts as outstanding work from
+  // packing until its receiver's mailbox has it, so each convergence round
+  // drains exactly — no fixed beat has to outlast the delay.
+  brb::BrbFactory factory;
+  const std::uint32_t n = 4;
+  ThreadedConfig cfg = udp_config(n);
+  cfg.udp.default_fault.delay_min_us = 1000;
+  cfg.udp.default_fault.delay_max_us = 8000;
+  ThreadedRuntime runtime(factory, cfg);
+  ASSERT_TRUE(runtime.udp()->ok());
+  runtime.start();
+  for (ServerId s = 0; s < n; ++s) {
+    runtime.request(s, 1 + s,
+                    brb::make_broadcast(Bytes{static_cast<std::uint8_t>(s)}));
+  }
+
+  ASSERT_TRUE(runtime.quiesce_and_converge());
+  EXPECT_TRUE(runtime.udp()->links_settled());
+  expect_identical_digests(runtime, n);
+  for (ServerId s = 0; s < n; ++s) {
+    EXPECT_EQ(runtime.indicated_count(1 + s), n) << "label " << 1 + s;
+  }
+  EXPECT_GT(runtime.udp()->stats().injected_delays, 0u);
+}
+
 TEST(UdpRuntime, FifoOrderPreservedAcrossDuplicatedAndReorderedDatagrams) {
   // Per-sender FIFO is carried inside blocks; duplicated and reordered
   // datagrams must be absorbed by the channel layer (dedup window +

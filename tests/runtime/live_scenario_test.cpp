@@ -1,12 +1,13 @@
-// Scenario engine on the real runtimes (runtime/live_scenario.h), tier-1
+// The scenario driver on the real runtimes (runtime/scenario.h), tier-1
 // slice: one pinned seed per backend runs its whole plan — crash churn on
 // threads and TCP, the forger under real signatures, the wire-fault
-// profile on UDP — with the engine's checkers on, and the plan derivation
-// is pinned to the plans `simctl replay` has always printed for those
-// seeds. The wide sweeps are `simctl fuzz --runtime threads|tcp|udp`.
+// profile on UDP — with the engine's checkers on, mid-run and at the end,
+// and the plan derivation is pinned to the plans `simctl replay` has
+// always printed for those seeds. The wide sweeps are
+// `simctl fuzz --runtime threads|tcp|udp`.
 #include <gtest/gtest.h>
 
-#include "runtime/live_scenario.h"
+#include "runtime/scenario.h"
 
 namespace blockdag {
 namespace {
@@ -74,14 +75,14 @@ TEST(LiveScenario, DerivationMatchesPinnedPlans) {
     const ScenarioConfig cfg = fuzz_config(p.runtime, p.seed, p.sig);
     EXPECT_EQ(cfg.protocol, p.protocol) << "seed " << p.seed;
     EXPECT_EQ(cfg.n_servers, p.n) << "seed " << p.seed;
-    const LivePlan plan = derive_live_plan(cfg);
+    const FaultPlan plan = derive_fault_plan(cfg);
     EXPECT_EQ(plan.summary(), p.summary)
         << scenario_runtime_name(p.runtime) << " seed " << p.seed;
     // The scheme never perturbs a UDP plan.
     if (p.runtime == ScenarioRuntime::kUdp) {
       ScenarioConfig other = cfg;
       other.sig_scheme = SigScheme::kWots;
-      EXPECT_EQ(derive_live_plan(other).summary(), plan.summary());
+      EXPECT_EQ(derive_fault_plan(other).summary(), plan.summary());
     }
   }
 }
@@ -90,18 +91,23 @@ TEST(LiveScenario, PlansKeepALiveMajority) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     for (ScenarioRuntime runtime : {ScenarioRuntime::kThreads, ScenarioRuntime::kUdp}) {
       const ScenarioConfig cfg = fuzz_config(runtime, seed, SigScheme::kWots);
-      const LivePlan plan = derive_live_plan(cfg);
-      const std::vector<ServerId> correct = plan.correct(cfg.n_servers);
-      EXPECT_LT(2 * plan.churn.size(), correct.size()) << "seed " << seed;
-      for (const LivePlan::Churn& ev : plan.churn) {
-        EXPECT_TRUE(ev.server != plan.forger) << "seed " << seed;
-        EXPECT_LT(ev.crash_frac, ev.restart_frac) << "seed " << seed;
-        EXPECT_LT(ev.restart_frac, 1.0) << "seed " << seed;
+      const FaultPlan plan = derive_fault_plan(cfg);
+      const std::size_t honest = cfg.n_servers - plan.byzantine.size();
+      EXPECT_LT(2 * plan.churn.size(), honest) << "seed " << seed;
+      for (const FaultPlan::Churn& ev : plan.churn) {
+        EXPECT_FALSE(plan.byzantine.count(ev.server)) << "seed " << seed;
+        EXPECT_LT(ev.crash_at, ev.recover_at) << "seed " << seed;
+        EXPECT_LT(ev.recover_at, cfg.duration) << "seed " << seed;
+        // No burst fires while a server is down or about to crash.
+        for (const FaultPlan::Burst& burst : plan.bursts) {
+          EXPECT_FALSE(burst.at + sim_ms(300) > ev.crash_at && burst.at < ev.recover_at)
+              << "seed " << seed;
+        }
       }
       if (plan.churn.size() == 2) {
         EXPECT_NE(plan.churn[0].server, plan.churn[1].server) << "seed " << seed;
       }
-      for (const LivePlan::HostileLink& link : plan.hostile_links) {
+      for (const FaultPlan::HostileLink& link : plan.hostile_links) {
         EXPECT_NE(link.from, link.to) << "seed " << seed;
       }
       std::uint32_t issued = 0;
@@ -119,7 +125,7 @@ TEST(LiveScenario, RejectsClustersBelowThree) {
     for (std::uint32_t n : {1u, 2u}) {
       cfg.n_servers = n;
       EXPECT_FALSE(scenario_config_error(cfg).empty()) << "n=" << n;
-      EXPECT_FALSE(run_live_scenario(cfg).ok()) << "n=" << n;
+      EXPECT_FALSE(run_scenario(cfg).ok()) << "n=" << n;
     }
     cfg.n_servers = 3;
     EXPECT_EQ(scenario_config_error(cfg), "");
@@ -155,12 +161,19 @@ TEST(LiveScenario, PinnedSeedPerBackend) {
   for (const PinnedRun& p : pinned) {
     ScenarioConfig cfg = fuzz_config(p.runtime, p.seed, p.sig);
     cfg.duration = sim_ms(500);
-    const ScenarioResult result = run_live_scenario(cfg);
+    const ScenarioResult result = run_scenario(cfg);
     const std::string where = repro_line(cfg);
     EXPECT_TRUE(result.ok()) << where << ": " << result.violations.front();
     EXPECT_TRUE(result.converged) << where;
     EXPECT_GT(result.deliveries, 0u) << where;
     EXPECT_EQ(result.labels_complete, cfg.instances) << where;
+    // The mid-run safety check ran over a partial execution that already
+    // had deliveries, not over empty logs, whenever the plan issued
+    // requests before half time (churn plans this short move every burst
+    // past the crash window).
+    if (derive_fault_plan(cfg).bursts.front().at < cfg.duration / 4) {
+      EXPECT_GT(result.mid_run_deliveries, 0u) << where;
+    }
   }
 }
 

@@ -44,13 +44,13 @@ fi
 cmake --build "$build_dir" -j "$jobs" --target \
   bench_ablation bench_compression bench_gossip bench_latency \
   bench_parallel_instances bench_pruning bench_signatures bench_tcp \
-  bench_threaded bench_udp bench_crypto bench_dag bench_interpret
+  bench_udp bench_crypto bench_dag bench_interpret
 
 mkdir -p "$out_dir"
 
 plain_benches="bench_ablation bench_compression bench_gossip bench_latency \
 bench_parallel_instances bench_pruning bench_signatures bench_tcp \
-bench_threaded bench_udp"
+bench_udp"
 gbench_benches="bench_crypto bench_dag bench_interpret"
 
 for bench in $plain_benches; do

@@ -7,8 +7,9 @@
 # harness smoke (every bench runs seconds-scale and must emit parseable
 # BENCH_*.json), an Asan build running the tier1 ctest label, then a Tsan
 # build running the threaded-runtime, TCP-runtime and UDP-runtime
-# convergence tests, the socket link layer's cap and stop-accounting cases
-# and the real-runtime scenario runs under ThreadSanitizer. Mirrors
+# convergence tests (the two link-settle cases looped 10×), the socket
+# link layer's cap and stop-accounting cases and the real-runtime scenario
+# runs under ThreadSanitizer. Mirrors
 # .github/workflows/ci.yml; see BUILDING.md for the full command reference.
 set -eu
 
@@ -45,7 +46,7 @@ echo "==> Lossy-datagram smoke (real localhost UDP, 15% injected loss + two-proc
 ./build-ci/simctl run --runtime udp --n 4 --instances 4 --seconds 5 --interval 2 --drop 0.15
 sh tools/udp_cluster_smoke.sh ./build-ci/simctl
 
-echo "==> Bench harness smoke (all thirteen benches, JSON artifacts validated)"
+echo "==> Bench harness smoke (all twelve benches, JSON artifacts validated)"
 sh tools/bench_all.sh -B build-ci --smoke
 
 echo "==> Asan build + tier1 label"
@@ -68,10 +69,16 @@ cmake --build build-ci-tsan -j "$jobs" \
     -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test)$')
 # The verifier pool's shutdown race is timing-shaped: loop the Tsan binaries
 # so the sanitizer sees many distinct stop()-vs-batch interleavings (and
-# the mailbox batch-drain's four producers racing the swap).
+# the mailbox batch-drain's four producers racing the swap). The two
+# link-settle cases loop too: a reset after stop() and injected datagram
+# delays race the poll threads against the settle count.
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
+  ./build-ci-tsan/rt_tcp_runtime_test \
+      --gtest_filter='TcpRuntime.ConnectionKilledAfterStopStillSettlesExactly' >/dev/null
+  ./build-ci-tsan/rt_udp_runtime_test \
+      --gtest_filter='UdpRuntime.DelayedDatagramsSettleBeforeConvergenceSamples' >/dev/null
 done
 
 echo "==> CI OK"

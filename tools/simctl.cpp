@@ -76,10 +76,11 @@
 //     `--runtime threads` (or tcp) runs seeded crash-churn instead: durable
 //     storage and checkpoint epochs on, servers SIGKILL-crashed mid-run and
 //     restarted over their surviving storage (never wiped: DESIGN.md §10).
-//     Every runtime ends with the same checks (runtime/live_scenario.h):
-//     the protocol checkers, identical digests and the backend's sanity
-//     checks. --sig hmac|wots arms the forger adversary; real-runtime
-//     slices need --n 3 or more (or the default rotation).
+//     Every runtime runs the same driver and checks (runtime/scenario.h):
+//     the protocol checkers mid-run and at the end, the Lemma 4.2 digest
+//     check and the backend's sanity checks. --sig hmac|wots arms the
+//     forger adversary; real-runtime slices need --n 3 or more (or the
+//     default rotation).
 //
 //   simctl replay --seed S [--runtime sim|udp|threads|tcp] [--protocol P]
 //                 [--n N] [--instances K] [--duration S | --duration-ns NS]
@@ -110,7 +111,6 @@
 #include "protocols/fifo_brb.h"
 #include "protocols/pbft_lite.h"
 #include "runtime/cluster.h"
-#include "runtime/live_scenario.h"
 #include "runtime/scenario.h"
 #include "runtime/table.h"
 #include "util/hex.h"
@@ -146,73 +146,109 @@ std::optional<ByzantineKind> parse_kind(const std::string& name) {
   return std::nullopt;
 }
 
+// Shared argv parsers (every subcommand).
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stoull(s, &used);
+    return used == s.size() && !s.empty();
+  } catch (...) {
+    return false;
+  }
+}
+
+bool parse_u32(const char* s, std::uint32_t& out) {
+  try {
+    std::size_t used = 0;
+    const unsigned long v = std::stoul(s, &used);
+    if (used != std::strlen(s) || v > UINT32_MAX) return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+bool parse_duration(const char* s, double& out) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(s, &used);
+    if (used != std::strlen(s) || !(v > 0.0) || v > 1e6) return false;
+    out = v;
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+// A probability in [0, 1).
+bool parse_fraction(const char* s, double& out) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(s, &used);
+    if (used != std::strlen(s) || !(v >= 0.0 && v < 1.0)) return false;
+    out = v;
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--runtime" || arg.rfind("--runtime=", 0) == 0) {
-      const std::string v =
-          arg == "--runtime" ? (next() ? std::string(argv[i]) : std::string())
-                             : arg.substr(std::string("--runtime=").size());
-      if (v != "sim" && v != "threads" && v != "tcp" && v != "udp") return false;
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (arg.rfind("--runtime=", 0) == 0) {
+      opt.runtime = arg.substr(std::string("--runtime=").size());
+      continue;
+    }
+    if (arg == "--wots") {
+      opt.sig = SigScheme::kWots;  // alias for --sig wots
+      continue;
+    }
+    if (!v) return false;
+    if (arg == "--runtime") {
       opt.runtime = v;
     } else if (arg == "--n") {
-      const char* v = next();
-      if (!v) return false;
-      opt.n = static_cast<std::uint32_t>(std::stoul(v));
+      if (!parse_u32(v, opt.n) || opt.n == 0) return false;
     } else if (arg == "--protocol") {
-      const char* v = next();
-      if (!v) return false;
       opt.protocol = v;
     } else if (arg == "--seconds") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seconds = std::stod(v);
+      if (!parse_duration(v, opt.seconds)) return false;
     } else if (arg == "--instances") {
-      const char* v = next();
-      if (!v) return false;
-      opt.instances = static_cast<std::uint32_t>(std::stoul(v));
+      if (!parse_u32(v, opt.instances)) return false;
     } else if (arg == "--interval") {
-      const char* v = next();
-      if (!v) return false;
-      opt.interval_ms = std::stoull(v);
+      if (!parse_u64(v, opt.interval_ms) || opt.interval_ms == 0) return false;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seed = std::stoull(v);
+      if (!parse_u64(v, opt.seed)) return false;
     } else if (arg == "--drop") {
-      const char* v = next();
-      if (!v) return false;
-      opt.drop = std::stod(v);
-    } else if (arg == "--wots") {
-      opt.sig = SigScheme::kWots;  // alias for --sig wots
+      if (!parse_fraction(v, opt.drop)) return false;
     } else if (arg == "--sig") {
-      const char* v = next();
-      if (!v) return false;
       const auto scheme = parse_sig_scheme(v);
       if (!scheme) return false;
       opt.sig = *scheme;
     } else if (arg == "--dot") {
-      const char* v = next();
-      if (!v) return false;
       opt.dot_file = v;
     } else if (arg == "--byzantine") {
-      const char* v = next();
-      if (!v) return false;
       const std::string spec = v;
       const auto colon = spec.find(':');
-      if (colon == std::string::npos) return false;
-      const auto id = static_cast<ServerId>(std::stoul(spec.substr(0, colon)));
+      std::uint32_t id = 0;
+      if (colon == std::string::npos ||
+          !parse_u32(spec.substr(0, colon).c_str(), id)) {
+        return false;
+      }
       const auto kind = parse_kind(spec.substr(colon + 1));
       if (!kind) return false;
       opt.byzantine[id] = *kind;
     } else {
       return false;
     }
+    ++i;
   }
-  return true;
+  // Byzantine ids name servers of this cluster (checked once --n is known).
+  return (opt.runtime == "sim" || opt.runtime == "threads" ||
+          opt.runtime == "tcp" || opt.runtime == "udp") &&
+         (opt.byzantine.empty() || opt.byzantine.rbegin()->first < opt.n);
 }
 
 // One request per instance, shaped for the chosen protocol.
@@ -544,42 +580,6 @@ int run(const Options& opt) {
 
 // ---- multi-process cluster (serve / join) ----
 
-// Shared argv parsers (serve/join and the scenario subcommands).
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(s, &used);
-    return used == s.size() && !s.empty();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_u32(const char* s, std::uint32_t& out) {
-  try {
-    std::size_t used = 0;
-    const unsigned long v = std::stoul(s, &used);
-    if (used != std::strlen(s) || v > UINT32_MAX) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_duration(const char* s, double& out) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != std::strlen(s) || !(v > 0.0) || v > 1e6) return false;
-    out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-
 struct MemberOptions {
   ServerId id = 0;  // serve: 0; join: --id
   std::uint32_t n = 2;
@@ -645,13 +645,7 @@ bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
       opt.runtime = v;
       if (opt.runtime != "tcp" && opt.runtime != "udp") return false;
     } else if (arg == "--loss") {
-      if (!v) return false;
-      try {
-        opt.loss = std::stod(v);
-      } catch (...) {
-        return false;
-      }
-      if (opt.loss < 0.0 || opt.loss >= 1.0) return false;
+      if (!v || !parse_fraction(v, opt.loss)) return false;
     } else if (arg == "--sig") {
       if (!v) return false;
       const auto scheme = parse_sig_scheme(v);
@@ -1065,11 +1059,6 @@ bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
   return true;
 }
 
-ScenarioResult run_any_scenario(const ScenarioConfig& cfg) {
-  return cfg.runtime == ScenarioRuntime::kSim ? run_scenario(cfg)
-                                              : run_live_scenario(cfg);
-}
-
 int cmd_fuzz(int argc, char** argv) {
   FuzzOptions opt;
   if (!parse_fuzz_args(argc, argv, opt, /*replay=*/false)) {
@@ -1087,7 +1076,7 @@ int cmd_fuzz(int argc, char** argv) {
   std::size_t passed = 0, failed = 0;
   for (std::uint64_t seed = opt.first_seed; seed <= opt.last_seed; ++seed) {
     const ScenarioConfig cfg = scenario_for_seed(seed, opt.pinned);
-    const ScenarioResult result = run_any_scenario(cfg);
+    const ScenarioResult result = run_scenario(cfg);
     if (result.ok()) {
       ++passed;
       continue;
@@ -1123,27 +1112,17 @@ int cmd_replay(int argc, char** argv) {
   }
   const ScenarioConfig cfg = scenario_for_seed(opt.first_seed, opt.pinned);
   const bool sim = cfg.runtime == ScenarioRuntime::kSim;
-  if (!sim && !opt.trace_file.empty()) {
-    std::fprintf(stderr, "--trace is simulator-only (real runtimes have no "
-                         "virtual-time event log)\n");
-    return 2;
-  }
   const std::string runtime =
       sim ? "" : std::string(" runtime=") + scenario_runtime_name(cfg.runtime);
   std::printf("scenario seed=%llu%s protocol=%s n=%u instances=%u "
               "duration=%.3fs\n",
               static_cast<unsigned long long>(cfg.seed), runtime.c_str(),
               cfg.protocol.c_str(), cfg.n_servers, cfg.instances,
-              static_cast<double>(sim ? effective_duration(cfg) : cfg.duration) /
-                  1e9);
-  const FaultPlan plan = sim ? derive_fault_plan(cfg) : FaultPlan{};
-  if (sim) {
-    std::printf("---- fault plan ----\n%s", plan.summary().c_str());
-  } else {
-    std::printf("%s", derive_live_plan(cfg).summary().c_str());
-  }
+              static_cast<double>(effective_duration(cfg)) / 1e9);
+  const FaultPlan plan = derive_fault_plan(cfg);
+  std::printf("%s%s", sim ? "---- fault plan ----\n" : "", plan.summary().c_str());
 
-  const ScenarioResult result = run_any_scenario(cfg);
+  const ScenarioResult result = run_scenario(cfg);
   std::printf("---- result ----\n");
   std::printf("blocks=%zu deliveries=%zu labels_complete=%zu converged=%s\n",
               result.blocks, result.deliveries, result.labels_complete,
