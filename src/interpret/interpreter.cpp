@@ -71,59 +71,13 @@ void Interpreter::interpret_block(BlockIdx idx) {
   const std::vector<BlockIdx>& preds = dag_.preds_of(idx);  // deduplicated
   BlockInterpretation st;
 
-  // Line 4: copy the parent's process-instance states (copy-on-write: we
-  // copy shared handles; instances clone only when they process an event).
+  // Line 4: copy the parent's process-instance states. B.PIs is
+  // persistent, so this shares the parent's tree; instances clone only when
+  // they process an event, and only their tree paths are copied.
   const BlockIdx parent = dag_.parent_of(idx);
   if (parent != kNoBlockIdx && dag_.alive(parent)) {
     assert(states_[parent].interpreted);
     st.pis = states_[parent].pis;
-  }
-
-  // Active labels flow down from *all* predecessors (the line 7 set ranges
-  // over requests anywhere in B's strict ancestry) plus this block's own
-  // inscriptions. The set only grows, so when no pred contributes a label
-  // outside the largest pred set and neither do the inscriptions, this
-  // block shares that set's storage instead of building its own.
-  std::vector<Label> own_labels;
-  own_labels.reserve(block.rs().size());
-  for (const LabeledRequest& lr : block.rs()) own_labels.push_back(lr.label);
-  std::sort(own_labels.begin(), own_labels.end());
-  own_labels.erase(std::unique(own_labels.begin(), own_labels.end()),
-                   own_labels.end());
-
-  const ActiveLabelSet* base = nullptr;
-  for (BlockIdx p : preds) {
-    if (!interpreted_at(p)) continue;  // pruned-away ancestor
-    const ActiveLabelSet& s = states_[p].active_labels;
-    if (!s.empty() && (!base || s.size() > base->size())) base = &s;
-  }
-  if (base != nullptr) {
-    bool can_share =
-        std::includes(base->begin(), base->end(), own_labels.begin(), own_labels.end());
-    for (BlockIdx p : preds) {
-      if (!can_share) break;
-      if (!interpreted_at(p)) continue;
-      const ActiveLabelSet& s = states_[p].active_labels;
-      if (s.empty() || s.handle() == base->handle()) continue;
-      can_share = std::includes(base->begin(), base->end(), s.begin(), s.end());
-    }
-    if (can_share) {
-      st.active_labels = *base;
-    } else {
-      std::vector<Label> merged = own_labels;
-      for (BlockIdx p : preds) {
-        if (!interpreted_at(p)) continue;
-        const ActiveLabelSet& s = states_[p].active_labels;
-        merged.insert(merged.end(), s.begin(), s.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      st.active_labels = ActiveLabelSet(
-          std::make_shared<const std::vector<Label>>(std::move(merged)));
-    }
-  } else if (!own_labels.empty()) {
-    st.active_labels = ActiveLabelSet(
-        std::make_shared<const std::vector<Label>>(std::move(own_labels)));
   }
 
   std::vector<std::pair<Label, Bytes>> raised;  // indications to emit last
@@ -138,10 +92,9 @@ void Interpreter::interpret_block(BlockIdx idx) {
     auto wit = working.find(label);
     if (wit == working.end()) {
       std::unique_ptr<Process> instance;
-      const auto pit = st.pis.find(label);
-      if (pit != st.pis.end()) {
+      if (const auto* inherited = st.pis.find(label)) {
         ++stats_.instance_clones;
-        instance = pit->second->clone();
+        instance = (*inherited)->process().clone();
       } else {
         instance = factory_.create(label, owner, n_servers_);
       }
@@ -197,7 +150,7 @@ void Interpreter::interpret_block(BlockIdx idx) {
 
   // Commit the advanced instances into B.PIs.
   for (auto& [label, proc] : working) {
-    st.pis[label] = std::shared_ptr<const Process>(std::move(proc));
+    st.pis.insert_or_assign(label, std::make_shared<const Instance>(std::move(proc)));
   }
 
   // Line 12: I[B] = true.
@@ -214,7 +167,6 @@ void Interpreter::interpret_block(BlockIdx idx) {
 
 bool Interpreter::restore_block(
     const Hash256& ref, Bytes cached_digest,
-    ActiveLabelSet::Handle active_labels,
     FlatMap<Label, std::vector<Message>> ms_out,
     const std::vector<std::pair<Label, Bytes>>& pis_serialized) {
   sync_states();
@@ -227,10 +179,9 @@ bool Interpreter::restore_block(
   for (const auto& [label, bytes] : pis_serialized) {
     auto instance = factory_.deserialize(label, owner, n_servers_, bytes);
     if (!instance) return false;
-    st.pis[label] = std::shared_ptr<const Process>(std::move(instance));
+    st.pis.insert_or_assign(label, std::make_shared<const Instance>(std::move(instance)));
   }
   st.ms_out = std::move(ms_out);
-  st.active_labels = ActiveLabelSet(std::move(active_labels));
   st.cached_digest = std::move(cached_digest);
   st.interpreted = true;
   states_[idx] = std::move(st);
@@ -239,16 +190,14 @@ bool Interpreter::restore_block(
 
 Bytes Interpreter::digest_of(const Hash256& ref) const {
   const BlockInterpretation* st = state_of(ref);
-  // Checkpoint-restored blocks return the digest computed at first
-  // interpretation verbatim (ms_in was consumed, not checkpointed).
   if (st && !st->cached_digest.empty()) return st->cached_digest;
   Writer w;
   w.u8(st && st->interpreted ? 1 : 0);
   if (st) {
     w.u32(static_cast<std::uint32_t>(st->pis.size()));
-    for (const auto& [label, proc] : st->pis) {
+    for (const auto& [label, instance] : st->pis) {
       w.u64(label);
-      w.bytes(proc->state_digest());
+      w.bytes(instance->state_digest());
     }
     const auto put_buffers = [&w](const FlatMap<Label, std::vector<Message>>& ms) {
       w.u32(static_cast<std::uint32_t>(ms.size()));
@@ -262,7 +211,9 @@ Bytes Interpreter::digest_of(const Hash256& ref) const {
     put_buffers(st->ms_out);
   }
   const auto digest = Sha256::digest(w.data());
-  return Bytes(digest.begin(), digest.end());
+  Bytes out(digest.begin(), digest.end());
+  if (st) st->cached_digest = out;
+  return out;
 }
 
 void Interpreter::forget_pruned() {

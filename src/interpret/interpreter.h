@@ -8,10 +8,12 @@
 //     implementations);
 //   2. feeds every request (ℓ, r) ∈ B.rs to B.n's simulated instance of ℓ
 //     (lines 5–6), collecting triggered messages into B.Ms[out, ℓ];
-//   3. for every label active in B's ancestry, gathers in-messages
-//     addressed to B.n from the out-buffers of B's *direct* predecessors
-//     (lines 7–9) and feeds them in the fixed order <M (lines 10–11),
-//     collecting newly triggered messages into B.Ms[out, ℓ];
+//   3. gathers the in-messages addressed to B.n from the out-buffers of
+//     B's *direct* predecessors (lines 7–9) and feeds them in the fixed
+//     order <M (lines 10–11), collecting newly triggered messages into
+//     B.Ms[out, ℓ]. Line 7 ranges over labels requested in B's ancestry;
+//     no separate label set is kept, because a pred's Ms[out, ℓ] exists
+//     only for such labels (Lemma A.12);
 //   4. raises every indication of the simulated instances as
 //     (ℓ, i, B.n) (lines 13–14).
 //
@@ -24,56 +26,54 @@
 // paper's message compression (Section 4 discussion).
 //
 // Layout: interpretation state is a contiguous std::vector indexed by the
-// DAG's dense BlockIdx, and per-block buffers are sorted flat vectors
-// (FlatMap) rather than node-based maps/sets — one allocation per buffer
-// instead of one per entry, and ordered iteration identical to std::map,
-// which keeps digest_of() byte-stable across the representation change.
+// DAG's dense BlockIdx. B.PIs is a persistent ordered map
+// (util/persistent_map.h), so line 4's copy is one handle copy and a block
+// pays O(log L) only for each label it advances, however many labels the
+// history holds. The per-block message buffers are sorted flat vectors
+// (FlatMap): their size follows the block's own messages. Both iterate in
+// ascending label order, as std::map did, which keeps digest_of() bytes
+// stable across representation changes.
+//
+// B.Ms[in] is kept after its block is interpreted because digest_of()
+// hashes it (the Lemma 4.2 digest). Dropping it would mean computing every
+// block's digest while interpreting it, which hashes every instance of
+// B.PIs per block, or changing that digest.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dag/dag.h"
 #include "protocol/protocol.h"
 #include "util/flat_map.h"
+#include "util/persistent_map.h"
 
 namespace blockdag {
 
-// Sorted, immutable, structurally-shared label set. The line-7 active-label
-// set only ever grows down the DAG, and most blocks introduce no new label,
-// so child blocks share the parent generation's vector copy-on-write
-// instead of re-unioning per block.
-class ActiveLabelSet {
+// One committed process instance of B.PIs. Immutable once committed, and
+// shared by every block that inherits it without advancing it. Its
+// state_digest() is computed at most once, by the first digest_of() that
+// reads it, never on the interpret path; the memo lives here rather than in
+// a tree node so that every path copy of B.PIs shares it. Not thread-safe:
+// like the rest of the interpreter, only its owning thread reads it.
+class Instance {
  public:
-  using Handle = std::shared_ptr<const std::vector<Label>>;
+  explicit Instance(std::unique_ptr<Process> process)
+      : process_(std::move(process)) {}
 
-  ActiveLabelSet() = default;
-  // `labels` must be sorted and duplicate-free.
-  explicit ActiveLabelSet(Handle labels) : labels_(std::move(labels)) {}
+  const Process& process() const { return *process_; }
 
-  bool contains(Label l) const {
-    return labels_ && std::binary_search(labels_->begin(), labels_->end(), l);
+  const Bytes& state_digest() const {
+    if (!digest_) digest_ = process_->state_digest();
+    return *digest_;
   }
-  std::size_t count(Label l) const { return contains(l) ? 1 : 0; }
-  bool empty() const { return !labels_ || labels_->empty(); }
-  std::size_t size() const { return labels_ ? labels_->size() : 0; }
-
-  std::vector<Label>::const_iterator begin() const { return values().begin(); }
-  std::vector<Label>::const_iterator end() const { return values().end(); }
-
-  // Identity of the underlying storage — equal handles ⇒ equal sets, used
-  // for the copy-on-write sharing fast path.
-  const Handle& handle() const { return labels_; }
 
  private:
-  const std::vector<Label>& values() const {
-    static const std::vector<Label> kEmpty;
-    return labels_ ? *labels_ : kEmpty;
-  }
-
-  Handle labels_;
+  std::unique_ptr<const Process> process_;
+  mutable std::optional<Bytes> digest_;
 };
 
 // Interpretation state attached to a block (the paper's B.PIs / B.Ms /
@@ -82,22 +82,20 @@ struct BlockInterpretation {
   bool interpreted = false;  // I[B]
 
   // B.PIs[ℓ]: state of instance ℓ of server B.n after interpreting B.
-  // Shared pointers implement copy-on-write along parent chains.
-  FlatMap<Label, std::shared_ptr<const Process>> pis;
+  // A persistent map: B shares its parent's tree and owns only the paths
+  // to the labels it advanced; unadvanced instances are shared handles.
+  PersistentMap<Label, std::shared_ptr<const Instance>> pis;
 
-  // B.Ms[in, ℓ] / B.Ms[out, ℓ].
+  // B.Ms[in, ℓ] / B.Ms[out, ℓ]. Sized by B's own messages, not by history.
   FlatMap<Label, std::vector<Message>> ms_in;
   FlatMap<Label, std::vector<Message>> ms_out;
 
-  // Labels with a request at some ancestor (incl. B itself): the set that
-  // line 7 quantifies over. Shared copy-on-write down the DAG.
-  ActiveLabelSet active_labels;
-
-  // Checkpoint-restored blocks carry the digest_of() output computed when
-  // the block was first interpreted instead of re-derivable state (ms_in is
-  // not checkpointed); digest_of returns it verbatim. Empty for blocks
-  // interpreted live.
-  Bytes cached_digest;
+  // digest_of() output, memoized by its first call (the state above never
+  // changes once B is interpreted), so repeated Lemma 4.2 checks cost O(1)
+  // per block. Checkpoint-restored blocks carry the digest computed when the
+  // block was first interpreted, since ms_in is not checkpointed. Like
+  // Instance's memo, only the interpreter's own thread touches it.
+  mutable Bytes cached_digest;
 };
 
 struct InterpreterStats {
@@ -159,7 +157,6 @@ class Interpreter {
   // blocks). Returns false — without mutating state — if the block is not
   // live, already interpreted, or an instance fails to deserialize.
   bool restore_block(const Hash256& ref, Bytes cached_digest,
-                     ActiveLabelSet::Handle active_labels,
                      FlatMap<Label, std::vector<Message>> ms_out,
                      const std::vector<std::pair<Label, Bytes>>& pis_serialized);
 

@@ -43,8 +43,6 @@ Bytes encode_payload(const Checkpoint& cp) {
   for (const Bytes& b : cp.blocks) w.bytes(b);
   for (const CheckpointRecord& rec : cp.records) {
     w.bytes(rec.digest);
-    w.u32(static_cast<std::uint32_t>(rec.active_labels.size()));
-    for (Label l : rec.active_labels) w.u64(l);
     w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
     for (const auto& [label, msgs] : rec.ms_out) {
       w.u64(label);
@@ -113,20 +111,6 @@ std::optional<Checkpoint> decode_payload(const Bytes& payload) {
     // restore; anything but a SHA-256 output is malformed.
     if (!digest || digest->size() != Sha256::kDigestSize) return std::nullopt;
     rec.digest = std::move(*digest);
-    const auto n_labels = r.u32();
-    if (!n_labels || *n_labels > r.remaining() / sizeof(Label)) {
-      return std::nullopt;
-    }
-    rec.active_labels.reserve(*n_labels);
-    for (std::uint32_t j = 0; j < *n_labels; ++j) {
-      const auto l = r.u64();
-      if (!l) return std::nullopt;
-      // Canonical form: strictly ascending (sorted + deduplicated).
-      if (!rec.active_labels.empty() && *l <= rec.active_labels.back()) {
-        return std::nullopt;
-      }
-      rec.active_labels.push_back(*l);
-    }
     const auto n_out = r.u32();
     if (!n_out || *n_out > r.remaining()) return std::nullopt;
     rec.ms_out.reserve(*n_out);
@@ -206,16 +190,14 @@ std::optional<Checkpoint> build_checkpoint(const Shim& shim,
 
     CheckpointRecord rec;
     rec.digest = interp.digest_of(b->ref());
-    rec.active_labels.assign(st->active_labels.begin(),
-                             st->active_labels.end());
     rec.ms_out.reserve(st->ms_out.size());
     for (const auto& [label, msgs] : st->ms_out) {
       rec.ms_out.emplace_back(label, msgs);
     }
     if (tips.count(b->ref())) {
       rec.pis.reserve(st->pis.size());
-      for (const auto& [label, proc] : st->pis) {
-        Bytes state = proc->serialize();
+      for (const auto& [label, instance] : st->pis) {
+        Bytes state = instance->process().serialize();
         // An empty serialization marks a protocol without checkpoint
         // support (Process::serialize default) — checkpointing is off for
         // such deployments.
@@ -283,25 +265,13 @@ bool restore_checkpoint(Shim& shim, const Checkpoint& cp) {
     return false;
   }
 
-  // Identical label sets share one storage handle after restore, like the
-  // copy-on-write sharing they had before the crash.
-  std::map<std::vector<Label>, ActiveLabelSet::Handle> label_sets;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const CheckpointRecord& rec = cp.records[i];
-    ActiveLabelSet::Handle labels;
-    if (!rec.active_labels.empty()) {
-      auto& slot = label_sets[rec.active_labels];
-      if (!slot) {
-        slot = std::make_shared<const std::vector<Label>>(rec.active_labels);
-      }
-      labels = slot;
-    }
     FlatMap<Label, std::vector<Message>> ms_out;
     ms_out.reserve(rec.ms_out.size());
     for (const auto& [label, msgs] : rec.ms_out) ms_out[label] = msgs;
     if (!shim.interpreter().restore_block(blocks[i]->ref(), rec.digest,
-                                          std::move(labels), std::move(ms_out),
-                                          rec.pis)) {
+                                          std::move(ms_out), rec.pis)) {
       return false;
     }
   }

@@ -11,11 +11,10 @@
 //   * the live blocks in topological order (full wire encodings);
 //   * one interpretation record per live block: the digest_of() output
 //     (returned verbatim after restore — Ms[in] was consumed and is not
-//     persisted), the active-label set (every future child inherits it,
-//     Algorithm 2 line 7), the Ms[out] buffers (future children of the
-//     block gather their in-messages from them), and — only for
-//     per-builder tips, the only blocks that can become parents of new
-//     blocks — the serialized process-instance states (B.PIs);
+//     persisted), the Ms[out] buffers (future children of the block
+//     gather their in-messages from them), and — only for per-builder
+//     tips, the only blocks that can become parents of new blocks — the
+//     serialized process-instance states (B.PIs);
 //   * the user-indication log (so indications() survives the crash
 //     without re-interpretation).
 //
@@ -38,13 +37,14 @@
 
 namespace blockdag::sync {
 
-inline constexpr std::uint8_t kCheckpointVersion = 1;
+// Bumped on every payload layout change; decode_signed_checkpoint refuses
+// any other version.
+inline constexpr std::uint8_t kCheckpointVersion = 2;
 
 // Interpretation artifacts of one live block (aligned with Checkpoint::
 // blocks by position).
 struct CheckpointRecord {
   Bytes digest;  // Interpreter::digest_of output (32 bytes), cached verbatim
-  std::vector<Label> active_labels;  // sorted, deduplicated
   // Ms[out] per label (labels ascending, messages in materialization order).
   std::vector<std::pair<Label, std::vector<Message>>> ms_out;
   // Serialized B.PIs (labels ascending) — non-empty only for builder tips.

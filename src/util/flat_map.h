@@ -1,10 +1,11 @@
 // Sorted flat map: contiguous storage, binary-search lookup, ordered
 // iteration bit-identical to std::map's.
 //
-// The interpreter keeps per-block buffers (B.PIs, B.Ms[in], B.Ms[out])
-// keyed by Label. Those maps are tiny (a handful of labels per block) but
-// are created, copied, and iterated once per interpreted block — the hot
-// path of Algorithm 2. A red-black tree pays one allocation per node and
+// The interpreter keeps per-block message buffers (B.Ms[in], B.Ms[out])
+// keyed by Label. Those maps are tiny (the labels of one block's messages)
+// but are created and iterated once per interpreted block — the hot path of
+// Algorithm 2. (B.PIs, which holds every label a server has started and is
+// copied into every block, is a PersistentMap instead: util/persistent_map.h.) A red-black tree pays one allocation per node and
 // chases pointers on every copy and walk; a sorted vector is one
 // allocation total, copies with memmove-ish loops, and iterates linearly.
 // Inserts shift the tail, which is the right trade at these sizes.

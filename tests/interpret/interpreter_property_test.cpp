@@ -114,11 +114,19 @@ TEST_P(InterpreterProperties, AuthenticityAndProvenance) {
   Interpreter interp(rd.dag, factory, 16);
   interp.run();
 
+  // Whether some block in B's ancestry (B included) requests `label`.
+  const auto requested_in_ancestry = [&](const BlockPtr& b, Label label) {
+    const std::vector<BlockPtr> blocks = rd.dag.ancestors_of(b->ref());
+    return std::any_of(blocks.begin(), blocks.end(), [label](const BlockPtr& a) {
+      return std::any_of(a->rs().begin(), a->rs().end(),
+                         [label](const LabeledRequest& lr) { return lr.label == label; });
+    });
+  };
   for (const BlockPtr& b : rd.dag.topological_order()) {
     const auto* st = interp.state_of(b->ref());
     for (const auto& [label, msgs] : st->ms_out) {
       if (msgs.empty()) continue;
-      EXPECT_TRUE(st->active_labels.count(label));
+      EXPECT_TRUE(requested_in_ancestry(b, label));
       EXPECT_TRUE(rd.broadcasts.count(label));
       for (const Message& m : msgs) EXPECT_EQ(m.sender, b->n());
     }

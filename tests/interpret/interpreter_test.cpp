@@ -238,20 +238,6 @@ TEST_F(InterpreterTest, MultipleLabelsAreIndependent) {
   EXPECT_EQ(st2->ms_in.at(2).size(), 1u);
 }
 
-TEST_F(InterpreterTest, ActiveLabelsPropagate) {
-  const BlockPtr b1 = forge.block(0, 0, {}, {{1, brb::make_broadcast(val(1))}});
-  const BlockPtr b2 = forge.block(1, 0, {b1->ref()}, {{2, brb::make_broadcast(val(2))}});
-  const BlockPtr b3 = forge.block(2, 0, {b2->ref()});
-  dag.insert(b1);
-  dag.insert(b2);
-  dag.insert(b3);
-  Interpreter interp(dag, factory, 4);
-  interp.run();
-  const auto& active = interp.state_of(b3->ref())->active_labels;
-  EXPECT_TRUE(active.count(1));
-  EXPECT_TRUE(active.count(2));
-}
-
 TEST_F(InterpreterTest, RunIsIncremental) {
   const BlockPtr b1 = forge.block(0, 0, {});
   dag.insert(b1);

@@ -5,8 +5,8 @@
 // and a shuffled interpret_one() walk over any other eligibility-
 // respecting order must agree byte-for-byte on digest_of.
 //
-// The copy-on-write structures this pins down: shared active-label sets,
-// flat PIs/Ms buffers keyed by dense BlockIdx, and the sort+unique inbox
+// The structures this pins down: persistent B.PIs shared down parent
+// chains, flat Ms buffers keyed by dense BlockIdx, and the sort+unique inbox
 // realization of the Ms[in] union semantics. Besides honest random DAGs,
 // the inputs include hostile shapes: equivocation forks in a parent chain
 // and a DAG grown by a cluster with byzantine builders.
@@ -148,10 +148,11 @@ TEST(Lemma42Regression, IncrementalRunMatchesOneShotRun) {
   }
 }
 
-TEST(Lemma42Regression, ActiveLabelSetsShareStorageDownChains) {
-  // White-box: a block that introduces no new label must share its
-  // predecessor's active-label storage (the copy-on-write fast path), and
-  // sharing must not leak labels between sibling branches.
+TEST(Lemma42Regression, InstanceStatesShareStorageDownChains) {
+  // White-box: B.PIs is persistent. A block that does not advance label 1
+  // must hold its parent's label-1 instance handle (line 4 copies share
+  // storage), and a block that advances a label must leave its parent's
+  // map unchanged.
   BlockForge forge(4);
   BlockDag dag;
   const BlockPtr g0 = forge.block(0, 0, {}, {{1, brb::make_broadcast(Bytes{1})}});
@@ -170,24 +171,33 @@ TEST(Lemma42Regression, ActiveLabelSetsShareStorageDownChains) {
   ASSERT_NE(s0, nullptr);
   ASSERT_NE(s1, nullptr);
   ASSERT_NE(s2, nullptr);
-  EXPECT_EQ(s0->active_labels.count(1), 1u);
-  // No new labels below g0 — all three share one vector.
-  EXPECT_EQ(s1->active_labels.handle(), s0->active_labels.handle());
-  EXPECT_EQ(s2->active_labels.handle(), s0->active_labels.handle());
+  ASSERT_NE(s0->pis.find(1), nullptr);
+  ASSERT_NE(s1->pis.find(1), nullptr);
+  ASSERT_NE(s2->pis.find(1), nullptr);
+  // b1 feeds g0's self-addressed ECHO to instance 1, so it holds a new
+  // instance; b2's pred b1 sent nothing, so b2 holds b1's very instance.
+  ASSERT_EQ(s1->ms_in.count(1), 1u);
+  EXPECT_NE(*s1->pis.find(1), *s0->pis.find(1));
+  EXPECT_EQ(s2->ms_in.count(1), 0u);
+  EXPECT_EQ(*s2->pis.find(1), *s1->pis.find(1));
 
-  // A block adding a new label forks the storage; the ancestor set is
-  // unchanged (immutability of the shared vector).
+  // A block advancing label 2 adds it to its own map only; its parent's
+  // map still holds label 1 alone, with the same handle.
   const BlockPtr b3 = forge.block(0, 3, {b2->ref()}, {{2, brb::make_broadcast(Bytes{2})}});
   ASSERT_TRUE(dag.insert(b3));
   interp.run();
-  // run() may grow the state table; re-read the pointer it invalidated.
-  s0 = interp.state_of(g0->ref());
+  // run() may grow the state table; re-read the pointers it invalidated.
+  s1 = interp.state_of(b1->ref());
+  s2 = interp.state_of(b2->ref());
   const auto* s3 = interp.state_of(b3->ref());
   ASSERT_NE(s3, nullptr);
-  EXPECT_NE(s3->active_labels.handle(), s0->active_labels.handle());
-  EXPECT_EQ(s3->active_labels.count(1), 1u);
-  EXPECT_EQ(s3->active_labels.count(2), 1u);
-  EXPECT_EQ(s0->active_labels.count(2), 0u);
+  ASSERT_NE(s3->pis.find(1), nullptr);
+  ASSERT_NE(s3->pis.find(2), nullptr);
+  EXPECT_EQ(*s3->pis.find(1), *s2->pis.find(1));
+  EXPECT_EQ(s3->pis.size(), 2u);
+  EXPECT_EQ(s2->pis.size(), 1u);
+  EXPECT_EQ(s2->pis.find(2), nullptr);
+  EXPECT_EQ(*s2->pis.find(1), *s1->pis.find(1));
 }
 
 TEST(Lemma42Regression, CursorSurvivesPruning) {

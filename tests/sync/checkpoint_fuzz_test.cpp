@@ -12,6 +12,7 @@
 #include "sync/checkpoint.h"
 #include "sync/checkpointer.h"
 #include "sync/storage.h"
+#include "util/serialize.h"
 
 namespace blockdag {
 namespace {
@@ -145,6 +146,23 @@ TEST(CheckpointFuzz, VersionSkewIsRefusedFirst) {
   EXPECT_FALSE(sync::decode_signed_checkpoint(future, &f.cluster.signatures(), 0)
                    .has_value());
   EXPECT_FALSE(sync::decode_signed_checkpoint(future, nullptr, 0).has_value());
+
+  // A version-1 file, validly signed over its own version byte, is refused
+  // by the version check alone.
+  Reader r(f.wire);
+  ASSERT_TRUE(r.u8().has_value());
+  const auto payload = r.bytes();
+  ASSERT_TRUE(payload.has_value());
+  Bytes preimage{1};
+  preimage.insert(preimage.end(), payload->begin(), payload->end());
+  Writer w;
+  w.u8(1);
+  w.bytes(*payload);
+  w.bytes(f.cluster.signatures().sign(0, preimage));
+  const Bytes v1 = std::move(w).take();
+  EXPECT_FALSE(sync::decode_signed_checkpoint(v1, &f.cluster.signatures(), 0)
+                   .has_value());
+  EXPECT_FALSE(sync::decode_signed_checkpoint(v1, nullptr, 0).has_value());
 }
 
 TEST(CheckpointFuzz, StorageCrcScreensCorruptionBeforeTheDecoder) {

@@ -103,7 +103,8 @@ TEST(Checkpoint, BuildEncodeDecodeRoundTrip) {
   ASSERT_EQ(back->records.size(), cp->records.size());
   for (std::size_t i = 0; i < cp->records.size(); ++i) {
     EXPECT_EQ(back->records[i].digest, cp->records[i].digest);
-    EXPECT_EQ(back->records[i].active_labels, cp->records[i].active_labels);
+    EXPECT_EQ(back->records[i].ms_out, cp->records[i].ms_out);
+    EXPECT_EQ(back->records[i].pis, cp->records[i].pis);
   }
 
   // The signature binds the checkpoint to its owner: verifying against a
