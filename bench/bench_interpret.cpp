@@ -160,32 +160,26 @@ BENCHMARK(BM_InterpretSteadyLabels)
     ->Arg(1400)
     ->Unit(benchmark::kMillisecond);
 
-// rt::interpretation_digest — the convergence gate's Lemma 4.2 digest over
-// every block — on the 700-round steady-label DAG. Arg 0 times the first
-// digest after interpretation (a fresh interpreter each iteration); arg 1
-// times a repeat on the same interpreter, as the gate's later rounds do.
+// rt::interpretation_digest — the Lemma 4.2 digest over every block — on
+// the 700-round steady-label DAG, taken once after interpretation on a fresh
+// interpreter each iteration.
 void BM_InterpretationDigest(benchmark::State& state) {
   constexpr std::uint32_t kN = 4;
-  const bool repeat = state.range(0) != 0;
   IdealSignatureProvider sigs(kN, 1);
   const BlockDag dag = build_dag(kN, 700, 0, sigs, /*steady=*/true);
   brb::BrbFactory factory;
-  auto interp = std::make_unique<Interpreter>(dag, factory, kN);
-  interp->run();
-  if (repeat) benchmark::DoNotOptimize(rt::interpretation_digest(*interp, dag));
+  std::unique_ptr<Interpreter> interp;
   for (auto _ : state) {
-    if (!repeat) {
-      state.PauseTiming();
-      interp.reset();  // teardown is not part of the digest
-      interp = std::make_unique<Interpreter>(dag, factory, kN);
-      interp->run();
-      state.ResumeTiming();
-    }
+    state.PauseTiming();
+    interp.reset();  // teardown is not part of the digest
+    interp = std::make_unique<Interpreter>(dag, factory, kN);
+    interp->run();
+    state.ResumeTiming();
     benchmark::DoNotOptimize(rt::interpretation_digest(*interp, dag));
   }
   state.counters["blocks"] = static_cast<double>(dag.size());
 }
-BENCHMARK(BM_InterpretationDigest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InterpretationDigest)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -190,6 +190,8 @@ bool Interpreter::restore_block(
 
 Bytes Interpreter::digest_of(const Hash256& ref) const {
   const BlockInterpretation* st = state_of(ref);
+  // Checkpoint-restored blocks return the digest computed at first
+  // interpretation verbatim (ms_in was consumed, not checkpointed).
   if (st && !st->cached_digest.empty()) return st->cached_digest;
   Writer w;
   w.u8(st && st->interpreted ? 1 : 0);
@@ -211,9 +213,7 @@ Bytes Interpreter::digest_of(const Hash256& ref) const {
     put_buffers(st->ms_out);
   }
   const auto digest = Sha256::digest(w.data());
-  Bytes out(digest.begin(), digest.end());
-  if (st) st->cached_digest = out;
-  return out;
+  return Bytes(digest.begin(), digest.end());
 }
 
 void Interpreter::forget_pruned() {

@@ -90,12 +90,11 @@ struct BlockInterpretation {
   FlatMap<Label, std::vector<Message>> ms_in;
   FlatMap<Label, std::vector<Message>> ms_out;
 
-  // digest_of() output, memoized by its first call (the state above never
-  // changes once B is interpreted), so repeated Lemma 4.2 checks cost O(1)
-  // per block. Checkpoint-restored blocks carry the digest computed when the
-  // block was first interpreted, since ms_in is not checkpointed. Like
-  // Instance's memo, only the interpreter's own thread touches it.
-  mutable Bytes cached_digest;
+  // Checkpoint-restored blocks carry the digest_of() output computed when
+  // the block was first interpreted instead of re-derivable state (ms_in is
+  // not checkpointed); digest_of returns it verbatim. Empty for blocks
+  // interpreted live.
+  Bytes cached_digest;
 };
 
 struct InterpreterStats {

@@ -5,10 +5,11 @@
 // keyed by Label. Those maps are tiny (the labels of one block's messages)
 // but are created and iterated once per interpreted block — the hot path of
 // Algorithm 2. (B.PIs, which holds every label a server has started and is
-// copied into every block, is a PersistentMap instead: util/persistent_map.h.) A red-black tree pays one allocation per node and
-// chases pointers on every copy and walk; a sorted vector is one
-// allocation total, copies with memmove-ish loops, and iterates linearly.
-// Inserts shift the tail, which is the right trade at these sizes.
+// copied into every block, is a PersistentMap instead:
+// util/persistent_map.h.) A red-black tree pays one allocation per node and
+// chases pointers on every copy and walk; a sorted vector is one allocation
+// total, copies with memmove-ish loops, and iterates linearly. Inserts shift
+// the tail, which is the right trade at these sizes.
 //
 // Only the std::map surface the code base uses is implemented: find/at/
 // count/contains/operator[]/emplace/lower_bound, ordered begin..end,
