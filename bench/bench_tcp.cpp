@@ -1,17 +1,13 @@
-// RUNTIME-TCP: aggregate block throughput across all three runtimes.
+// RUNTIME-TCP: what the real TCP stack costs, beyond the block throughput
+// bench_udp's `throughput` table already compares across all runtimes.
 //
-// The same shim(P) deployment — BRB, paced dissemination, identical gossip
-// config — executed (a) on the deterministic single-threaded simulator,
-// (b) on the multi-threaded loopback runtime (delivery = one mailbox
-// push), and (c) on the multi-threaded runtime over real localhost TCP
-// sockets (delivery = frame encode → kernel → poll thread → mailbox).
-// The metric is blocks inserted across all servers per wall-clock second.
-// The (b)→(c) delta prices the real network stack: syscalls, kernel
-// buffering, frame codec, poll-thread handoff — with n·(n−1) directed
-// connections it is the closest in-repo proxy for LAN deployment cost.
-//
-// n is capped below the loopback sweep: n=32 over TCP means ~2k fds
-// (outbound + accepted + acceptors), which trips default ulimits.
+// Three tables over the multi-threaded runtime (loopback mailbox transport
+// vs real localhost TCP sockets, BRB, paced dissemination):
+//   * signatures_ab — ideal signatures vs real schemes verified on the
+//     worker pool;
+//   * fast_beat — 200µs beats, so the wire rather than the pacing clock is
+//     the bottleneck, with the kBatch coalescing counters;
+//   * wire — the raw send path alone, without gossip.
 //
 // Convergence is asserted after each threaded run (Lemma 3.7 joint DAG) —
 // a throughput number from a diverged run would be meaningless.
@@ -25,7 +21,6 @@
 #include "protocols/brb.h"
 #include "rt/threaded_runtime.h"
 #include "runtime/bench_report.h"
-#include "runtime/cluster.h"
 #include "runtime/table.h"
 
 namespace {
@@ -36,7 +31,6 @@ struct RunResult {
   std::uint64_t blocks = 0;
   double wall_s = 0;
   bool converged = false;
-  std::uint64_t frames = 0;  // frames that crossed a socket (tcp only)
   std::uint64_t batches = 0;           // kBatch frames sent (tcp only)
   std::uint64_t batched_envelopes = 0; // envelopes inside those batches
   std::uint64_t writev_calls = 0;      // coalesced flushes
@@ -47,29 +41,6 @@ struct RunResult {
 };
 
 constexpr SimTime kBeat = sim_ms(1);  // dissemination interval, all runtimes
-
-RunResult run_sim(std::uint32_t n, SimTime virtual_duration, std::uint32_t requests) {
-  brb::BrbFactory factory;
-  ClusterConfig cfg;
-  cfg.n_servers = n;
-  cfg.seed = 42 + n;
-  cfg.pacing.interval = kBeat;
-  Cluster cluster(factory, cfg);
-  cluster.start();
-  for (std::uint32_t i = 0; i < requests; ++i) {
-    cluster.request(i % n, 1 + i, brb::make_broadcast(Bytes{static_cast<std::uint8_t>(i)}));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run_for(virtual_duration);
-  cluster.quiesce();
-  RunResult out{};
-  out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  for (ServerId s : cluster.correct_servers()) {
-    out.blocks += cluster.shim(s).gossip().stats().blocks_inserted;
-  }
-  out.converged = cluster.dags_converged();
-  return out;
-}
 
 RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t requests,
                        rt::TransportBackend backend,
@@ -100,7 +71,6 @@ RunResult run_threaded(std::uint32_t n, SimTime wall_duration, std::uint32_t req
   }
   if (runtime.tcp()) {
     const rt::TcpStats stats = runtime.tcp()->stats();
-    out.frames = stats.frames_received;
     out.batches = stats.batches_sent;
     out.batched_envelopes = stats.batched_envelopes;
     out.writev_calls = stats.writev_calls;
@@ -318,50 +288,23 @@ bool sweep_wire(BenchReport& report) {
 int main(int argc, char** argv) {
   BenchReport report("bench_tcp", argc, argv);
   const SimTime duration = report.smoke() ? sim_ms(150) : sim_ms(600);
-  const std::vector<std::uint32_t> ns =
-      report.smoke() ? std::vector<std::uint32_t>{4}
-                     : std::vector<std::uint32_t>{4, 8, 16};
 
-  std::printf("RUNTIME-TCP: aggregate blocks/s — sim vs loopback threads vs TCP\n");
-  std::printf("(BRB, %llu ms run @1ms beats; %u hardware threads)\n\n",
+  std::printf("RUNTIME-TCP: signatures, fast beats and the raw wire — "
+              "loopback threads vs TCP\n");
+  std::printf("(BRB, %llu ms runs; %u hardware threads)\n\n",
               static_cast<unsigned long long>(duration / sim_ms(1)),
               std::thread::hardware_concurrency());
 
-  Table table({"n", "runtime", "blocks", "wall s", "blocks/s", "frames", "converged"});
-  for (std::uint32_t n : ns) {
-    const std::uint32_t requests = 2 * n;
-    const RunResult sim = run_sim(n, duration, requests);
-    const RunResult thr =
-        run_threaded(n, duration, requests, rt::TransportBackend::kLoopback);
-    const RunResult tcp =
-        run_threaded(n, duration, requests, rt::TransportBackend::kTcp);
-    table.add_row({Table::num(static_cast<std::uint64_t>(n)), "sim",
-                   Table::num(sim.blocks), Table::num(sim.wall_s, 3),
-                   Table::num(sim.blocks_per_s(), 0), "-",
-                   sim.converged ? "yes" : "NO"});
-    table.add_row({Table::num(static_cast<std::uint64_t>(n)), "threads",
-                   Table::num(thr.blocks), Table::num(thr.wall_s, 3),
-                   Table::num(thr.blocks_per_s(), 0), "-",
-                   thr.converged ? "yes" : "NO"});
-    table.add_row({Table::num(static_cast<std::uint64_t>(n)), "tcp",
-                   Table::num(tcp.blocks), Table::num(tcp.wall_s, 3),
-                   Table::num(tcp.blocks_per_s(), 0), Table::num(tcp.frames),
-                   tcp.converged ? "yes" : "NO"});
-  }
-  report.add("throughput", table);
   sweep_signatures(report, duration);
   const bool fast_beat_ok = sweep_fast_beat(report, duration);
   const bool wire_ok = sweep_wire(report);
   report.note("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   std::printf(
-      "The sim row executes the run in *virtual* time as fast as one core\n"
-      "allows; threads and tcp rows spend that much real time. threads→tcp\n"
-      "is the price of the real network stack: frame codec, syscalls,\n"
-      "kernel socket buffers and the poll-thread handoff. In the sig A/B,\n"
-      "ideal→'+pool' prices real verification on the verifier pool.\n"
-      "fast_beat makes\n"
-      "the wire, not the pacing clock, the bottleneck; wire times the send\n"
-      "path alone.\n");
+      "threads→tcp is the price of the real network stack: frame codec,\n"
+      "syscalls, kernel socket buffers and the poll-thread handoff. In the\n"
+      "sig A/B, ideal→'+pool' prices real verification on the verifier\n"
+      "pool. fast_beat makes the wire, not the pacing clock, the\n"
+      "bottleneck; wire times the send path alone.\n");
   const int rc = report.finish();
   return fast_beat_ok && wire_ok ? rc : 1;
 }

@@ -5,8 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "util/serialize.h"
-
 namespace blockdag {
 
 GossipServer::GossipServer(ServerId self, TimerService& timers, Transport& net,
@@ -354,64 +352,6 @@ bool GossipServer::restore_own_block(const BlockPtr& block) {
   // Line 18, replayed: the next block after B starts at (k+1, [ref(B)]).
   next_k_ = block->k() + 1;
   building_preds_.assign(1, block->ref());
-  return true;
-}
-
-Bytes GossipServer::snapshot() const {
-  Writer w;
-  const auto& order = dag_.topological_order();
-  w.u32(static_cast<std::uint32_t>(order.size()));
-  for (const BlockPtr& b : order) w.bytes(b->encode());
-  w.u64(next_k_);
-  w.u32(static_cast<std::uint32_t>(building_preds_.size()));
-  for (const Hash256& p : building_preds_) w.raw(p.span());
-  return std::move(w).take();
-}
-
-bool GossipServer::restore(const Bytes& snapshot) {
-  assert(dag_.size() == 0);
-  // Decode into staging state and commit only on full success: corruption
-  // anywhere in the snapshot — first block or last length field — must
-  // leave the server exactly as constructed, never half-restored.
-  BlockDag staged;
-  Reader r(snapshot);
-  const auto count = r.u32();
-  if (!count) return false;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto wire = r.bytes();
-    if (!wire) return false;
-    auto block = Block::decode(*wire);
-    if (!block) return false;
-    // The snapshot is this server's own persistent storage: blocks in it
-    // were validated before the crash, and snapshot order is topological.
-    if (!staged.insert(std::make_shared<const Block>(std::move(*block)))) return false;
-  }
-  const auto k = r.u64();
-  const auto n_preds = r.u32();
-  if (!k || !n_preds) return false;
-  // The count is corruption-controlled: reject any value the remaining
-  // bytes cannot hold BEFORE reserving (same hardening as Block::decode),
-  // else a flipped count byte forces a multi-gigabyte allocation.
-  if (*n_preds > r.remaining() / Hash256::kSize) return false;
-  std::vector<Hash256> staged_preds;
-  staged_preds.reserve(*n_preds);
-  for (std::uint32_t i = 0; i < *n_preds; ++i) {
-    const auto raw = r.raw(Hash256::kSize);
-    if (!raw) return false;
-    Sha256::Digest d;
-    std::copy(raw->begin(), raw->end(), d.begin());
-    staged_preds.emplace_back(d);
-  }
-  if (!r.done()) return false;
-
-  dag_ = std::move(staged);
-  next_k_ = *k;
-  building_preds_ = std::move(staged_preds);
-  // Replay insert notifications so a fresh interpreter catches up — the
-  // §7 point that interpretation is recomputable, not persisted.
-  if (on_inserted_) {
-    for (const BlockPtr& b : dag_.topological_order()) on_inserted_(b);
-  }
   return true;
 }
 

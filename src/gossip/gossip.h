@@ -151,33 +151,22 @@ class GossipServer {
 
   // --- Crash recovery (§7 Limitations) ---
   //
-  // A crash-recovering server must persist (and restore) its gossip state:
-  // the block DAG, the next sequence number, and the references already
-  // accumulated for the block under construction. Restoring the *latter
-  // two* is what keeps a recovered server correct: re-referencing an
-  // already-referenced block would violate the reference-once discipline
-  // (Lemma A.6) and manufacture duplicate deliveries to itself.
-  // Interpretation state needs no persistence at all — it is a
-  // deterministic function of the DAG (Lemma 4.2) and is simply recomputed.
+  // A recovering server needs its DAG and its construction state back: the
+  // next sequence number and the references already taken into the block
+  // under construction. Losing the latter two would re-reference blocks,
+  // violating reference-once (Lemma A.6), and manufacture duplicate
+  // deliveries. Interpretation is not persisted: it is a function of the
+  // DAG (Lemma 4.2) and is recomputed. sync::Checkpointer persists the rest
+  // and restores it through the two entry points below.
 
-  // Serializes DAG + construction state.
-  Bytes snapshot() const;
-
-  // Restores from a snapshot; only callable on a fresh server (empty DAG).
-  // All-or-nothing: the snapshot is decoded into staging state first and
-  // committed only on full success, so a false return (malformed or
-  // corrupted bytes anywhere in the snapshot) leaves the server exactly as
-  // it was — a fresh construction can retry with a better snapshot.
-  bool restore(const Bytes& snapshot);
-
-  // Checkpoint restore (src/sync): rebuilds the DAG from a checkpoint's
-  // horizon (refs of pruned preds of live blocks, registered as
-  // tombstones), its live blocks (topological order, validated before the
-  // checkpoint was signed), and the persisted construction state. Only
-  // callable on a fresh server; all-or-nothing like restore(). Replays
-  // on_inserted_ for every live block so the interpreter's slot table
-  // covers them (the shim suppresses interpretation during restore — the
-  // states come from the checkpoint, not from replay).
+  // Checkpoint restore: rebuilds the DAG from a checkpoint's horizon (refs
+  // of pruned preds of live blocks, registered as tombstones), its live
+  // blocks (topological order, validated before the checkpoint was signed),
+  // and the persisted construction state. Only callable on a fresh server;
+  // all-or-nothing. Replays on_inserted_ for every live block so the
+  // interpreter's slot table covers them (the shim suppresses
+  // interpretation during restore — the states come from the checkpoint,
+  // not from replay).
   bool restore_parts(const std::vector<Hash256>& horizon,
                      const std::vector<BlockPtr>& blocks, SeqNo next_k,
                      std::vector<Hash256> building_preds);
@@ -194,7 +183,8 @@ class GossipServer {
   // Crashes this server: it permanently stops sending and reacting. Pending
   // scheduler events (the FWD retry timers) that still reference this object
   // become no-ops, so a crashed server emits no ghost traffic. Recovery
-  // constructs a *fresh* GossipServer and calls restore() on it.
+  // constructs a *fresh* GossipServer and replays the persisted state into
+  // it (sync::Checkpointer::restore_from_storage).
   void halt() { halted_ = true; }
   bool halted() const { return halted_; }
 

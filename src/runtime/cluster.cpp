@@ -17,12 +17,12 @@ Cluster::Cluster(const ProtocolFactory& factory, ClusterConfig config)
 
   shims_.resize(config_.n_servers);
   byz_.resize(config_.n_servers);
+  stores_.resize(config_.n_servers);
+  checkpointers_.resize(config_.n_servers);
   for (ServerId s = 0; s < config_.n_servers; ++s) {
     const auto bit = config_.byzantine.find(s);
     if (bit == config_.byzantine.end()) {
-      shims_[s] = std::make_unique<Shim>(s, sched_, *net_, *sigs_, factory,
-                                         config_.n_servers, config_.gossip,
-                                         config_.pacing, config_.seq_mode);
+      mount(s);
     } else {
       byz_[s] = make_byzantine(bit->second, s, sched_, *net_, *sigs_,
                                config_.seed ^ (0x1000 + s));
@@ -32,6 +32,14 @@ Cluster::Cluster(const ProtocolFactory& factory, ClusterConfig config)
       });
     }
   }
+}
+
+void Cluster::mount(ServerId server) {
+  shims_[server] = std::make_unique<Shim>(
+      server, sched_, *net_, *sigs_, *factory_, config_.n_servers,
+      config_.gossip, config_.pacing, config_.seq_mode);
+  checkpointers_[server] = std::make_unique<sync::Checkpointer>(
+      *shims_[server], *sigs_, config_.n_servers, &stores_[server]);
 }
 
 std::vector<ServerId> Cluster::correct_servers() const {
@@ -82,23 +90,20 @@ void Cluster::crash(ServerId server) {
   assert(is_correct(server));
   shims_[server]->halt();
   // Drop ingress: deliveries scheduled for a crashed server are lost (the
-  // recovered incarnation hears about missed blocks via references in later
+  // restarted incarnation hears about missed blocks via references in later
   // blocks and recovers them through FWD).
   net_->attach(server, SimNetwork::Handler{});
   crashed_.push_back(std::move(shims_[server]));
+  retired_checkpointers_.push_back(std::move(checkpointers_[server]));
 }
 
-bool Cluster::recover(ServerId server, const Bytes& snapshot) {
-  assert(!shims_[server] && !byz_[server]);
-  auto shim = std::make_unique<Shim>(server, sched_, *net_, *sigs_, *factory_,
-                                     config_.n_servers, config_.gossip,
-                                     config_.pacing, config_.seq_mode);
-  // The Shim constructor re-attached `server`'s network handler.
-  if (!shim->restore(snapshot)) {
-    net_->attach(server, SimNetwork::Handler{});  // don't leave it dangling
+bool Cluster::restart(ServerId server) {
+  assert(!is_correct(server) && !byz_[server]);
+  mount(server);  // the Shim constructor re-attached the network handler
+  if (!checkpointers_[server]->restore_from_storage()) {
+    crash(server);
     return false;
   }
-  shims_[server] = std::move(shim);
   if (started_) shims_[server]->start();
   return true;
 }

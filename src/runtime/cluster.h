@@ -18,6 +18,8 @@
 #include "shim/shim.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "sync/checkpointer.h"
+#include "sync/storage.h"
 
 namespace blockdag {
 
@@ -45,7 +47,7 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
 
   // A server is "correct" here when it is currently live and honest; a
-  // crashed server drops out of this set until it recovers.
+  // crashed server drops out of this set until it restarts.
   bool is_correct(ServerId server) const { return shims_[server] != nullptr; }
   std::vector<ServerId> correct_servers() const;
   std::uint32_t n_correct() const;
@@ -80,24 +82,36 @@ class Cluster {
   void request(ServerId server, Label label, Bytes request);
 
   // --- Crash/recovery churn (§7 Limitations; scenario engine substrate) ---
-
-  // The server's persisted gossip state (its block store + construction
-  // state), as of now. Only valid for correct servers.
-  Bytes snapshot_of(ServerId server) const { return shims_[server]->snapshot(); }
+  //
+  // Every correct server persists the way rt::ThreadedRuntime's do: the
+  // Cluster keeps one sync::MemStore per server and mounts a default
+  // sync::Checkpointer (epoch_blocks = 0: a block log only, no checkpoint
+  // and no GC, so it stays safe under equivocation) on each shim it builds.
+  // A caller that mounts its own Checkpointer on shim(s) replaces the
+  // Cluster's: the Cluster's log of s then stops growing, so the caller
+  // must not crash s afterwards.
 
   // Crashes a correct server: its shim halts (no sends, no reactions),
   // network ingress is dropped, and the server leaves the correct set until
-  // recover(). The halted shim object is kept alive until the Cluster dies
+  // restart(). The halted shim object is kept alive until the Cluster dies
   // so in-flight scheduler events referencing it stay safe.
   void crash(ServerId server);
 
-  // Recovers a crashed server from a snapshot taken at crash time: builds a
-  // fresh Shim, restores it (replaying interpretation + indications from
-  // the persisted DAG), reattaches it to the network and — if the cluster
-  // is running — restarts its dissemination loop. Blocks it missed while
-  // down are recovered through gossip's FWD path. Returns false on a
-  // malformed snapshot.
-  bool recover(ServerId server, const Bytes& snapshot);
+  // Restarts a crashed server over its block log, as
+  // ThreadedRuntime::restart does: a fresh Shim and Checkpointer over the
+  // same store run restore_from_storage() (replaying interpretation and the
+  // indication log without re-firing the user handler), reattach to the
+  // network and — if the cluster is running — restart the dissemination
+  // loop. Blocks it missed while down are recovered through gossip's FWD
+  // path. Returns false, leaving the server crashed, when the log does not
+  // restore.
+  bool restart(ServerId server);
+
+  // The Checkpointer of a correct server's current incarnation; its
+  // restore_stats() say what the last restart replayed.
+  const sync::Checkpointer& checkpointer(ServerId server) const {
+    return *checkpointers_[server];
+  }
 
   // quiesce(), stop transient drops, then rt::converge_rounds() over the
   // correct servers, each round drained by the scheduler: every correct
@@ -125,9 +139,14 @@ class Cluster {
   std::unique_ptr<SignatureProvider> sigs_;
   std::vector<std::unique_ptr<Shim>> shims_;              // index = ServerId
   std::vector<std::unique_ptr<ByzantineServer>> byz_;     // index = ServerId
-  std::vector<std::unique_ptr<Shim>> crashed_;            // halted, kept alive
+  std::vector<sync::MemStore> stores_;                    // index = ServerId
+  std::vector<std::unique_ptr<sync::Checkpointer>> checkpointers_;
+  // Halted incarnations, kept alive for in-flight events pointing at them.
+  std::vector<std::unique_ptr<Shim>> crashed_;
+  std::vector<std::unique_ptr<sync::Checkpointer>> retired_checkpointers_;
   bool started_ = false;
 
+  void mount(ServerId server);
   void schedule_byz_tick(ServerId server);
 };
 

@@ -7,8 +7,8 @@
 // for bit on the simulator, plan for plan on the real runtimes. Three
 // grammars, chosen by the runtime:
 //   * sim — partitions, latency/drop regime switches, crash/recovery churn
-//     over gossip snapshots, byzantine mixes over every ByzantineKind and
-//     client request bursts;
+//     (restarts replay each server's block log, as on threads/tcp),
+//     byzantine mixes over every ByzantineKind and client request bursts;
 //   * udp — a wire-fault profile the UDP transport injects live: a
 //     baseline loss/reorder/duplication regime, a geo-latency band, up to
 //     n−1 asymmetric hostile links and, on half the seeds, one server
@@ -31,9 +31,9 @@
 //   * drop regimes keep a finite per-pair budget (transient loss only);
 //   * request bursts finish by 0.4 × duration, crash windows start at
 //     0.45 × duration — so a burst's requests are always disseminated
-//     before their server can crash (the request buffer is not part of the
-//     persisted snapshot; see DESIGN.md §6) — and every crashed server
-//     recovers by 0.85 × duration, before the run quiesces;
+//     before their server can crash (the request buffer is not persisted;
+//     see DESIGN.md §6) — and every crashed server recovers by 0.85 ×
+//     duration, before the run quiesces;
 //   * liveness-flavoured properties are therefore checkable with
 //     run_completed = true at the end of every scenario.
 // The churn grammar keeps a live majority (at most a minority down, the

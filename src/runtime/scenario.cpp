@@ -284,15 +284,8 @@ class SimTarget final : public ScenarioTarget {
   void request(ServerId server, Label label, Bytes request) override {
     cluster_.request(server, label, std::move(request));
   }
-  void crash(ServerId server) override {
-    if (!cluster_.is_correct(server)) return;
-    snapshots_[server] = cluster_.snapshot_of(server);
-    cluster_.crash(server);
-  }
-  bool restart(ServerId server) override {
-    const auto it = snapshots_.find(server);
-    return it == snapshots_.end() || cluster_.recover(server, it->second);
-  }
+  void crash(ServerId server) override { cluster_.crash(server); }
+  bool restart(ServerId server) override { return cluster_.restart(server); }
   void partition(const FaultPlan::Partition& p) override {
     cluster_.network().partition(p.side_a, p.side_b, p.heal_at);
   }
@@ -343,7 +336,6 @@ class SimTarget final : public ScenarioTarget {
   }
 
   Cluster cluster_;
-  std::map<ServerId, Bytes> snapshots_;  // gossip state at crash time
 };
 
 // rt::ThreadedRuntime under a plan of the udp or crash-churn grammar. Its

@@ -94,18 +94,6 @@ void Shim::halt() {
   gossip_.halt();
 }
 
-bool Shim::restore(const Bytes& snapshot) {
-  restoring_ = true;
-  // GossipServer::restore replays the insert notification per block to
-  // grow the interpreter's slot table; the explicit run() below then
-  // recomputes interpretation state and indications() deterministically
-  // (restoring_ keeps the inserted→interpret trigger quiet meanwhile).
-  const bool ok = gossip_.restore(snapshot);
-  if (ok) interpreter_.run();
-  restoring_ = false;
-  return ok;
-}
-
 void Shim::start() {
   if (started_) return;
   started_ = true;

@@ -85,38 +85,16 @@ class Shim {
   // Stops the loop (ends the simulation run cleanly).
   void stop();
 
-  // --- Crash recovery (§7 Limitations) ---
+  // --- Crash recovery (§7 Limitations; sync::Checkpointer drives it) ---
   //
-  // A crashing server persists exactly its gossip state (snapshot());
-  // interpretation and the user-indication log are *recomputed* on restore:
-  // replaying the persisted DAG re-raises every indication in the original
-  // deterministic order (interpretation is a pure function of the DAG,
-  // Lemma 4.2, and indication order follows insertion order). Replayed
-  // indications repopulate indications() but do NOT re-fire the external
-  // IndicationHandler — the pre-crash incarnation already surfaced them, so
-  // re-firing would manufacture duplicate deliveries to the user, violating
-  // e.g. BRB no-duplication across the crash.
-
-  // Serialized gossip state (the persisted block store + construction
-  // state); feed to restore() on a fresh Shim.
-  Bytes snapshot() const { return gossip_.snapshot(); }
-
-  // Restores a freshly constructed Shim from a snapshot. Returns false on
-  // malformed bytes. `at` timestamps of replayed indications are the
-  // restore time, not the original delivery time.
-  bool restore(const Bytes& snapshot);
-
-  // --- Checkpoint restore plumbing (src/sync drives these) ---
-  //
-  // A checkpoint restore runs in three phases on a fresh Shim: (1) rebuild
-  // the DAG (gossip().restore_parts) and mark the checkpointed blocks
-  // interpreted from their saved records (interpreter().restore_block);
-  // (2) re-seed the indication log from the checkpoint; (3) replay the
-  // post-checkpoint block log through the normal receive path. All three
-  // happen inside begin_restore()/end_restore(), which suppresses both the
-  // external indication handler (the pre-crash incarnation already
-  // surfaced those indications) and the inserted→interpret trigger (phase
-  // 1 states come from the checkpoint, not from replay).
+  // A restore runs on a fresh Shim inside begin_restore()/end_restore():
+  // checkpointed state first (gossip().restore_parts,
+  // interpreter().restore_block, restore_indications), then the block log
+  // replayed through the receive path, then one interpreter run. Replayed
+  // indications rebuild indications() (stamped at restore time) but do NOT
+  // re-fire the external handler: the pre-crash incarnation already
+  // surfaced them, and re-firing would duplicate deliveries. The window
+  // also quiets the inserted→interpret trigger and the block sink.
   void begin_restore() { restoring_ = true; }
   void end_restore() { restoring_ = false; }
   bool restoring() const { return restoring_; }
@@ -127,7 +105,7 @@ class Shim {
   // Crash: stops the dissemination loop and permanently halts gossip (no
   // sends, no reactions, pending timers become no-ops). The object stays
   // alive so in-flight scheduler events referencing it stay safe; recovery
-  // happens on a *new* Shim via restore().
+  // happens on a *new* Shim.
   void halt();
 
   // One manual dissemination + interpretation step (tests drive this).

@@ -11,17 +11,21 @@
 //     Storing rotates the block log, so disk usage stays proportional to
 //     the live DAG, not history (bench_pruning measures this flat).
 //
-// restore_from_storage() is the crash-recovery orchestration for a fresh
-// Shim: load the newest checkpoint + log, restore the checkpoint (DAG +
-// interpretation records + indications), replay the log through the
-// normal receive path (own blocks via GossipServer::restore_own_block to
-// re-run the line-18 construction reset), then run the interpreter once.
+// restore_from_storage() is the one crash-recovery orchestration: the
+// simulated Cluster, ThreadedRuntime and serve/join all restart a fresh
+// Shim through it. It loads the newest checkpoint + log, restores the
+// checkpoint (DAG + interpretation records + indications), replays the log
+// through the normal receive path (own blocks via
+// GossipServer::restore_own_block to re-run the line-18 construction
+// reset), then runs the interpreter once.
 // The whole choreography sits inside begin_restore()/end_restore(), so no
 // indication re-fires and nothing re-interprets checkpointed history —
 // RestoreStats is how tests assert "no full replay happened".
 //
 // Checkpointing assumes crash-fault deployments (GC's tip census is not
-// equivocation-safe); callers gate it exactly like collect_garbage().
+// equivocation-safe); callers gate it exactly like collect_garbage(). With
+// epoch_blocks = 0 only the block log is kept, which is safe under
+// equivocation: that is how the Cluster mounts it on every correct server.
 #pragma once
 
 #include <cstdint>

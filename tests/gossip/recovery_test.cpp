@@ -1,158 +1,108 @@
-// Crash-recovery tests (§7 Limitations): a server persists its gossip
-// state, crashes, restores, and rejoins without ever violating the
-// reference-once discipline — and its interpretation state is recomputed
-// from the DAG rather than persisted.
+// Crash-recovery tests (§7 Limitations): a server logs every block it
+// inserts, crashes, restarts from that block log through
+// sync::Checkpointer::restore_from_storage, and rejoins without ever
+// violating the reference-once discipline — its interpretation state is
+// recomputed from the DAG rather than persisted. This is the one recovery
+// path: the simulated Cluster and rt::ThreadedRuntime restart the same way.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "crypto/signature.h"
-#include "gossip/gossip.h"
-#include "interpret/interpreter.h"
 #include "protocols/brb.h"
 #include "runtime/cluster.h"
+#include "sync/checkpointer.h"
+#include "sync/storage.h"
 
 namespace blockdag {
 namespace {
 
+// Four shims over one simulated network, each logging to its own MemStore
+// through a default Checkpointer (epoch_blocks = 0: a block log only).
+// Rounds are ticked by hand.
 struct RecoveryRig {
   Scheduler sched;
   IdealSignatureProvider sigs{4, 1};
   SimNetwork net{sched, 4, {}};
-  std::vector<std::unique_ptr<RequestBuffer>> rqsts;
-  std::vector<std::unique_ptr<GossipServer>> servers;
+  brb::BrbFactory factory;
+  std::array<sync::MemStore, 4> stores;
+  std::vector<std::unique_ptr<Shim>> shims{4};
+  std::vector<std::unique_ptr<sync::Checkpointer>> checkpointers{4};
+  // Crashed incarnations stay alive: in-flight events still point at them.
+  std::vector<std::unique_ptr<Shim>> crashed;
+  std::vector<std::unique_ptr<sync::Checkpointer>> retired;
 
   RecoveryRig() {
-    for (ServerId s = 0; s < 4; ++s) {
-      rqsts.push_back(std::make_unique<RequestBuffer>());
-      servers.push_back(std::make_unique<GossipServer>(s, sched, net, sigs, *rqsts[s]));
-      attach(s);
-    }
+    for (ServerId s = 0; s < 4; ++s) mount(s);
   }
 
-  void attach(ServerId s) {
-    GossipServer* gs = servers[s].get();
-    net.attach(s, [gs](ServerId from, const Bytes& wire) { gs->on_network(from, wire); });
+  void mount(ServerId s) {
+    shims[s] = std::make_unique<Shim>(s, sched, net, sigs, factory, 4);
+    checkpointers[s] = std::make_unique<sync::Checkpointer>(*shims[s], sigs, 4,
+                                                            &stores[s]);
   }
 
   void round() {
-    for (auto& s : servers) s->disseminate();
+    for (auto& shim : shims) shim->tick();
     sched.run();
   }
 
-  // "Crashes" server s and replaces it with a fresh instance restored from
-  // `snapshot`.
-  void recover(ServerId s, const Bytes& snapshot) {
-    servers[s] = std::make_unique<GossipServer>(s, sched, net, sigs, *rqsts[s]);
-    ASSERT_TRUE(servers[s]->restore(snapshot));
-    attach(s);
+  // Crashes server s and restarts a fresh incarnation from its block log,
+  // with `handler` installed before the restore runs. The restore must
+  // succeed and must really come from the log: own and received blocks.
+  const sync::RestoreStats& restart(ServerId s,
+                                    Shim::IndicationHandler handler = {}) {
+    shims[s]->halt();
+    crashed.push_back(std::move(shims[s]));
+    retired.push_back(std::move(checkpointers[s]));
+    mount(s);  // the Shim constructor re-attaches the network handler
+    if (handler) shims[s]->set_indication_handler(std::move(handler));
+    EXPECT_TRUE(checkpointers[s]->restore_from_storage());
+    const sync::RestoreStats& stats = checkpointers[s]->restore_stats();
+    EXPECT_TRUE(stats.restored);
+    EXPECT_GT(stats.own_blocks_from_log, 0u);
+    EXPECT_GT(stats.recv_blocks_from_log, 0u);
+    EXPECT_FALSE(shims[s]->restoring());
+    return stats;
   }
 };
 
-TEST(Recovery, SnapshotRoundTripsDagAndConstructionState) {
+TEST(Recovery, LogRoundTripsDagAndConstructionState) {
   RecoveryRig rig;
-  rig.rqsts[0]->put(1, brb::make_broadcast(Bytes{5}));
+  rig.shims[0]->request(1, brb::make_broadcast(Bytes{5}));
   rig.round();
   rig.round();
-  const std::size_t dag_size = rig.servers[0]->dag().size();
-  const Bytes snapshot = rig.servers[0]->snapshot();
+  const GossipServer& before = rig.shims[0]->gossip();
+  const std::size_t dag_size = before.dag().size();
+  const SeqNo next_seq = before.next_seq();
+  const std::vector<Hash256> building = before.building_preds();
 
-  RecoveryRig fresh;  // separate world, same keys (same seed)
-  ASSERT_TRUE(fresh.servers[0]->restore(snapshot));
-  EXPECT_EQ(fresh.servers[0]->dag().size(), dag_size);
-  EXPECT_TRUE(rig.servers[0]->dag().subgraph_of(fresh.servers[0]->dag()));
-}
-
-TEST(Recovery, RestoreRejectsMalformed) {
-  RecoveryRig rig;
-  RecoveryRig fresh;
-  EXPECT_FALSE(fresh.servers[1]->restore(Bytes{1, 2, 3}));
-  Bytes snapshot = rig.servers[0]->snapshot();
-  snapshot.pop_back();
-  EXPECT_FALSE(fresh.servers[2]->restore(snapshot));
-}
-
-TEST(Recovery, RestoreIsAllOrNothingOnTruncation) {
-  // restore() must be atomic: a snapshot truncated at *any* byte boundary
-  // — mid-block, between blocks, inside the construction-state tail —
-  // either fails leaving the server exactly as constructed (empty DAG, no
-  // replayed notifications), or, never, half-applies.
-  RecoveryRig rig;
-  rig.rqsts[0]->put(1, brb::make_broadcast(Bytes{5}));
-  rig.round();
-  rig.round();
-  const Bytes snapshot = rig.servers[0]->snapshot();
-  ASSERT_GT(snapshot.size(), 8u);
-
-  for (std::size_t cut = 0; cut < snapshot.size(); ++cut) {
-    RecoveryRig fresh;
-    std::size_t replayed = 0;
-    fresh.servers[0]->set_block_inserted_handler(
-        [&](const BlockPtr&) { ++replayed; });
-    const Bytes truncated(snapshot.begin(),
-                          snapshot.begin() + static_cast<std::ptrdiff_t>(cut));
-    ASSERT_FALSE(fresh.servers[0]->restore(truncated)) << "cut at " << cut;
-    // Nothing committed, nothing replayed: the server is still fresh...
-    EXPECT_EQ(fresh.servers[0]->dag().size(), 0u) << "cut at " << cut;
-    EXPECT_EQ(replayed, 0u) << "cut at " << cut;
-    // ...so the full snapshot still restores cleanly afterwards.
-    ASSERT_TRUE(fresh.servers[0]->restore(snapshot)) << "cut at " << cut;
-    EXPECT_EQ(fresh.servers[0]->dag().size(), rig.servers[0]->dag().size());
-    EXPECT_EQ(replayed, fresh.servers[0]->dag().size());
-  }
-}
-
-TEST(Recovery, RestoreIsAllOrNothingOnCorruption) {
-  // Flip one byte at every offset. Corrupting a block's bytes changes its
-  // ref, so either decoding fails or DAG insertion fails (a pred no longer
-  // resolves) or the construction tail is inconsistent — in the cases
-  // restore() reports failure, the server must be untouched. (Some flips
-  // land in request payloads and still yield a decodable, insertable
-  // snapshot; those may succeed — what is forbidden is a *partial* apply.)
-  RecoveryRig rig;
-  rig.rqsts[0]->put(1, brb::make_broadcast(Bytes{9}));
-  rig.round();
-  rig.round();
-  const Bytes snapshot = rig.servers[0]->snapshot();
-
-  for (std::size_t at = 0; at < snapshot.size(); ++at) {
-    RecoveryRig fresh;
-    std::size_t replayed = 0;
-    fresh.servers[0]->set_block_inserted_handler(
-        [&](const BlockPtr&) { ++replayed; });
-    Bytes corrupted = snapshot;
-    corrupted[at] ^= 0x41;
-    const bool ok = fresh.servers[0]->restore(corrupted);
-    if (ok) {
-      // Accepted: then it must be a *complete* restore of the corrupted
-      // (still self-consistent) snapshot.
-      EXPECT_EQ(replayed, fresh.servers[0]->dag().size()) << "flip at " << at;
-      continue;
-    }
-    EXPECT_EQ(fresh.servers[0]->dag().size(), 0u) << "flip at " << at;
-    EXPECT_EQ(replayed, 0u) << "flip at " << at;
-    ASSERT_TRUE(fresh.servers[0]->restore(snapshot)) << "flip at " << at;
-    EXPECT_EQ(fresh.servers[0]->dag().size(), rig.servers[0]->dag().size());
-  }
+  const sync::RestoreStats& stats = rig.restart(0);
+  const GossipServer& after = rig.shims[0]->gossip();
+  EXPECT_EQ(stats.own_blocks_from_log + stats.recv_blocks_from_log, dag_size);
+  EXPECT_EQ(after.dag().size(), dag_size);
+  EXPECT_TRUE(rig.crashed[0]->dag().subgraph_of(after.dag()));
+  EXPECT_EQ(after.next_seq(), next_seq);
+  EXPECT_EQ(after.building_preds(), building);
 }
 
 TEST(Recovery, RecoveredServerNeverDoubleReferences) {
   RecoveryRig rig;
-  rig.rqsts[0]->put(1, brb::make_broadcast(Bytes{7}));
+  rig.shims[0]->request(1, brb::make_broadcast(Bytes{7}));
   rig.round();
   rig.round();
 
-  // Crash server 0 after it has referenced everyone's blocks; recover from
-  // its snapshot and keep gossiping.
-  const Bytes snapshot = rig.servers[0]->snapshot();
-  rig.recover(0, snapshot);
+  // Crash server 0 after it has referenced everyone's blocks; restart it
+  // from its log and keep gossiping.
+  rig.restart(0);
   rig.round();
   rig.round();
 
   // Reference-once discipline held across the crash (Lemma A.6): count
   // references per block across server 0's own blocks.
   std::map<Hash256, int> ref_count;
-  for (const BlockPtr& b : rig.servers[1]->dag().topological_order()) {
+  for (const BlockPtr& b : rig.shims[1]->dag().topological_order()) {
     if (b->n() != 0) continue;
     for (const Hash256& p : b->preds()) ++ref_count[p];
   }
@@ -162,8 +112,8 @@ TEST(Recovery, RecoveredServerNeverDoubleReferences) {
   }
   // And the cluster converged.
   for (ServerId s = 1; s < 4; ++s) {
-    EXPECT_TRUE(rig.servers[0]->dag().subgraph_of(rig.servers[s]->dag()));
-    EXPECT_EQ(rig.servers[0]->dag().size(), rig.servers[s]->dag().size());
+    EXPECT_TRUE(rig.shims[0]->dag().subgraph_of(rig.shims[s]->dag()));
+    EXPECT_EQ(rig.shims[0]->dag().size(), rig.shims[s]->dag().size());
   }
 }
 
@@ -171,18 +121,17 @@ TEST(Recovery, SequenceNumbersContinueAfterRecovery) {
   RecoveryRig rig;
   rig.round();  // k=0 blocks
   rig.round();  // k=1 blocks
-  const Bytes snapshot = rig.servers[0]->snapshot();
-  rig.recover(0, snapshot);
+  rig.restart(0);
   rig.round();  // recovered server must emit k=2, not restart at 0
 
   SeqNo max_k = 0;
-  for (const BlockPtr& b : rig.servers[1]->dag().topological_order()) {
+  for (const BlockPtr& b : rig.shims[1]->dag().topological_order()) {
     if (b->n() == 0) max_k = std::max(max_k, b->k());
   }
   EXPECT_EQ(max_k, 2u);
   // No equivocation was created by the recovery.
   std::map<std::pair<ServerId, SeqNo>, int> slots;
-  for (const BlockPtr& b : rig.servers[1]->dag().topological_order()) {
+  for (const BlockPtr& b : rig.shims[1]->dag().topological_order()) {
     ++slots[{b->n(), b->k()}];
   }
   for (const auto& [slot, count] : slots) {
@@ -193,40 +142,33 @@ TEST(Recovery, SequenceNumbersContinueAfterRecovery) {
 
 TEST(Recovery, InterpretationIsRecomputedNotPersisted) {
   RecoveryRig rig;
-  rig.rqsts[2]->put(9, brb::make_broadcast(Bytes{3}));
+  rig.shims[2]->request(9, brb::make_broadcast(Bytes{3}));
   for (int r = 0; r < 4; ++r) rig.round();
 
   // Interpretation before the crash.
-  brb::BrbFactory factory;
-  Interpreter before(rig.servers[0]->dag(), factory, 4);
-  before.run();
-
-  // Recover into a fresh server + fresh interpreter fed by the replayed
-  // insert notifications.
-  auto replacement = std::make_unique<GossipServer>(0, rig.sched, rig.net,
-                                                    rig.sigs, *rig.rqsts[0]);
-  Interpreter after(replacement->dag(), factory, 4);
-  std::size_t replayed = 0;
-  replacement->set_block_inserted_handler([&](const BlockPtr&) {
-    ++replayed;
-    after.run();
-  });
-  ASSERT_TRUE(replacement->restore(rig.servers[0]->snapshot()));
-  EXPECT_EQ(replayed, replacement->dag().size());
-
-  for (const BlockPtr& b : replacement->dag().topological_order()) {
-    EXPECT_EQ(before.digest_of(b->ref()), after.digest_of(b->ref()));
+  std::map<Hash256, Bytes> before;
+  for (const BlockPtr& b : rig.shims[0]->dag().topological_order()) {
+    before[b->ref()] = rig.shims[0]->interpreter().digest_of(b->ref());
   }
-  EXPECT_GT(after.stats().messages_materialized, 0u);
+
+  rig.restart(0);
+  const Shim& restored = *rig.shims[0];
+  // The log holds blocks, not states: every block was interpreted anew.
+  EXPECT_EQ(restored.interpreter().stats().blocks_interpreted, before.size());
+  EXPECT_GT(restored.interpreter().stats().messages_materialized, 0u);
+  ASSERT_EQ(restored.dag().size(), before.size());
+  for (const auto& [ref, digest] : before) {
+    EXPECT_EQ(restored.interpreter().digest_of(ref), digest);
+  }
 }
 
 TEST(Recovery, ShimCrashRecoverMidRunMatchesNeverCrashedPeers) {
-  // The full crash-recovery edge through the shim: a server crashes mid-
-  // run, the cluster keeps making progress without it, it recovers from
-  // its persisted block store and must (a) rebuild exactly the pre-crash
-  // indication log — nothing lost, nothing re-delivered — and (b) end the
-  // run with digest_of identical to never-crashed peers for every block
-  // (Lemma 4.2 across the crash).
+  // The full crash-recovery edge through the Cluster: a server crashes mid-
+  // run, the cluster keeps making progress without it, it restarts from
+  // its block log and must (a) rebuild exactly the pre-crash indication
+  // log — nothing lost, nothing re-delivered — and (b) end the run with
+  // digest_of identical to never-crashed peers for every block (Lemma 4.2
+  // across the crash).
   brb::BrbFactory factory;
   ClusterConfig cfg;
   cfg.n_servers = 4;
@@ -237,7 +179,6 @@ TEST(Recovery, ShimCrashRecoverMidRunMatchesNeverCrashedPeers) {
   cluster.request(0, 100, brb::make_broadcast(Bytes{1}));
   cluster.run_for(sim_ms(300));
 
-  const Bytes snapshot = cluster.snapshot_of(2);
   const std::vector<UserIndication> pre_log = cluster.shim(2).indications();
   ASSERT_FALSE(pre_log.empty());  // label 100 was delivered before the crash
   cluster.crash(2);
@@ -248,8 +189,12 @@ TEST(Recovery, ShimCrashRecoverMidRunMatchesNeverCrashedPeers) {
   cluster.request(1, 101, brb::make_broadcast(Bytes{2}));
   cluster.run_for(sim_ms(300));
 
-  ASSERT_TRUE(cluster.recover(2, snapshot));
+  ASSERT_TRUE(cluster.restart(2));
   EXPECT_TRUE(cluster.is_correct(2));
+  const sync::RestoreStats& stats = cluster.checkpointer(2).restore_stats();
+  EXPECT_TRUE(stats.restored);
+  EXPECT_GT(stats.own_blocks_from_log, 0u);
+  EXPECT_GT(stats.recv_blocks_from_log, 0u);
   // (a) The restored incarnation rebuilt exactly the pre-crash log from the
   // persisted DAG (interpretation — hence indications — is a pure function
   // of it).
@@ -286,28 +231,16 @@ TEST(Recovery, RestoreReplayDoesNotRefireExternalIndicationHandler) {
   // duplicate deliveries across a crash (the pre-crash incarnation already
   // surfaced them) — the external handler must stay silent during restore
   // while indications() is rebuilt.
-  brb::BrbFactory factory;
-  ClusterConfig cfg;
-  cfg.n_servers = 4;
-  cfg.seed = 9;
-  cfg.pacing.interval = sim_ms(10);
-  Cluster cluster(factory, cfg);
-  cluster.start();
-  cluster.request(0, 100, brb::make_broadcast(Bytes{7}));
-  cluster.run_for(sim_ms(400));
-
-  const Bytes snapshot = cluster.snapshot_of(3);
-  const std::size_t pre_count = cluster.shim(3).indications().size();
+  RecoveryRig rig;
+  rig.shims[0]->request(100, brb::make_broadcast(Bytes{7}));
+  for (int r = 0; r < 4; ++r) rig.round();
+  const std::size_t pre_count = rig.shims[3]->indications().size();
   ASSERT_GT(pre_count, 0u);
-  cluster.crash(3);
 
-  Shim fresh(3, cluster.scheduler(), cluster.network(), cluster.signatures(),
-             factory, 4);
   int fired = 0;
-  fresh.set_indication_handler([&](Label, const Bytes&) { ++fired; });
-  ASSERT_TRUE(fresh.restore(snapshot));
+  rig.restart(3, [&](Label, const Bytes&) { ++fired; });
   EXPECT_EQ(fired, 0);
-  EXPECT_EQ(fresh.indications().size(), pre_count);
+  EXPECT_EQ(rig.shims[3]->indications().size(), pre_count);
 }
 
 }  // namespace

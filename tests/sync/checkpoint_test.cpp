@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <variant>
 
 #include "gossip/wire.h"
@@ -240,6 +241,61 @@ TEST(Checkpointer, RestoreFromStorageResumesWithoutFullReplay) {
   // And the restored server can keep building: construction state (next_k,
   // building preds) came back, so its next block extends its own chain.
   EXPECT_EQ(restored.gossip().next_seq(), original.gossip().next_seq());
+}
+
+// Server 0's block log (no checkpoint) after some BRB traffic.
+std::vector<sync::LogRecord> logged_history(std::uint64_t seed) {
+  brb::BrbFactory factory;
+  sync::MemStore store;
+  Cluster cluster(factory, quick_config(seed));
+  sync::Checkpointer checkpointer(cluster.shim(0), cluster.signatures(), 4,
+                                  &store);
+  drive_traffic(cluster, 4);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<sync::LogRecord> log;
+  EXPECT_TRUE(store.load_latest(epoch, ckpt, log));
+  return log;
+}
+
+// A fresh server 0 restoring from `log` must refuse it, report nothing
+// restored and leave its restore window (so the runtime discards it).
+void expect_refused(std::uint64_t seed, const std::vector<sync::LogRecord>& log) {
+  brb::BrbFactory factory;
+  sync::MemStore store;
+  for (const sync::LogRecord& record : log) {
+    ASSERT_TRUE(store.append_block(record.kind, record.payload));
+  }
+  Cluster fresh(factory, quick_config(seed));
+  Shim& shim = fresh.shim(0);
+  sync::Checkpointer checkpointer(shim, fresh.signatures(), 4, &store);
+  EXPECT_FALSE(checkpointer.restore_from_storage());
+  EXPECT_FALSE(checkpointer.restore_stats().restored);
+  EXPECT_FALSE(shim.restoring());
+}
+
+TEST(Checkpointer, RestoreRefusesALogRecordThatIsNotABlock) {
+  // The record passed its storage CRC, yet its bytes are no block: refuse
+  // rather than resume from a gap in the server's own chain.
+  std::vector<sync::LogRecord> log = logged_history(97);
+  ASSERT_GT(log.size(), 4u);
+  log.insert(log.begin() + static_cast<std::ptrdiff_t>(log.size() / 2),
+             sync::LogRecord{sync::LogKind::kRecvBlock, Bytes{1, 2, 3}});
+  expect_refused(97, log);
+}
+
+TEST(Checkpointer, RestoreRefusesAnOwnBlockRecordBuiltByAnotherServer) {
+  // A received block filed as our own (a log copied from another server's
+  // data dir, or a flipped kind byte) would rebuild the construction state
+  // from someone else's chain.
+  std::vector<sync::LogRecord> log = logged_history(101);
+  const auto received =
+      std::find_if(log.begin(), log.end(), [](const sync::LogRecord& r) {
+        return r.kind == sync::LogKind::kRecvBlock;
+      });
+  ASSERT_NE(received, log.end());
+  received->kind = sync::LogKind::kOwnBlock;
+  expect_refused(101, log);
 }
 
 // Keeps every payload a server hands its transport; delivers nothing.

@@ -3,7 +3,8 @@
 # socket-runtime smokes (`simctl run --runtime tcp` and the lossy
 # `--runtime udp` in one process, plus both two-OS-process serve/join
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
-# crash/recovery smoke and the crash-churn and UDP fuzz slices), a bench
+# crash/recovery smoke, the crash-churn and UDP fuzz slices and a sim fuzz
+# slice under real hmac signatures), a bench
 # harness smoke (every bench runs seconds-scale and must emit parseable
 # BENCH_*.json), an Asan build running the tier1 ctest label, then a Tsan
 # build running the threaded-runtime, TCP-runtime and UDP-runtime
@@ -29,6 +30,9 @@ sh tools/tcp_cluster_smoke.sh ./build-ci/simctl
 
 echo "==> Crash-recovery smoke (three-process durable cluster, SIGKILL + restart)"
 sh tools/crash_cluster_smoke.sh ./build-ci/simctl
+
+echo "==> Sim fuzz slice under real signatures (churn restores replay the block log through hmac checks)"
+./build-ci/simctl fuzz --seeds 0..40 --sig hmac
 
 echo "==> Crash-churn fuzz slice (kill/restart plans on the threaded runtime)"
 ./build-ci/simctl fuzz --runtime threads --seeds 1..8

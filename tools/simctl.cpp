@@ -92,12 +92,15 @@
 //     no decimal round-trip can perturb the derived plan). Real-runtime
 //     replays re-derive the exact same plan from the seed; the thread and
 //     socket timing underneath is real and therefore not bit-identical.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include <chrono>
 #include <thread>
@@ -258,8 +261,30 @@ Bytes make_request(const std::string& protocol, std::uint32_t i) {
   if (protocol == "bcb") return bcb::make_send(value);
   if (protocol == "fifo") return fifo::make_broadcast(value);
   if (protocol == "pbft") return pbft::make_propose(value);
-  if (protocol == "beacon") return beacon::make_contribute(0x1234 + i);
   return {};
+}
+
+// Who issues instance i, and what, for `run` on every runtime and for
+// serve/join: PBFT proposals go to the view-0 leader (simctl scripts no
+// complaint path), a beacon gets one contribution from each of the first
+// f+1 live servers, anything else goes round-robin. A pick not in `live`
+// (ascending) moves on to the next live server.
+std::vector<std::pair<ServerId, Bytes>> issue_requests(
+    const std::string& protocol, std::uint32_t n, std::uint32_t i,
+    const std::vector<ServerId>& live) {
+  std::vector<std::pair<ServerId, Bytes>> out;
+  if (protocol == "beacon") {
+    for (std::uint32_t c = 0; c < plausibility_quorum(n) && c < live.size();
+         ++c) {
+      out.emplace_back(live[c], beacon::make_contribute(0x1234 + i * 31 + c));
+    }
+  } else if (!live.empty()) {
+    const ServerId pick = protocol == "pbft" ? 0 : i % n;
+    const auto it = std::lower_bound(live.begin(), live.end(), pick);
+    out.emplace_back(it == live.end() ? live.front() : *it,
+                     make_request(protocol, i));
+  }
+  return out;
 }
 
 // The same deployment on the multi-threaded runtime: one OS thread per
@@ -308,16 +333,13 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   }
   runtime.start();
 
+  std::vector<ServerId> servers(opt.n);
+  std::iota(servers.begin(), servers.end(), 0);
   std::uint32_t issued = 0;
   for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (opt.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      for (std::uint32_t c = 0; c < needed && c < opt.n; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      const ServerId target = opt.protocol == "pbft" ? 0 : i % opt.n;
-      runtime.request(target, 1 + i, make_request(opt.protocol, i));
+    for (auto& [server, request] :
+         issue_requests(opt.protocol, opt.n, i, servers)) {
+      runtime.request(server, 1 + i, std::move(request));
     }
     ++issued;
   }
@@ -497,28 +519,12 @@ int run(const Options& opt) {
   std::vector<SimTime> requested_at(opt.instances, 0);
   std::uint32_t issued = 0;
   for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    // Route to the first correct server in round-robin order — except
-    // PBFT proposals, which only progress if the view-0 leader (server 0)
-    // learns them; if it is byzantine the complaint path would be needed,
-    // which simctl does not script.
-    ServerId target = opt.protocol == "pbft" ? 0 : i % opt.n;
-    for (std::uint32_t tries = 0; tries < opt.n && !cluster.is_correct(target);
-         ++tries) {
-      target = (target + 1) % opt.n;
-    }
-    if (!cluster.is_correct(target)) continue;
+    auto requests =
+        issue_requests(opt.protocol, opt.n, i, cluster.correct_servers());
+    if (requests.empty()) continue;
     requested_at[i] = cluster.scheduler().now();
-    if (opt.protocol == "beacon") {
-      // A beacon emits after f+1 distinct contributions: have the first
-      // f+1 correct servers each inscribe their own coins.
-      const auto correct = cluster.correct_servers();
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
-        cluster.request(correct[c], 1 + i,
-                        beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      cluster.request(target, 1 + i, make_request(opt.protocol, i));
+    for (auto& [server, request] : requests) {
+      cluster.request(server, 1 + i, std::move(request));
     }
     ++issued;
   }
@@ -799,26 +805,18 @@ int run_member(const MemberOptions& opt, const char* role) {
     runtime.start_sync(opt.id);
   }
 
-  // This process's share of the workload: the member hosting the issuing
-  // server of instance i makes the request (the same routing rule as
-  // `simctl run`: round-robin, PBFT proposals through the view-0 leader,
-  // beacon contributions from the first f+1 servers). A restored member
-  // skips instances its pre-crash incarnation already delivered — the
-  // indication log survives the crash, and re-issuing a completed instance
-  // would double-deliver it.
+  // This process's share of the workload: the requests issue_requests
+  // assigns to this member's server, as `simctl run` issues them. A
+  // restored member skips instances its pre-crash incarnation already
+  // delivered — the indication log survives the crash, and re-issuing a
+  // completed instance would double-deliver it.
+  std::vector<ServerId> servers(opt.n);
+  std::iota(servers.begin(), servers.end(), 0);
   for (std::uint32_t i = 0; i < opt.instances; ++i) {
     if (runtime.indicated_count(1 + i) != 0) continue;
-    if (opt.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      if (opt.id < needed) {
-        runtime.request(opt.id, 1 + i,
-                        beacon::make_contribute(0x1234 + i * 31 + opt.id));
-      }
-    } else {
-      const ServerId issuer = opt.protocol == "pbft" ? 0 : i % opt.n;
-      if (issuer == opt.id) {
-        runtime.request(opt.id, 1 + i, make_request(opt.protocol, i));
-      }
+    for (auto& [server, request] :
+         issue_requests(opt.protocol, opt.n, i, servers)) {
+      if (server == opt.id) runtime.request(opt.id, 1 + i, std::move(request));
     }
   }
 
