@@ -65,6 +65,19 @@ Bytes IdealSignatureProvider::sign(ServerId signer,
   return mac(signer, message);
 }
 
+Bytes IdealSignatureProvider::prepare_to_sign(
+    ServerId signer, std::span<const std::uint8_t> message) const {
+  const auto inner = hmac_sha256_inner(seeds_[signer], message);
+  return Bytes(inner.begin(), inner.end());
+}
+
+Bytes IdealSignatureProvider::sign_prepared(ServerId signer,
+                                            const Bytes& prepared) {
+  ++counters_.signs;
+  const auto d = hmac_sha256_outer(seeds_[signer], prepared);
+  return Bytes(d.begin(), d.end());
+}
+
 bool IdealSignatureProvider::verify(ServerId claimed,
                                     std::span<const std::uint8_t> message,
                                     std::span<const std::uint8_t> signature) {
@@ -104,6 +117,19 @@ Bytes HmacSignatureProvider::sign(ServerId signer,
                                   std::span<const std::uint8_t> message) {
   ++counters_.signs;
   return tag(signer, message);
+}
+
+Bytes HmacSignatureProvider::prepare_to_sign(
+    ServerId signer, std::span<const std::uint8_t> message) const {
+  const auto inner = hmac_sha256_inner(keys_[signer], message);
+  return Bytes(inner.begin(), inner.end());
+}
+
+Bytes HmacSignatureProvider::sign_prepared(ServerId signer,
+                                           const Bytes& prepared) {
+  ++counters_.signs;
+  const auto d = hmac_sha256_outer(keys_[signer], prepared);
+  return Bytes(d.begin(), d.end());
 }
 
 bool HmacSignatureProvider::verify(ServerId claimed,

@@ -68,6 +68,23 @@ class SignatureProvider {
   virtual bool verify(ServerId claimed, std::span<const std::uint8_t> message,
                       std::span<const std::uint8_t> signature) = 0;
 
+  // Signing in two halves, for a caller that keeps its owner thread short
+  // while signing a large message (the epoch checkpoint,
+  // sync/checkpointer.h). prepare_to_sign() does the O(message) hashing:
+  // it is const, reads only key material fixed at construction and may run
+  // on any thread. sign_prepared() runs where sign() would — it counts the
+  // signature and, for a stateful scheme, consumes the key — and returns
+  // exactly the bytes sign(signer, message) would. The defaults carry the
+  // whole message over, so a scheme without a split still signs correctly.
+  virtual Bytes prepare_to_sign(ServerId signer,
+                                std::span<const std::uint8_t> message) const {
+    (void)signer;
+    return Bytes(message.begin(), message.end());
+  }
+  virtual Bytes sign_prepared(ServerId signer, const Bytes& prepared) {
+    return sign(signer, prepared);
+  }
+
   CryptoCounters& counters() { return counters_; }
   const CryptoCounters& counters() const { return counters_; }
 
@@ -84,6 +101,10 @@ class IdealSignatureProvider final : public SignatureProvider {
   Bytes sign(ServerId signer, std::span<const std::uint8_t> message) override;
   bool verify(ServerId claimed, std::span<const std::uint8_t> message,
               std::span<const std::uint8_t> signature) override;
+  // HMAC's inner pass / outer pass.
+  Bytes prepare_to_sign(ServerId signer,
+                        std::span<const std::uint8_t> message) const override;
+  Bytes sign_prepared(ServerId signer, const Bytes& prepared) override;
 
  private:
   Bytes mac(ServerId server, std::span<const std::uint8_t> message) const;
@@ -103,6 +124,10 @@ class HmacSignatureProvider final : public SignatureProvider {
   Bytes sign(ServerId signer, std::span<const std::uint8_t> message) override;
   bool verify(ServerId claimed, std::span<const std::uint8_t> message,
               std::span<const std::uint8_t> signature) override;
+  // HMAC's inner pass / outer pass.
+  Bytes prepare_to_sign(ServerId signer,
+                        std::span<const std::uint8_t> message) const override;
+  Bytes sign_prepared(ServerId signer, const Bytes& prepared) override;
 
  private:
   Bytes tag(ServerId server, std::span<const std::uint8_t> message) const;

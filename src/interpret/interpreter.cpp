@@ -188,20 +188,18 @@ bool Interpreter::restore_block(
   return true;
 }
 
-Bytes Interpreter::digest_of(const Hash256& ref) const {
-  const BlockInterpretation* st = state_of(ref);
-  // Checkpoint-restored blocks return the digest computed at first
-  // interpretation verbatim (ms_in was consumed, not checkpointed).
-  if (st && !st->cached_digest.empty()) return st->cached_digest;
+Bytes interpretation_digest_of(bool interpreted, const InstanceMap& pis,
+                               const MessageBuffers& ms_in,
+                               const MessageBuffers& ms_out) {
   Writer w;
-  w.u8(st && st->interpreted ? 1 : 0);
-  if (st) {
-    w.u32(static_cast<std::uint32_t>(st->pis.size()));
-    for (const auto& [label, instance] : st->pis) {
+  w.u8(interpreted ? 1 : 0);
+  if (interpreted) {
+    w.u32(static_cast<std::uint32_t>(pis.size()));
+    for (const auto& [label, instance] : pis) {
       w.u64(label);
       w.bytes(instance->state_digest());
     }
-    const auto put_buffers = [&w](const FlatMap<Label, std::vector<Message>>& ms) {
+    const auto put_buffers = [&w](const MessageBuffers& ms) {
       w.u32(static_cast<std::uint32_t>(ms.size()));
       for (const auto& [label, msgs] : ms) {
         w.u64(label);
@@ -209,11 +207,20 @@ Bytes Interpreter::digest_of(const Hash256& ref) const {
         for (const Message& m : msgs) w.bytes(m.canonical());
       }
     };
-    put_buffers(st->ms_in);
-    put_buffers(st->ms_out);
+    put_buffers(ms_in);
+    put_buffers(ms_out);
   }
   const auto digest = Sha256::digest(w.data());
   return Bytes(digest.begin(), digest.end());
+}
+
+Bytes Interpreter::digest_of(const Hash256& ref) const {
+  const BlockInterpretation* st = state_of(ref);
+  // Checkpoint-restored blocks return the digest computed at first
+  // interpretation verbatim (ms_in was consumed, not checkpointed).
+  if (st && !st->cached_digest.empty()) return st->cached_digest;
+  if (!st) return interpretation_digest_of(false, {}, {}, {});
+  return interpretation_digest_of(st->interpreted, st->pis, st->ms_in, st->ms_out);
 }
 
 void Interpreter::forget_pruned() {

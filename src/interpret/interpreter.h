@@ -43,6 +43,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -57,8 +58,12 @@ namespace blockdag {
 // shared by every block that inherits it without advancing it. Its
 // state_digest() is computed at most once, by the first digest_of() that
 // reads it, never on the interpret path; the memo lives here rather than in
-// a tree node so that every path copy of B.PIs shares it. Not thread-safe:
-// like the rest of the interpreter, only its owning thread reads it.
+// a tree node so that every path copy of B.PIs shares it. Race-free: the
+// server thread (digest_of) and its checkpoint writer (which digests the
+// live blocks of an epoch snapshot, sync/checkpoint.h) may both read one
+// instance, and the memo is filled exactly once under std::call_once.
+// Everything else about an Instance is immutable, so it may be read, and
+// its last handle dropped, on either thread.
 class Instance {
  public:
   explicit Instance(std::unique_ptr<Process> process)
@@ -67,14 +72,29 @@ class Instance {
   const Process& process() const { return *process_; }
 
   const Bytes& state_digest() const {
-    if (!digest_) digest_ = process_->state_digest();
-    return *digest_;
+    std::call_once(digest_once_,
+                   [this] { digest_ = process_->state_digest(); });
+    return digest_;
   }
 
  private:
   std::unique_ptr<const Process> process_;
-  mutable std::optional<Bytes> digest_;
+  mutable std::once_flag digest_once_;
+  mutable Bytes digest_;
 };
+
+using InstanceMap = PersistentMap<Label, std::shared_ptr<const Instance>>;
+using MessageBuffers = FlatMap<Label, std::vector<Message>>;
+
+// The Lemma 4.2 digest of one block's post-interpretation state: B.PIs
+// (each instance by its state_digest()), B.Ms[in] and B.Ms[out]; an
+// uninterpreted block hashes to a fixed marker. Interpreter::digest_of and
+// the checkpoint writer both call it, so a checkpoint record holds exactly
+// the bytes digest_of returns. Reads only immutable shared state, so it
+// may run off the server thread on handles copied from it.
+Bytes interpretation_digest_of(bool interpreted, const InstanceMap& pis,
+                               const MessageBuffers& ms_in,
+                               const MessageBuffers& ms_out);
 
 // Interpretation state attached to a block (the paper's B.PIs / B.Ms /
 // I[B]). Exposed read-only so tests can check Figure 4 buffer contents.
@@ -84,11 +104,11 @@ struct BlockInterpretation {
   // B.PIs[ℓ]: state of instance ℓ of server B.n after interpreting B.
   // A persistent map: B shares its parent's tree and owns only the paths
   // to the labels it advanced; unadvanced instances are shared handles.
-  PersistentMap<Label, std::shared_ptr<const Instance>> pis;
+  InstanceMap pis;
 
   // B.Ms[in, ℓ] / B.Ms[out, ℓ]. Sized by B's own messages, not by history.
-  FlatMap<Label, std::vector<Message>> ms_in;
-  FlatMap<Label, std::vector<Message>> ms_out;
+  MessageBuffers ms_in;
+  MessageBuffers ms_out;
 
   // Checkpoint-restored blocks carry the digest_of() output computed when
   // the block was first interpreted instead of re-derivable state (ms_in is

@@ -1,10 +1,57 @@
 #include "rt/threaded_runtime.h"
 
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
 
 #include "crypto/sha256.h"
 
 namespace blockdag::rt {
+
+CheckpointWriterThread::CheckpointWriterThread(Mailbox& owner, IdleTracker& idle)
+    : owner_(owner), idle_(idle), thread_([this] { run(); }) {}
+
+CheckpointWriterThread::~CheckpointWriterThread() { stop(); }
+
+bool CheckpointWriterThread::submit(std::function<void()> job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopped_) return false;
+    jobs_.push_back(std::move(job));
+    idle_.add();
+  }
+  cv_.notify_one();
+  return true;
+}
+
+void CheckpointWriterThread::stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped_ = true;
+  }
+  cv_.notify_one();
+  if (thread_.joinable()) thread_.join();
+}
+
+void CheckpointWriterThread::run() {
+  // On Linux a thread id's niceness applies to that thread alone; if the
+  // call fails the writer keeps the default priority.
+  ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), 10);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return stopped_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopped and drained
+    std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    job();
+    job = nullptr;  // the snapshot it held is released here, off the server
+    idle_.sub();
+    lock.lock();
+  }
+}
 
 ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
                                  ThreadedConfig config)
@@ -115,7 +162,7 @@ void ThreadedRuntime::mount_node(ServerId server) {
   Node& node = *nodes_[server];
   // The previous incarnation (if any) must already be retired — resetting
   // it here would free objects that in-flight timers still point at.
-  assert(!node.shim && !node.checkpointer && !node.sync_engine);
+  assert(!node.shim && !node.checkpointer && !node.writer && !node.sync_engine);
   node.shim = std::make_unique<Shim>(server, *node.timers, *transport_,
                                      *node.sigs, factory_, config_.n_servers,
                                      config_.gossip, config_.pacing,
@@ -124,9 +171,10 @@ void ThreadedRuntime::mount_node(ServerId server) {
   // (the flush hook dereferences node.shim, so it follows the swap).
   node.shim->gossip().set_egress_batching(true);
   if (node.storage != nullptr || config_.checkpoint.epoch_blocks != 0) {
+    node.writer = std::make_unique<CheckpointWriterThread>(*node.mailbox, idle_);
     node.checkpointer = std::make_unique<blockdag::sync::Checkpointer>(
         *node.shim, *node.sigs, config_.n_servers, node.storage,
-        config_.checkpoint);
+        config_.checkpoint, node.writer.get());
   }
   if (config_.enable_state_sync) {
     blockdag::sync::SyncConfig sync_cfg = config_.sync;
@@ -201,6 +249,7 @@ void ThreadedRuntime::crash(ServerId server) {
   call(server, [node](Shim& shim) {
     shim.halt();
     if (node->sync_engine) node->sync_engine->halt();
+    if (node->writer) node->writer->stop();
   });
 }
 
@@ -216,6 +265,10 @@ bool ThreadedRuntime::restart(ServerId server) {
     if (node->sync_engine) {
       node->sync_engine->halt();
       node->retired_sync.push_back(std::move(node->sync_engine));
+    }
+    if (node->writer) {
+      node->writer->stop();  // no-op after crash()
+      node->retired_writers.push_back(std::move(node->writer));
     }
     if (node->checkpointer) {
       node->retired_checkpointers.push_back(std::move(node->checkpointer));
@@ -273,10 +326,15 @@ void ThreadedRuntime::shutdown() {
   // Order matters: stop the wheel first so no timer posts into a mailbox
   // mid-close, then the verifier pool (its workers post verdicts into
   // mailboxes too), then the sockets (the poll thread also posts
-  // deliveries), then let every node drain and exit its loop.
+  // deliveries), then the checkpoint writers (each finishes its job in
+  // flight, whose continuation still finds its mailbox open), then let
+  // every node drain and exit its loop.
   wheel_.stop();
   if (pool_) pool_->stop();
   if (link_) link_->stop();
+  for (const ServerId s : local_) {
+    if (nodes_[s]->writer) nodes_[s]->writer->stop();
+  }
   for (const ServerId s : local_) nodes_[s]->mailbox->close();
   for (const ServerId s : local_) {
     if (nodes_[s]->thread.joinable()) nodes_[s]->thread.join();

@@ -31,10 +31,13 @@
 
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -59,6 +62,43 @@ enum class TransportBackend {
   kTcp,       // real TCP sockets framed by net/frame.h (rt/tcp_transport.h)
   kUdp,       // UDP + userspace reliability + fault injection
               // (rt/udp_transport.h); the adversarial real-socket backend
+};
+
+// One hosted server's checkpoint writer (sync/checkpointer.h): a thread
+// running the writer half of its epoch steps — checkpoint build, encoding
+// and the durable store — while the server thread keeps consuming blocks.
+// Continuations go back through the server's mailbox. The thread runs at
+// a lower priority than the server threads (niceness 10): when CPUs are
+// contended, consuming blocks goes before building a cache of them. A
+// queued or running job holds one IdleTracker unit, so wait_idle() never
+// reports quiescence with an epoch step half done. Shutdown follows the "block until finish"
+// rule: stop() lets the job in flight finish, joins, and refuses every
+// later submit; it runs before the owner's mailbox closes, so the job's
+// last continuation still has a mailbox to land in.
+class CheckpointWriterThread final : public blockdag::sync::CheckpointWriter {
+ public:
+  CheckpointWriterThread(Mailbox& owner, IdleTracker& idle);
+  ~CheckpointWriterThread() override;  // stop()s
+  CheckpointWriterThread(const CheckpointWriterThread&) = delete;
+  CheckpointWriterThread& operator=(const CheckpointWriterThread&) = delete;
+
+  bool submit(std::function<void()> job) override;
+  bool post_back(std::function<void()> task) override {
+    return owner_.push(std::move(task));
+  }
+  // Runs what was submitted, then joins. Idempotent.
+  void stop();
+
+ private:
+  void run();
+
+  Mailbox& owner_;
+  IdleTracker& idle_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> jobs_;
+  bool stopped_ = false;
+  std::thread thread_;
 };
 
 // Dissemination is batched at every layer, with no knob (DESIGN.md §13):
@@ -239,9 +279,11 @@ class ThreadedRuntime {
 
   // --- Crash-fault injection (hosted servers only) ---
   // Kills `server` in place, on its own thread: the shim halts (sends
-  // nothing, drops every delivery) and state sync stops. The process, its
-  // mailbox and its storage sink stay alive — this models the instant
-  // after a SIGKILL, before the operator restarts the binary.
+  // nothing, drops every delivery), state sync stops and the checkpoint
+  // writer is joined, so a store in flight has landed or failed before
+  // crash() returns and the sink holds the final durable state. The
+  // process, its mailbox and its storage sink stay alive — this models the
+  // instant after a SIGKILL, before the operator restarts the binary.
   void crash(ServerId server);
   // Builds a fresh incarnation of `server` over the same mailbox/thread/
   // storage sink: new Shim + Checkpointer + SyncEngine, restored from the
@@ -288,6 +330,8 @@ class ThreadedRuntime {
     // from ThreadedConfig::storage and survives restarts — it IS the
     // durable state.
     blockdag::sync::StorageSink* storage = nullptr;
+    // Exists exactly when `checkpointer` does; one per incarnation.
+    std::unique_ptr<CheckpointWriterThread> writer;
     std::unique_ptr<blockdag::sync::Checkpointer> checkpointer;
     std::unique_ptr<blockdag::sync::SyncEngine> sync_engine;
     // Crashed incarnations are retired here, not freed: in-flight wheel
@@ -295,6 +339,9 @@ class ThreadedRuntime {
     // (they are halted, so firing into one is a no-op). Freed at shutdown.
     std::vector<std::unique_ptr<Shim>> retired_shims;
     std::vector<std::unique_ptr<blockdag::sync::Checkpointer>> retired_checkpointers;
+    // Stopped writers of crashed incarnations: their checkpointers' queued
+    // continuations still call submit() on them (refused once stopped).
+    std::vector<std::unique_ptr<CheckpointWriterThread>> retired_writers;
     std::vector<std::unique_ptr<blockdag::sync::SyncEngine>> retired_sync;
     std::thread thread;
   };

@@ -161,19 +161,15 @@ std::optional<Checkpoint> decode_payload(const Bytes& payload) {
 
 }  // namespace
 
-std::optional<Checkpoint> build_checkpoint(const Shim& shim,
-                                           std::uint64_t epoch,
-                                           std::uint32_t n_servers) {
+std::optional<CheckpointSnapshot> snapshot_checkpoint(const Shim& shim) {
   const BlockDag& dag = shim.dag();
   const Interpreter& interp = shim.interpreter();
   const std::unordered_set<Hash256> tips = builder_tips(dag);
 
-  Checkpoint cp;
-  cp.epoch = epoch;
-  cp.self = shim.self();
-  cp.n_servers = n_servers;
-  cp.next_k = shim.gossip().next_seq();
-  cp.building_preds = shim.gossip().building_preds();
+  CheckpointSnapshot snap;
+  snap.self = shim.self();
+  snap.next_k = shim.gossip().next_seq();
+  snap.building_preds = shim.gossip().building_preds();
 
   std::unordered_set<Hash256> horizon_seen;
   for (const BlockPtr& b : dag.topological_order()) {
@@ -184,19 +180,47 @@ std::optional<Checkpoint> build_checkpoint(const Shim& shim,
 
     for (const Hash256& p : b->preds()) {
       if (!dag.contains(p) && horizon_seen.insert(p).second) {
-        cp.horizon.push_back(p);
+        snap.horizon.push_back(p);
       }
     }
+    CheckpointSnapshot::LiveBlock live;
+    live.block = b;
+    live.builder_tip = tips.count(b->ref()) != 0;
+    live.pis = st->pis;
+    if (st->cached_digest.empty()) live.ms_in = st->ms_in;
+    live.ms_out = st->ms_out;
+    live.cached_digest = st->cached_digest;
+    snap.blocks.push_back(std::move(live));
+  }
+  snap.indications = shim.indications();
+  return snap;
+}
 
+std::optional<Checkpoint> build_checkpoint(const CheckpointSnapshot& snap,
+                                           std::uint64_t epoch,
+                                           std::uint32_t n_servers) {
+  Checkpoint cp;
+  cp.epoch = epoch;
+  cp.self = snap.self;
+  cp.n_servers = n_servers;
+  cp.next_k = snap.next_k;
+  cp.building_preds = snap.building_preds;
+  cp.horizon = snap.horizon;
+  cp.blocks.reserve(snap.blocks.size());
+  cp.records.reserve(snap.blocks.size());
+  for (const CheckpointSnapshot::LiveBlock& live : snap.blocks) {
     CheckpointRecord rec;
-    rec.digest = interp.digest_of(b->ref());
-    rec.ms_out.reserve(st->ms_out.size());
-    for (const auto& [label, msgs] : st->ms_out) {
+    rec.digest = live.cached_digest.empty()
+                     ? interpretation_digest_of(true, live.pis, live.ms_in,
+                                                live.ms_out)
+                     : live.cached_digest;
+    rec.ms_out.reserve(live.ms_out.size());
+    for (const auto& [label, msgs] : live.ms_out) {
       rec.ms_out.emplace_back(label, msgs);
     }
-    if (tips.count(b->ref())) {
-      rec.pis.reserve(st->pis.size());
-      for (const auto& [label, instance] : st->pis) {
+    if (live.builder_tip) {
+      rec.pis.reserve(live.pis.size());
+      for (const auto& [label, instance] : live.pis) {
         Bytes state = instance->process().serialize();
         // An empty serialization marks a protocol without checkpoint
         // support (Process::serialize default) — checkpointing is off for
@@ -205,27 +229,42 @@ std::optional<Checkpoint> build_checkpoint(const Shim& shim,
         rec.pis.emplace_back(label, std::move(state));
       }
     }
-    cp.blocks.push_back(b->encode());
+    cp.blocks.push_back(live.block->encode());
     cp.records.push_back(std::move(rec));
   }
-  cp.indications = shim.indications();
+  cp.indications = snap.indications;
   return cp;
 }
 
-Bytes encode_signed_checkpoint(const Checkpoint& cp, SignatureProvider& sigs) {
+std::optional<Checkpoint> build_checkpoint(const Shim& shim,
+                                           std::uint64_t epoch,
+                                           std::uint32_t n_servers) {
+  const auto snap = snapshot_checkpoint(shim);
+  if (!snap) return std::nullopt;
+  return build_checkpoint(*snap, epoch, n_servers);
+}
+
+Bytes checkpoint_preimage(const Checkpoint& cp) {
   // σ signs (version ‖ payload) so a version byte swap also breaks the
   // signature, not just the decode.
   Bytes preimage;
   preimage.push_back(kCheckpointVersion);
   const Bytes payload = encode_payload(cp);
   preimage.insert(preimage.end(), payload.begin(), payload.end());
-  const Bytes sigma = sigs.sign(cp.self, preimage);
+  return preimage;
+}
 
+Bytes seal_checkpoint(const Bytes& preimage, const Bytes& sigma) {
   Writer w;
   w.u8(kCheckpointVersion);
-  w.bytes(payload);
+  w.bytes(std::span<const std::uint8_t>(preimage).subspan(1));
   w.bytes(sigma);
   return std::move(w).take();
+}
+
+Bytes encode_signed_checkpoint(const Checkpoint& cp, SignatureProvider& sigs) {
+  const Bytes preimage = checkpoint_preimage(cp);
+  return seal_checkpoint(preimage, sigs.sign(cp.self, preimage));
 }
 
 std::optional<Checkpoint> decode_signed_checkpoint(const Bytes& wire,

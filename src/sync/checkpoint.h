@@ -63,16 +63,62 @@ struct Checkpoint {
   std::vector<UserIndication> indications;
 };
 
-// Captures the shim's current state. Requires an interpretation fixpoint
-// (every live block interpreted) and serializable protocol instances;
-// returns nullopt otherwise — the caller skips this epoch and retries
-// after the next tick.
+// What the server thread captures at an epoch boundary: handles to the
+// live state. Apart from the indication log (one entry per delivered
+// label), nothing here grows with the labels in history. Per live block
+// that is the block itself, its B.PIs handle (an O(1) copy of
+// the persistent map, util/persistent_map.h), copies of its message
+// buffers (sized by the block's own messages) and its cached digest. The
+// live DAG may move on after the snapshot (GC prunes, interpretation
+// commits new trees): every handle here points at immutable state, so the
+// snapshot stays exact for as long as it lives.
+struct CheckpointSnapshot {
+  struct LiveBlock {
+    BlockPtr block;
+    bool builder_tip = false;  // only tips' B.PIs are serialized
+    InstanceMap pis;
+    MessageBuffers ms_in;   // empty when cached_digest is set
+    MessageBuffers ms_out;
+    Bytes cached_digest;    // checkpoint-restored blocks only
+  };
+  ServerId self = 0;
+  SeqNo next_k = 0;
+  std::vector<Hash256> building_preds;
+  std::vector<Hash256> horizon;    // pruned preds of live blocks
+  std::vector<LiveBlock> blocks;   // topological order
+  std::vector<UserIndication> indications;
+};
+
+// Server-thread half of a checkpoint: O(live blocks) plus the indication
+// log copy. Requires an
+// interpretation fixpoint (every live block interpreted); nullopt
+// otherwise — the caller skips this epoch and retries after the next tick.
+std::optional<CheckpointSnapshot> snapshot_checkpoint(const Shim& shim);
+
+// Writer half: everything that grows with labels in history — each live
+// block's digest (interpretation_digest_of) and the serialized B.PIs of
+// every builder tip. Touches nothing but the snapshot, so it may run on
+// another thread. nullopt if a tip instance cannot serialize (a protocol
+// without checkpoint support: checkpointing is off for it).
+std::optional<Checkpoint> build_checkpoint(const CheckpointSnapshot& snapshot,
+                                           std::uint64_t epoch,
+                                           std::uint32_t n_servers);
+
+// Both halves at once, on the calling thread.
 std::optional<Checkpoint> build_checkpoint(const Shim& shim,
                                            std::uint64_t epoch,
                                            std::uint32_t n_servers);
 
 // version byte + payload + signature by cp.self over (version ‖ payload).
 Bytes encode_signed_checkpoint(const Checkpoint& cp, SignatureProvider& sigs);
+
+// encode_signed_checkpoint in its three steps, so that only the signature
+// runs on the thread owning `sigs` (a WOTS provider's one-time key index
+// is owner-thread state): the preimage σ covers (version ‖ payload), the
+// signature, and the sealed wire bytes — byte-identical to
+// encode_signed_checkpoint.
+Bytes checkpoint_preimage(const Checkpoint& cp);
+Bytes seal_checkpoint(const Bytes& preimage, const Bytes& sigma);
 
 // Decodes and — when `sigs` is non-null — verifies the signature against
 // `expected_signer` (also enforced to equal the payload's self field).

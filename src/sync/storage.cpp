@@ -1,11 +1,13 @@
 #include "sync/storage.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 
@@ -24,6 +26,55 @@ std::string ckpt_path(const std::string& dir, std::uint64_t epoch) {
 
 std::string log_path(const std::string& dir, std::uint64_t epoch) {
   return dir + "/blocks-" + std::to_string(epoch) + ".log";
+}
+
+// One epoch-numbered file of a data dir, as found by listing it.
+struct EpochFile {
+  enum Kind { kCheckpoint, kCheckpointTmp, kLog } kind;
+  std::uint64_t epoch;
+  std::string name;
+};
+
+// Parses "<prefix><digits><suffix>"; nullopt for any other name.
+std::optional<std::uint64_t> epoch_in(const std::string& name,
+                                      const std::string& prefix,
+                                      const std::string& suffix) {
+  if (name.size() <= prefix.size() + suffix.size() ||
+      name.compare(0, prefix.size(), prefix) != 0 ||
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return std::nullopt;
+  }
+  const char* first = name.data() + prefix.size();
+  const char* last = name.data() + name.size() - suffix.size();
+  std::uint64_t epoch = 0;
+  const auto [end, ec] = std::from_chars(first, last, epoch);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return epoch;
+}
+
+// Every checkpoint, stale checkpoint temp file and log in `dir`, sorted by
+// epoch. Empty with ok = false when the directory cannot be read.
+std::vector<EpochFile> list_epoch_files(const std::string& dir, bool& ok) {
+  std::vector<EpochFile> files;
+  DIR* d = ::opendir(dir.c_str());
+  ok = d != nullptr;
+  if (!ok) return files;
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (auto e = epoch_in(name, "checkpoint-", ".ckpt")) {
+      files.push_back({EpochFile::kCheckpoint, *e, name});
+    } else if (auto t = epoch_in(name, "checkpoint-", ".ckpt.tmp")) {
+      files.push_back({EpochFile::kCheckpointTmp, *t, name});
+    } else if (auto l = epoch_in(name, "blocks-", ".log")) {
+      files.push_back({EpochFile::kLog, *l, name});
+    }
+  }
+  ::closedir(d);
+  std::sort(files.begin(), files.end(),
+            [](const EpochFile& a, const EpochFile& b) {
+              return a.epoch < b.epoch;
+            });
+  return files;
 }
 
 bool read_file(const std::string& path, Bytes& out) {
@@ -68,6 +119,19 @@ bool write_file_durably(const std::string& dir, const std::string& path,
 }
 
 }  // namespace
+
+Bytes epoch_boundary_payload(std::uint64_t epoch) {
+  Writer w;
+  w.u64(epoch);
+  return std::move(w).take();
+}
+
+std::optional<std::uint64_t> decode_epoch_boundary(const Bytes& payload) {
+  Reader r(payload);
+  const auto epoch = r.u64();
+  if (!epoch || !r.done()) return std::nullopt;
+  return epoch;
+}
 
 Bytes encode_checkpoint_file(const Bytes& signed_checkpoint) {
   Writer w;
@@ -127,7 +191,8 @@ std::vector<LogRecord> decode_log(const Bytes& file,
     if (!version || !kind || !crc || !payload) break;
     if (*version != kStorageVersion) break;
     if (*kind != static_cast<std::uint8_t>(LogKind::kOwnBlock) &&
-        *kind != static_cast<std::uint8_t>(LogKind::kRecvBlock)) {
+        *kind != static_cast<std::uint8_t>(LogKind::kRecvBlock) &&
+        *kind != static_cast<std::uint8_t>(LogKind::kEpochBoundary)) {
       break;
     }
     if (crc32(*payload) != *crc) break;  // torn or corrupt: stop replaying
@@ -148,15 +213,24 @@ DataDir::~DataDir() {
 }
 
 bool DataDir::open_log(std::uint64_t epoch, bool truncate) {
-  if (log_fd_ >= 0) {
-    ::close(log_fd_);
-    log_fd_ = -1;
-  }
-  const int flags = O_WRONLY | O_CREAT | (truncate ? O_TRUNC : O_APPEND);
-  log_fd_ = ::open(log_path(dir_, epoch).c_str(), flags, 0644);
-  if (log_fd_ < 0) return false;
+  const int flags = O_WRONLY | O_CREAT | O_APPEND | (truncate ? O_TRUNC : 0);
+  const int fd = ::open(log_path(dir_, epoch).c_str(), flags, 0644);
+  if (fd < 0) return false;
+  if (log_fd_ >= 0) ::close(log_fd_);
+  log_fd_ = fd;
   epoch_ = epoch;
   return true;
+}
+
+bool DataDir::write_record(int fd, LogKind kind, const Bytes& payload) {
+  const Bytes rec = encode_log_record(kind, payload);
+  std::size_t off = 0;
+  while (off < rec.size()) {
+    const ::ssize_t n = ::write(fd, rec.data() + off, rec.size() - off);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return !config_.fsync_appends || ::fsync(fd) == 0;
 }
 
 bool DataDir::store_checkpoint(std::uint64_t epoch, const Bytes& bytes) {
@@ -165,79 +239,169 @@ bool DataDir::store_checkpoint(std::uint64_t epoch, const Bytes& bytes) {
                           encode_checkpoint_file(bytes))) {
     return false;
   }
-  // Rotation: start epoch's log fresh, then drop everything older — the
-  // new checkpoint subsumes it. Unlink failures are ignored (stale files
-  // waste space but load_latest picks the newest checkpoint anyway).
-  if (!open_log(epoch, /*truncate=*/true)) return false;
-  for (std::uint64_t e = 0; e < epoch; ++e) {
-    ::unlink(ckpt_path(dir_, e).c_str());
-    ::unlink(log_path(dir_, e).c_str());
+  {
+    // A one-step caller (no boundary record for `epoch`): start epoch's
+    // log here, as the boundary would have.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (epoch_ < epoch && !open_log(epoch, /*truncate=*/true)) return false;
+  }
+  // Checkpoint `epoch` is durable: drop what it subsumes. The files come
+  // from a listing, so the cost follows what is on disk, not the epoch
+  // number. Unlink failures are ignored (stale files waste space but
+  // load_latest picks the newest checkpoint anyway).
+  bool listed = false;
+  for (const EpochFile& f : list_epoch_files(dir_, listed)) {
+    if (f.epoch >= epoch) break;
+    ::unlink((dir_ + "/" + f.name).c_str());
   }
   return true;
 }
 
 bool DataDir::append_block(LogKind kind, const Bytes& payload) {
   if (!ok_) return false;
-  if (log_fd_ < 0 && !open_log(epoch_, /*truncate=*/false)) return false;
-  const Bytes rec = encode_log_record(kind, payload);
-  std::size_t off = 0;
-  while (off < rec.size()) {
-    const ::ssize_t n = ::write(log_fd_, rec.data() + off, rec.size() - off);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (kind == LogKind::kEpochBoundary) {
+    const auto epoch = decode_epoch_boundary(payload);
+    if (!epoch) return false;
+    // Open the new log beside the current one and switch only once the
+    // boundary is in it: on failure appends continue in the old log.
+    const int fd = ::open(log_path(dir_, *epoch).c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+    if (fd < 0) return false;
+    if (!write_record(fd, kind, payload)) {
+      ::close(fd);
+      return false;
+    }
+    if (log_fd_ >= 0) ::close(log_fd_);
+    log_fd_ = fd;
+    epoch_ = *epoch;
+    return true;
   }
-  if (config_.fsync_appends && ::fsync(log_fd_) != 0) return false;
-  return true;
+  if (log_fd_ < 0 && !open_log(epoch_, /*truncate=*/false)) return false;
+  return write_record(log_fd_, kind, payload);
 }
 
 bool DataDir::load_latest(std::uint64_t& epoch, Bytes& checkpoint,
                           std::vector<LogRecord>& log) {
-  if (!ok_) return false;
   epoch = 0;
   checkpoint.clear();
   log.clear();
-  // Epochs are dense from 1 (0 = "no checkpoint yet") and rotation keeps
-  // only the newest files, so scan forward until a gap.
+  if (!ok_) return false;
+  bool listed = false;
+  const std::vector<EpochFile> files = list_epoch_files(dir_, listed);
+  if (!listed) return false;
   std::uint64_t newest = 0;
-  Bytes newest_file;
-  for (std::uint64_t e = 1, misses = 0; misses < 4; ++e) {
-    Bytes file;
-    if (read_file(ckpt_path(dir_, e), file)) {
-      misses = 0;
-      newest = e;
-      newest_file = std::move(file);
-    } else {
-      ++misses;
+  bool have_checkpoint = false;
+  for (const EpochFile& f : files) {
+    if (f.kind == EpochFile::kCheckpoint) {
+      newest = f.epoch;
+      have_checkpoint = true;
     }
   }
-  if (newest != 0) {
+  if (have_checkpoint) {
     // A newest checkpoint that does not decode is corrupt storage, and
     // falling back to an older surviving epoch would be amnesia: rotation
     // already unlinked that epoch's log, so every block appended since —
     // own blocks included — would silently vanish and next_k would regress
     // into sequence reuse. Refuse the whole load instead (the runtime
     // leaves the server halted; simctl exits 3).
-    auto payload = decode_checkpoint_file(newest_file);
+    Bytes file;
+    if (!read_file(ckpt_path(dir_, newest), file)) return false;
+    auto payload = decode_checkpoint_file(file);
     if (!payload) return false;
     epoch = newest;
     checkpoint = std::move(*payload);
   }
-  Bytes log_file;
-  if (read_file(log_path(dir_, epoch), log_file)) {
-    std::size_t valid_prefix = 0;
-    log = decode_log(log_file, valid_prefix);
-    // Drop a torn tail on disk, not just in memory: the log is reopened
-    // with O_APPEND, and a record written after leftover torn bytes would
-    // be invisible to every future replay (which stops at the tear) —
-    // silent loss of own blocks, i.e. sequence reuse after the next crash.
-    if (valid_prefix < log_file.size() &&
-        ::truncate(log_path(dir_, epoch).c_str(),
-                   static_cast<::off_t>(valid_prefix)) != 0) {
+  std::vector<const EpochFile*> chain;
+  for (const EpochFile& f : files) {
+    if (f.kind == EpochFile::kLog && f.epoch >= newest) chain.push_back(&f);
+  }
+  std::uint64_t append_epoch = newest;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const std::uint64_t e = chain[i]->epoch;
+    const std::string path = log_path(dir_, e);
+    Bytes log_file;
+    if (!read_file(path, log_file)) {
       log.clear();
       return false;
     }
+    std::size_t valid_prefix = 0;
+    std::vector<LogRecord> records = decode_log(log_file, valid_prefix);
+    if (valid_prefix < log_file.size()) {
+      // Only the newest log can be torn by a kill: every older one was
+      // closed by the next boundary. A tear inside the chain is corruption.
+      // The newest log's tear is dropped on disk, not just in memory: the
+      // log is reopened with O_APPEND, and a record written after leftover
+      // torn bytes would be invisible to every future replay (which stops
+      // at the tear) — silent loss of own blocks, i.e. sequence reuse after
+      // the next crash.
+      if (i + 1 != chain.size() ||
+          ::truncate(path.c_str(), static_cast<::off_t>(valid_prefix)) != 0) {
+        log.clear();
+        return false;
+      }
+    }
+    // A log past the checkpoint always begins with its boundary; only a
+    // torn first write loses it. The file itself still proves the epoch
+    // was used, and the restored Checkpointer must not reuse it.
+    if (e > newest && (records.empty() ||
+                       records.front().kind != LogKind::kEpochBoundary)) {
+      log.push_back(LogRecord{LogKind::kEpochBoundary, epoch_boundary_payload(e)});
+    }
+    for (LogRecord& r : records) log.push_back(std::move(r));
+    append_epoch = e;
   }
-  epoch_ = epoch;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (log_fd_ >= 0) {
+    ::close(log_fd_);
+    log_fd_ = -1;
+  }
+  epoch_ = append_epoch;
+  return true;
+}
+
+MemStore::MemStore(MemStore&& other) noexcept {
+  std::lock_guard<std::mutex> lock(other.mu_);
+  checkpoint_epoch_ = other.checkpoint_epoch_;
+  checkpoint_ = std::move(other.checkpoint_);
+  log_epoch_ = other.log_epoch_;
+  logs_ = std::move(other.logs_);
+}
+
+bool MemStore::store_checkpoint(std::uint64_t epoch, const Bytes& bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  checkpoint_epoch_ = epoch;
+  checkpoint_ = bytes;
+  if (log_epoch_ < epoch) {
+    log_epoch_ = epoch;
+    logs_[epoch].clear();
+  }
+  logs_.erase(logs_.begin(), logs_.lower_bound(epoch));
+  return true;
+}
+
+bool MemStore::append_block(LogKind kind, const Bytes& payload) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (kind == LogKind::kEpochBoundary) {
+    const auto epoch = decode_epoch_boundary(payload);
+    if (!epoch) return false;
+    log_epoch_ = *epoch;
+    logs_[log_epoch_] = {LogRecord{kind, payload}};
+    return true;
+  }
+  logs_[log_epoch_].push_back(LogRecord{kind, payload});
+  return true;
+}
+
+bool MemStore::load_latest(std::uint64_t& epoch, Bytes& checkpoint,
+                           std::vector<LogRecord>& log) {
+  std::lock_guard<std::mutex> lock(mu_);
+  epoch = checkpoint_epoch_;
+  checkpoint = checkpoint_;
+  log.clear();
+  for (auto it = logs_.lower_bound(checkpoint_epoch_); it != logs_.end(); ++it) {
+    log.insert(log.end(), it->second.begin(), it->second.end());
+  }
   return true;
 }
 

@@ -69,5 +69,26 @@ TEST(IdealSignature, CountersTrackOps) {
   EXPECT_EQ(sigs.counters().signs, 0u);
 }
 
+TEST(SignatureSplit, PreparedSignaturesEqualOneCallSignaturesForEveryScheme) {
+  // The checkpoint writer hashes off the owner thread and the owner signs
+  // the prepared bytes: the result must be the one-call signature, byte
+  // for byte, and it must count as one signature. Two instances with the
+  // same seed make WOTS's stateful key index line up.
+  Bytes big(100000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31);
+  for (const SigScheme scheme : {SigScheme::kIdeal, SigScheme::kHmac, SigScheme::kWots}) {
+    auto one_call = make_signature_provider(scheme, 4, 9);
+    auto split = make_signature_provider(scheme, 4, 9);
+    for (const Bytes& m : {msg(""), msg("checkpoint"), big}) {
+      const Bytes expected = one_call->sign(2, m);
+      const Bytes prepared = split->prepare_to_sign(2, m);
+      EXPECT_EQ(split->sign_prepared(2, prepared), expected)
+          << sig_scheme_name(scheme) << " message of " << m.size() << " bytes";
+      EXPECT_TRUE(one_call->verify(2, m, expected));
+    }
+    EXPECT_EQ(split->counters().signs, one_call->counters().signs);
+  }
+}
+
 }  // namespace
 }  // namespace blockdag

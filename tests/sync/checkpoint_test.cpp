@@ -12,15 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <variant>
 
 #include "gossip/wire.h"
 #include "protocols/brb.h"
 #include "rt/threaded_runtime.h"
 #include "runtime/cluster.h"
+#include "crypto/sha256.h"
 #include "sim/scheduler.h"
 #include "sync/checkpointer.h"
 #include "sync/storage.h"
+#include "util/hex.h"
 
 namespace blockdag {
 namespace {
@@ -165,6 +168,61 @@ TEST(Checkpoint, RestoreAfterGcCarriesTheHorizon) {
     EXPECT_TRUE(restored.dag().known(ref));
     EXPECT_FALSE(restored.dag().contains(ref));
   }
+}
+
+TEST(Checkpoint, SignedBytesAreFormatV2ByteForByte) {
+  // Pinned from the one-step builder that preceded the snapshot/writer
+  // split: the same state must still sign to the same bytes, through the
+  // one-call encoder and through the three steps the epoch step takes.
+  brb::BrbFactory factory;
+  Cluster cluster(factory, quick_config(71));
+  drive_traffic(cluster, 8);
+  Shim& shim = cluster.shim(0);
+  shim.collect_garbage();
+  const auto cp = sync::build_checkpoint(shim, 3, 4);
+  ASSERT_TRUE(cp.has_value());
+  const Bytes wire = sync::encode_signed_checkpoint(*cp, cluster.signatures());
+  EXPECT_EQ(sync::kCheckpointVersion, 2u);
+  EXPECT_EQ(wire.size(), 3873u);
+  EXPECT_EQ(to_hex(Sha256::digest(wire)),
+            "3bb9a13ec7f3846350da1827c7df27145506e1ccfedecc39d4e2e4c60e00ac86");
+
+  const auto snapshot = sync::snapshot_checkpoint(shim);
+  ASSERT_TRUE(snapshot.has_value());
+  const auto built = sync::build_checkpoint(*snapshot, 3, 4);
+  ASSERT_TRUE(built.has_value());
+  const Bytes preimage = sync::checkpoint_preimage(*built);
+  EXPECT_EQ(sync::seal_checkpoint(preimage, cluster.signatures().sign(0, preimage)),
+            wire);
+}
+
+TEST(Checkpoint, ASnapshotStaysExactWhileTheServerMovesOn) {
+  // The writer builds from handles while the server keeps interpreting,
+  // pruning and committing new B.PIs trees: what it builds must be the
+  // state at the snapshot, not whatever the server holds by then.
+  brb::BrbFactory factory;
+  Cluster cluster(factory, quick_config(103));
+  drive_traffic(cluster, 6);
+  Shim& shim = cluster.shim(0);
+  shim.collect_garbage();
+  const auto snapshot = sync::snapshot_checkpoint(shim);
+  ASSERT_TRUE(snapshot.has_value());
+  const Bytes at_snapshot = sync::encode_signed_checkpoint(
+      *sync::build_checkpoint(shim, 1, 4), cluster.signatures());
+
+  cluster.start();
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    cluster.request(i % 4, 50 + i,
+                    brb::make_broadcast(Bytes{static_cast<std::uint8_t>(i), 7}));
+    cluster.run_for(sim_ms(40));
+  }
+  cluster.quiesce();
+  ASSERT_GT(shim.collect_garbage(), 0u) << "the live set must have moved on";
+
+  const auto built = sync::build_checkpoint(*snapshot, 1, 4);
+  ASSERT_TRUE(built.has_value());
+  EXPECT_EQ(sync::encode_signed_checkpoint(*built, cluster.signatures()),
+            at_snapshot);
 }
 
 TEST(Checkpointer, EpochCadenceStoresAndRotates) {
@@ -330,6 +388,118 @@ class FailingOwnAppend final : public sync::StorageSink {
   std::uint64_t fail_at_;
   std::uint64_t own_appends_ = 0;
 };
+
+// Holds every writer job and continuation until the test runs it, so a
+// test can stop an epoch step at any point between its two threads.
+class ManualWriter final : public sync::CheckpointWriter {
+ public:
+  bool submit(std::function<void()> job) override {
+    queue.push_back(std::move(job));
+    return true;
+  }
+  bool post_back(std::function<void()> task) override {
+    queue.push_back(std::move(task));
+    return true;
+  }
+  // Runs queued work, oldest first, until `steps` ran or none is left.
+  void run(std::size_t steps) {
+    for (std::size_t i = 0; i < steps && !queue.empty(); ++i) {
+      auto next = std::move(queue.front());
+      queue.erase(queue.begin());
+      next();
+    }
+  }
+  std::vector<std::function<void()>> queue;
+};
+
+// Live DAG digest, interpretation digest, next_k and indications of a
+// shim after GC: GC'd live sets compare equal whatever the prune cadence.
+struct ServerState {
+  Bytes dag;
+  Bytes interpretation;
+  SeqNo next_k = 0;
+  std::vector<std::pair<Label, Bytes>> indications;
+  bool operator==(const ServerState&) const = default;
+};
+
+ServerState state_after_gc(Shim& shim) {
+  shim.collect_garbage();
+  ServerState st;
+  st.dag = rt::dag_digest(shim.dag());
+  st.interpretation = rt::interpretation_digest(shim.interpreter(), shim.dag());
+  st.next_k = shim.gossip().next_seq();
+  for (const UserIndication& ind : shim.indications()) {
+    st.indications.emplace_back(ind.label, ind.indication);
+  }
+  return st;
+}
+
+TEST(Checkpointer, AKillBetweenTheBoundaryAndTheStoreLosesNoBlock) {
+  // Epoch 1 lands. Epoch 2's boundary is taken and the server keeps
+  // inserting blocks into epoch 2's log while the writer works; then the
+  // process dies before the store. The chain checkpoint 1 + logs 1, 2 must
+  // give back exactly the pre-crash state, and the next boundary must not
+  // reuse epoch 2.
+  brb::BrbFactory factory;
+  sync::MemStore store;
+  Cluster cluster(factory, quick_config(107));
+  ManualWriter writer;
+  sync::CheckpointerConfig ck;
+  ck.epoch_blocks = 6;
+  sync::Checkpointer checkpointer(cluster.shim(0), cluster.signatures(), 4,
+                                  &store, ck, &writer);
+  cluster.start();
+  Label label = 1;
+  const auto traffic = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      cluster.request(label % 4, label,
+                      brb::make_broadcast(Bytes{static_cast<std::uint8_t>(label)}));
+      ++label;
+      cluster.run_for(sim_ms(20));
+    }
+  };
+  // Step 1 runs to completion; the queue is drained as it fills.
+  while (checkpointer.epoch() == 0) {
+    traffic(1);
+    writer.run(writer.queue.size());
+  }
+  ASSERT_EQ(checkpointer.epoch(), 1u);
+  // Step 2: taken, then starved of its writer.
+  while (!checkpointer.step_in_flight()) traffic(1);
+  traffic(4);
+  EXPECT_GE(checkpointer.stats().checkpoints_skipped, 1u)
+      << "boundaries reached while the writer is busy are deferred";
+  writer.run(2);  // build, then sign: the store job is queued, never run
+  ASSERT_EQ(writer.queue.size(), 1u);
+  cluster.shim(0).halt();  // the kill: the queued store never runs
+  const ServerState before = state_after_gc(cluster.shim(0));
+
+  Cluster fresh(factory, quick_config(107));
+  Shim& restored = fresh.shim(0);
+  ManualWriter writer2;
+  sync::Checkpointer recovery(restored, fresh.signatures(), 4, &store, ck,
+                              &writer2);
+  ASSERT_TRUE(recovery.restore_from_storage());
+  EXPECT_EQ(recovery.restore_stats().checkpoint_epoch, 1u);
+  EXPECT_EQ(state_after_gc(restored), before);
+
+  // The next epoch step names epoch 3: epoch 2 already has a log. Manual
+  // ticks build own blocks until the cadence takes a boundary.
+  for (int i = 0; i < 20 && !recovery.step_in_flight(); ++i) restored.tick();
+  ASSERT_TRUE(recovery.step_in_flight());
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<sync::LogRecord> log;
+  ASSERT_TRUE(store.load_latest(epoch, ckpt, log));
+  std::vector<std::uint64_t> boundaries;
+  for (const sync::LogRecord& r : log) {
+    if (r.kind == sync::LogKind::kEpochBoundary) {
+      boundaries.push_back(*sync::decode_epoch_boundary(r.payload));
+    }
+  }
+  // Log 1 opens with epoch 1's own boundary.
+  EXPECT_EQ(boundaries, (std::vector<std::uint64_t>{1, 2, 3}));
+}
 
 TEST(Checkpointer, FailedOwnAppendFailStopsBeforeTheBlockIsSent) {
   // The K-th own block is built and inserted, but its log append fails. It

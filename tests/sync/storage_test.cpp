@@ -14,7 +14,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "dag/block.h"
 
 namespace blockdag {
 namespace {
@@ -362,6 +365,250 @@ TEST(StorageDataDir, FsyncAppendsModeWorks) {
   std::vector<LogRecord> log;
   ASSERT_TRUE(dir.load_latest(epoch, ckpt, log));
   EXPECT_EQ(log.size(), 1u);
+}
+
+TEST(StorageDataDir, RestoresTheNewestOfManyEpochs) {
+  // Rotation leaves only the newest epoch on disk, so its number can sit
+  // far above 1: the loader must find it by listing, not by probing epochs
+  // from 1 up (which gave up after a few misses and came back empty — a
+  // restart then re-issued sequence numbers its peers already held).
+  TempDir tmp;
+  {
+    DataDir dir(tmp.path);
+    for (std::uint8_t e = 1; e <= 8; ++e) {
+      ASSERT_TRUE(dir.store_checkpoint(e, some_bytes(16, e)));
+      ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(8, 100 + e)));
+    }
+  }
+  EXPECT_FALSE(file_exists(tmp.path + "/checkpoint-7.ckpt"));
+  DataDir dir(tmp.path);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(dir.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 8u);
+  EXPECT_EQ(ckpt, some_bytes(16, 8));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].payload, some_bytes(8, 108));
+}
+
+TEST(StorageDataDir, BoundaryRecordsChainTheLogsUntilTheStoreLands) {
+  // The two-phase epoch step: boundary e starts epoch e's log on the
+  // server thread; checkpoint e is stored later. Until it lands, the chain
+  // is checkpoint e-1 + logs e-1, e; once it lands, older epochs go.
+  TempDir tmp;
+  DataDir dir(tmp.path);
+  ASSERT_TRUE(dir.store_checkpoint(1, some_bytes(16, 1)));
+  ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(8, 2)));
+  ASSERT_TRUE(dir.append_block(LogKind::kEpochBoundary,
+                               sync::epoch_boundary_payload(2)));
+  ASSERT_TRUE(dir.append_block(LogKind::kRecvBlock, some_bytes(8, 3)));
+  ASSERT_TRUE(dir.append_block(LogKind::kEpochBoundary,
+                               sync::epoch_boundary_payload(3)));
+  ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(8, 4)));
+  EXPECT_TRUE(file_exists(tmp.path + "/blocks-2.log"));
+  EXPECT_TRUE(file_exists(tmp.path + "/blocks-3.log"));
+
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  {
+    DataDir reopened(tmp.path);
+    ASSERT_TRUE(reopened.load_latest(epoch, ckpt, log));
+  }
+  EXPECT_EQ(epoch, 1u);
+  ASSERT_EQ(log.size(), 5u) << "logs 1, 2 and 3, boundaries included, in order";
+  EXPECT_EQ(log[0].payload, some_bytes(8, 2));
+  EXPECT_EQ(static_cast<int>(log[1].kind), static_cast<int>(LogKind::kEpochBoundary));
+  EXPECT_EQ(sync::decode_epoch_boundary(log[1].payload), std::optional<std::uint64_t>(2));
+  EXPECT_EQ(log[2].payload, some_bytes(8, 3));
+  EXPECT_EQ(sync::decode_epoch_boundary(log[3].payload), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(log[4].payload, some_bytes(8, 4));
+
+  // Checkpoint 2 lands (the writer was late): epoch 1 goes, epoch 3's log
+  // — already past the boundary the store belongs to — stays.
+  ASSERT_TRUE(dir.store_checkpoint(2, some_bytes(16, 5)));
+  EXPECT_FALSE(file_exists(tmp.path + "/checkpoint-1.ckpt"));
+  EXPECT_FALSE(file_exists(tmp.path + "/blocks-1.log"));
+  EXPECT_TRUE(file_exists(tmp.path + "/blocks-2.log"));
+  ASSERT_TRUE(dir.append_block(LogKind::kRecvBlock, some_bytes(8, 6)));
+  DataDir again(tmp.path);
+  ASSERT_TRUE(again.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 2u);
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log[1].payload, some_bytes(8, 3));
+  EXPECT_EQ(log[3].payload, some_bytes(8, 4));
+  // The append after the store went to the newest log, not a deleted one.
+  EXPECT_EQ(log[4].payload, some_bytes(8, 6));
+}
+
+TEST(StorageDataDir, AHeadlessLogStillReservesItsEpoch) {
+  // A kill can tear a new log's very first record, its boundary. The file
+  // still proves the epoch was used, so the loader reports the boundary.
+  TempDir tmp;
+  {
+    DataDir dir(tmp.path);
+    ASSERT_TRUE(dir.store_checkpoint(4, some_bytes(16, 1)));
+    ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(8, 2)));
+  }
+  write_raw(tmp.path + "/blocks-5.log", Bytes{0x01, 0x02});  // torn header
+  DataDir dir(tmp.path);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(dir.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 4u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].payload, some_bytes(8, 2));
+  EXPECT_EQ(sync::decode_epoch_boundary(log[1].payload), std::optional<std::uint64_t>(5));
+  // Appends continue in the repaired newest log.
+  ASSERT_TRUE(dir.append_block(LogKind::kRecvBlock, some_bytes(8, 3)));
+  DataDir again(tmp.path);
+  ASSERT_TRUE(again.load_latest(epoch, ckpt, log));
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[2].payload, some_bytes(8, 3));
+}
+
+TEST(StorageDataDir, ATearInsideTheChainIsRefused) {
+  // Only the newest log can be torn by a kill; a tear in an older one
+  // would replay the newer logs behind a gap.
+  TempDir tmp;
+  {
+    DataDir dir(tmp.path);
+    ASSERT_TRUE(dir.store_checkpoint(1, some_bytes(16, 1)));
+    ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(20, 2)));
+    ASSERT_TRUE(dir.append_block(LogKind::kEpochBoundary,
+                                 sync::epoch_boundary_payload(2)));
+    ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock, some_bytes(20, 3)));
+  }
+  const std::string older = tmp.path + "/blocks-1.log";
+  struct stat st{};
+  ASSERT_EQ(::stat(older.c_str(), &st), 0);
+  ASSERT_EQ(::truncate(older.c_str(), st.st_size - 3), 0);
+  DataDir dir(tmp.path);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  EXPECT_FALSE(dir.load_latest(epoch, ckpt, log));
+  EXPECT_TRUE(log.empty());
+}
+
+TEST(StorageDataDir, AParentLayoutDirLoadsAsAOneLogChain) {
+  // A data dir written before boundary records existed: checkpoint e and
+  // blocks-e.log holding every block since, nothing else.
+  TempDir tmp;
+  write_raw(tmp.path + "/checkpoint-6.ckpt",
+            sync::encode_checkpoint_file(some_bytes(16, 1)));
+  Bytes log_file = sync::encode_log_record(LogKind::kOwnBlock, some_bytes(8, 2));
+  const Bytes second = sync::encode_log_record(LogKind::kRecvBlock, some_bytes(8, 3));
+  log_file.insert(log_file.end(), second.begin(), second.end());
+  write_raw(tmp.path + "/blocks-6.log", log_file);
+  DataDir dir(tmp.path);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(dir.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 6u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].payload, some_bytes(8, 2));
+  EXPECT_EQ(log[1].payload, some_bytes(8, 3));
+}
+
+TEST(StorageDataDir, RotationDeletesStaleTempFilesAndIgnoresStrangers) {
+  TempDir tmp;
+  DataDir dir(tmp.path);
+  write_raw(tmp.path + "/checkpoint-1.ckpt.tmp", some_bytes(4, 1));
+  write_raw(tmp.path + "/notes.txt", some_bytes(4, 2));
+  write_raw(tmp.path + "/blocks-x.log", some_bytes(4, 3));
+  ASSERT_TRUE(dir.store_checkpoint(2, some_bytes(16, 4)));
+  EXPECT_FALSE(file_exists(tmp.path + "/checkpoint-1.ckpt.tmp"));
+  EXPECT_TRUE(file_exists(tmp.path + "/notes.txt"));
+  EXPECT_TRUE(file_exists(tmp.path + "/blocks-x.log"));
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(dir.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 2u);
+}
+
+TEST(StorageMemStore, ChainsLogsLikeTheDataDir) {
+  MemStore store;
+  ASSERT_TRUE(store.store_checkpoint(1, some_bytes(10, 1)));
+  ASSERT_TRUE(store.append_block(LogKind::kOwnBlock, some_bytes(4, 2)));
+  ASSERT_TRUE(store.append_block(LogKind::kEpochBoundary,
+                                 sync::epoch_boundary_payload(2)));
+  ASSERT_TRUE(store.append_block(LogKind::kRecvBlock, some_bytes(4, 3)));
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(store.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 1u);
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(static_cast<int>(log[1].kind), static_cast<int>(LogKind::kEpochBoundary));
+  ASSERT_TRUE(store.store_checkpoint(2, some_bytes(10, 4)));
+  ASSERT_TRUE(store.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 2u);
+  ASSERT_EQ(log.size(), 2u) << "epoch 2's log survives its own store";
+  EXPECT_EQ(log[1].payload, some_bytes(4, 3));
+}
+
+// The runtime's thread split on one sink: the server thread appends
+// blocks and boundary records while a writer thread stores the previous
+// epoch's checkpoint, one store in flight at a time. Under ThreadSanitizer
+// this is the race the sinks must be free of; here it also checks that
+// no record is lost to a store's rotation.
+void race_appends_against_stores(sync::StorageSink& sink) {
+  constexpr std::uint64_t kEpochs = 12;
+  constexpr std::uint8_t kPerEpoch = 20;
+  std::thread writer;
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    if (writer.joinable()) writer.join();  // at most one store in flight
+    ASSERT_TRUE(sink.append_block(LogKind::kEpochBoundary,
+                                  sync::epoch_boundary_payload(e)));
+    writer = std::thread([&sink, e] {
+      EXPECT_TRUE(sink.store_checkpoint(e, some_bytes(64, static_cast<std::uint8_t>(e))));
+    });
+    for (std::uint8_t i = 0; i < kPerEpoch; ++i) {
+      ASSERT_TRUE(sink.append_block(LogKind::kRecvBlock,
+                                    some_bytes(12, static_cast<std::uint8_t>(e * 31 + i))));
+    }
+  }
+  writer.join();
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(sink.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, kEpochs);
+  EXPECT_EQ(ckpt, some_bytes(64, static_cast<std::uint8_t>(kEpochs)));
+  ASSERT_EQ(log.size(), 1u + kPerEpoch);
+  EXPECT_EQ(sync::decode_epoch_boundary(log[0].payload),
+            std::optional<std::uint64_t>(kEpochs));
+  for (std::uint8_t i = 0; i < kPerEpoch; ++i) {
+    EXPECT_EQ(log[1 + i].payload,
+              some_bytes(12, static_cast<std::uint8_t>(kEpochs * 31 + i)));
+  }
+}
+
+TEST(StorageDataDir, AppendsRaceAWriterSideStoreWithoutLoss) {
+  TempDir tmp;
+  DataDir dir(tmp.path);
+  race_appends_against_stores(dir);
+}
+
+TEST(StorageMemStore, AppendsRaceAWriterSideStoreWithoutLoss) {
+  MemStore store;
+  race_appends_against_stores(store);
+}
+
+TEST(StorageCodec, EpochBoundaryPayloadIsNoBlock) {
+  const Bytes payload = sync::epoch_boundary_payload(42);
+  EXPECT_EQ(sync::decode_epoch_boundary(payload), std::optional<std::uint64_t>(42));
+  EXPECT_FALSE(sync::decode_epoch_boundary(Bytes{1, 2, 3}).has_value());
+  EXPECT_FALSE(Block::decode(payload).has_value());
+  // The log codec carries it like any other record.
+  const auto back = sync::decode_log(sync::encode_log_record(LogKind::kEpochBoundary, payload));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(static_cast<int>(back[0].kind), static_cast<int>(LogKind::kEpochBoundary));
 }
 
 TEST(StorageMemStore, MirrorsDataDirSemantics) {

@@ -3,14 +3,16 @@
 # socket-runtime smokes (`simctl run --runtime tcp` and the lossy
 # `--runtime udp` in one process, plus both two-OS-process serve/join
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
-# crash/recovery smoke, the crash-churn and UDP fuzz slices and a sim fuzz
+# crash/recovery smoke, which kills a member at checkpoint 6 or later, the crash-churn and UDP fuzz slices and a sim fuzz
 # slice under real hmac signatures), a bench
 # harness smoke (every bench runs seconds-scale and must emit parseable
 # BENCH_*.json), an Asan build running the tier1 ctest label, then a Tsan
 # build running the threaded-runtime, TCP-runtime and UDP-runtime
 # convergence tests (the two link-settle cases looped 10×), the socket
-# link layer's cap and stop-accounting cases and the real-runtime scenario
-# runs under ThreadSanitizer. Mirrors
+# link layer's cap and stop-accounting cases, the real-runtime scenario
+# runs, the crash/restart cases with their checkpoint-writer crash points
+# (one of them looped 10×) and the storage sinks' append-vs-store race
+# under ThreadSanitizer. Mirrors
 # .github/workflows/ci.yml; see BUILDING.md for the full command reference.
 set -eu
 
@@ -28,7 +30,7 @@ echo "==> Socket-runtime smoke (real localhost TCP, single process + multi-proce
 ./build-ci/simctl run --runtime tcp --n 4 --instances 4 --seconds 5 --interval 2
 sh tools/tcp_cluster_smoke.sh ./build-ci/simctl
 
-echo "==> Crash-recovery smoke (three-process durable cluster, SIGKILL + restart)"
+echo "==> Crash-recovery smoke (three-process durable cluster, SIGKILL at checkpoint >= 6 + restart)"
 sh tools/crash_cluster_smoke.sh ./build-ci/simctl
 
 echo "==> Sim fuzz slice under real signatures (churn restores replay the block log through hmac checks)"
@@ -60,7 +62,7 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Asan \
 cmake --build build-ci-asan -j "$jobs"
 (cd build-ci-asan && ctest --output-on-failure -j "$jobs" -L tier1)
 
-echo "==> Tsan build + threaded/TCP/UDP runtime + link layer + live scenario + verifier-pool smoke (ThreadSanitizer)"
+echo "==> Tsan build + threaded/TCP/UDP runtime + link layer + live scenario + crash/restart + storage + verifier-pool smoke (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
       -DBLOCKDAG_BUILD_BENCHES=OFF -DBLOCKDAG_BUILD_EXAMPLES=OFF \
       -DBLOCKDAG_BUILD_TOOLS=OFF
@@ -68,14 +70,16 @@ cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
                rt_mailbox_batch_test rt_link_layer_test runtime_live_scenario_test \
-               crypto_verifier_pool_test
+               crypto_verifier_pool_test sync_storage_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test|sync/storage_test)$')
 # The verifier pool's shutdown race is timing-shaped: loop the Tsan binaries
 # so the sanitizer sees many distinct stop()-vs-batch interleavings (and
 # the mailbox batch-drain's four producers racing the swap). The two
 # link-settle cases loop too: a reset after stop() and injected datagram
-# delays race the poll threads against the settle count.
+# delays race the poll threads against the settle count. One checkpoint
+# crash point loops too: crash() joins a writer blocked mid-store while
+# the server thread keeps appending to the next epoch's log.
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
@@ -83,6 +87,8 @@ for i in 1 2 3 4 5 6 7 8 9 10; do
       --gtest_filter='TcpRuntime.ConnectionKilledAfterStopStillSettlesExactly' >/dev/null
   ./build-ci-tsan/rt_udp_runtime_test \
       --gtest_filter='UdpRuntime.DelayedDatagramsSettleBeforeConvergenceSamples' >/dev/null
+  ./build-ci-tsan/rt_crash_restart_test \
+      --gtest_filter='CrashRestart.CrashBeforeTheStoreLandsThenAgainFromTheChainedLog' >/dev/null
 done
 
 echo "==> CI OK"

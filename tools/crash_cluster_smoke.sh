@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Process-level crash/recovery smoke (DESIGN.md §10): a three-OS-process
 # TCP cluster where every member persists to its own --data-dir. One
-# joiner is SIGKILLed mid-run — no shutdown path runs, exactly like a
-# machine losing power — then restarted over the same directory. The
+# joiner is SIGKILLed mid-run, once it holds checkpoint 6 or later — no
+# shutdown path runs, exactly like a machine losing power — then
+# restarted over the same directory while the last member joins. The
 # restarted process must restore from its latest checkpoint + block log,
 # state-sync whatever the cluster built while it was down, and converge:
 # all three processes must exit 0 (identical DAG + interpretation
@@ -36,42 +37,51 @@ while [ "$attempt" -lt 5 ]; do
   echo "==> attempt $((attempt + 1)): three-process durable cluster on 127.0.0.1:$port"
 
   common="--n 3 --port $port --instances 12 --interval 100 --seconds 60 --checkpoint 4"
+  # Member 1 starts late. Until it issues its share of the workload no
+  # member can finish, so servers 0 and 2 keep building blocks, and
+  # member 2 keeps taking checkpoint epochs, for as long as this needs.
   # shellcheck disable=SC2086  # $common is a flat flag list on purpose
   "$simctl" serve $common --data-dir "$workdir/s0" &
   serve_pid=$!
   # shellcheck disable=SC2086
-  "$simctl" join --id 1 $common --data-dir "$workdir/s1" &
-  join1_pid=$!
-  # shellcheck disable=SC2086
   "$simctl" join --id 2 $common --data-dir "$workdir/s2" > "$workdir/pre.log" &
   join2_pid=$!
 
-  # Pull the plug the moment member 2 stores its first checkpoint: the
-  # run is still hot (surviving members keep settling on the 60s budget)
-  # and the data dir is guaranteed to hold real durable state, so the
-  # restart below must report restored=yes.
+  # Pull the plug once member 2 holds checkpoint 6 or later: server 0
+  # holds the blocks member 2 built, so a restart that reused a sequence
+  # number would equivocate; the data dir holds real durable state, so
+  # the restart below must report restored=yes; and rotation has deleted
+  # epochs 1..5, so the restart must find the newest epoch by listing the
+  # directory and replay the log chain behind it.
   ticks=0
-  while [ "$ticks" -lt 200 ]; do
+  epoch=none
+  while [ "$ticks" -lt 400 ]; do
     for f in "$workdir"/s2/checkpoint-*.ckpt; do
-      [ -e "$f" ] && break 2
+      [ -e "$f" ] || continue
+      epoch=${f##*/checkpoint-}
+      epoch=${epoch%.ckpt}
+      [ "$epoch" -ge 6 ] 2>/dev/null && break 2
     done
     ticks=$((ticks + 1))
     sleep 0.05
   done
   if ! kill -KILL "$join2_pid" 2>/dev/null; then
-    # Member 2 finished the whole run before its first checkpoint landed
-    # (or before the kill could be delivered): no crash was injected, so
-    # the attempt proves nothing. Drain the survivors and try again.
-    echo "==> member 2 outran the kill; retrying"
-    wait "$serve_pid" "$join1_pid" 2>/dev/null
-    serve_pid=""; join1_pid=""; join2_pid=""
+    # Member 2 already exited (a bind failure exits 2): no crash was
+    # injected, so the attempt proves nothing. Stop and try again.
+    echo "==> member 2 exited before the kill; retrying"
+    kill "$serve_pid" 2>/dev/null
+    wait "$serve_pid" "$join2_pid" 2>/dev/null
+    serve_pid=""; join2_pid=""
     attempt=$((attempt + 1))
     continue
   fi
-  echo "==> SIGKILLed member 2 (pid $join2_pid) after its first checkpoint"
+  echo "==> SIGKILLed member 2 (pid $join2_pid) at checkpoint $epoch"
   wait "$join2_pid" 2>/dev/null
   sleep 1
 
+  # shellcheck disable=SC2086
+  "$simctl" join --id 1 $common --data-dir "$workdir/s1" &
+  join1_pid=$!
   echo "==> restarting member 2 from $workdir/s2"
   # shellcheck disable=SC2086
   "$simctl" join --id 2 $common --data-dir "$workdir/s2" > "$workdir/post.log"
