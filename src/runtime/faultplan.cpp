@@ -161,6 +161,8 @@ FaultPlan derive_fault_plan(const ScenarioConfig& config) {
   plan.runtime = config.runtime;
   plan.sig_scheme = config.sig_scheme;
   plan.duration = effective_duration(config);
+  // The live grammars build a block every 2 ms of wall-clock.
+  if (config.runtime != ScenarioRuntime::kSim) plan.pacing.interval = sim_ms(2);
   if (config.runtime == ScenarioRuntime::kUdp) {
     derive_wire_profile(config, plan);
     return plan;
@@ -186,7 +188,7 @@ FaultPlan derive_fault_plan(const ScenarioConfig& config) {
         LatencyModel{LatencyModel::Kind::kUniform, sim_ms(10), sim_ms(150)};
   }
 
-  if (config.allow_byzantine && f > 0) {
+  if (f > 0) {
     const std::uint32_t count = static_cast<std::uint32_t>(rng.below(f + 1));
     // kForger joins the pool only under allow_forger (see ScenarioConfig);
     // with the flag set, at least one drawn adversary is forced to be a
@@ -207,28 +209,26 @@ FaultPlan derive_fault_plan(const ScenarioConfig& config) {
     }
   }
 
-  if (config.allow_crashes) {
-    std::vector<ServerId> candidates;
-    for (ServerId s = 0; s < n; ++s) {
-      if (!plan.byzantine.count(s)) candidates.push_back(s);
-    }
-    const std::uint32_t max_crashes =
-        std::min<std::uint32_t>(2, static_cast<std::uint32_t>(candidates.size()) - 1);
-    const std::uint32_t count = static_cast<std::uint32_t>(rng.below(max_crashes + 1));
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto pick = rng.below(candidates.size());
-      const ServerId server = candidates[pick];
-      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-      FaultPlan::Churn churn;
-      churn.server = server;
-      churn.crash_at = (d * 45) / 100 + rng.below(d / 4);          // [0.45d, 0.70d)
-      churn.recover_at = churn.crash_at + d / 50 + rng.below((d * 3) / 20);
-      churn.recover_at = std::min(churn.recover_at, (d * 85) / 100);
-      plan.churn.push_back(churn);
-    }
-    std::sort(plan.churn.begin(), plan.churn.end(),
-              [](const auto& a, const auto& b) { return a.crash_at < b.crash_at; });
+  std::vector<ServerId> candidates;
+  for (ServerId s = 0; s < n; ++s) {
+    if (!plan.byzantine.count(s)) candidates.push_back(s);
   }
+  const std::uint32_t max_crashes =
+      std::min<std::uint32_t>(2, static_cast<std::uint32_t>(candidates.size()) - 1);
+  const std::uint32_t count = static_cast<std::uint32_t>(rng.below(max_crashes + 1));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto pick = rng.below(candidates.size());
+    const ServerId server = candidates[pick];
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
+    FaultPlan::Churn churn;
+    churn.server = server;
+    churn.crash_at = (d * 45) / 100 + rng.below(d / 4);          // [0.45d, 0.70d)
+    churn.recover_at = churn.crash_at + d / 50 + rng.below((d * 3) / 20);
+    churn.recover_at = std::min(churn.recover_at, (d * 85) / 100);
+    plan.churn.push_back(churn);
+  }
+  std::sort(plan.churn.begin(), plan.churn.end(),
+            [](const auto& a, const auto& b) { return a.crash_at < b.crash_at; });
 
   const std::uint32_t n_partitions = static_cast<std::uint32_t>(rng.below(3));
   for (std::uint32_t i = 0; i < n_partitions && n >= 2; ++i) {

@@ -1,6 +1,7 @@
 // Randomized fault plans for the scenario engine (DESIGN.md §6).
 //
-// A FaultPlan is a *pure function* of a ScenarioConfig: the same
+// A derived FaultPlan is a *pure function* of a ScenarioConfig (`simctl
+// run` writes its plan by hand instead): the same
 // (runtime, seed, n, protocol, duration, instances) always derives the
 // same timed schedule. That purity is what makes every fuzzed execution
 // replayable from its one-line repro (`simctl replay --seed S …`) — bit
@@ -76,8 +77,6 @@ struct ScenarioConfig {
   // runtimes take it as given, in wall-clock ns.
   SimTime duration = sim_sec(1);
   std::uint32_t instances = 6;    // parallel protocol instances (labels)
-  bool allow_byzantine = true;
-  bool allow_crashes = true;
   // Adds kForger to the byzantine-kind pool. Gated separately so plans for
   // pre-forger seeds stay byte-identical: flipping this changes every
   // RNG draw after the kind pool, i.e. it is a different fuzz grammar.
@@ -129,7 +128,7 @@ struct FaultPlan {
                              // different servers may overlap
   std::vector<Burst> bursts;
   NetworkConfig initial_net;  // sim only
-  PacingConfig pacing;        // sim only
+  PacingConfig pacing;        // every runtime's block-building beat
   rt::LinkFault wire;                      // udp: every link's baseline
   std::vector<HostileLink> hostile_links;  // udp: worse directed links
   std::uint64_t epoch_blocks = 0;  // threads/tcp: checkpoint cadence

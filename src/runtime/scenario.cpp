@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -13,6 +12,8 @@
 #include <thread>
 
 #include "crypto/sha256.h"
+#include "dag/audit.h"
+#include "dag/dot.h"
 #include "protocols/bcb.h"
 #include "protocols/brb.h"
 #include "protocols/coin_beacon.h"
@@ -54,9 +55,6 @@ struct Expectations {
   std::vector<Label> all_labels;
 };
 
-// request(ℓ, r) at one server of whichever runtime runs the scenario.
-using RequestFn = std::function<void(ServerId, Label, Bytes)>;
-
 // Every correct server's indication log (Shim::indications()), keyed by
 // server; the keys are the correct set the checkers quantify over.
 using IndicationLogs = std::map<ServerId, std::vector<UserIndication>>;
@@ -82,8 +80,8 @@ std::size_t indicated_at(const IndicationLogs& logs, Label label) {
 }
 
 void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
-                 const std::vector<ServerId>& correct, const RequestFn& request,
-                 Expectations& expect) {
+                 const std::vector<ServerId>& correct,
+                 const ScenarioRequestFn& request, Expectations& expect) {
   if (correct.empty()) return;
   for (std::uint32_t i = burst.first_instance;
        i < burst.first_instance + burst.count && i < config.instances; ++i) {
@@ -258,6 +256,9 @@ class ScenarioTarget {
   virtual std::vector<Hash256> forged_refs() = 0;
   // The backend's own sanity counters, after quiesce().
   virtual void check_sanity(std::vector<std::string>& violations) = 0;
+  // The backend's wire traffic and own counters (ScenarioReport::wire,
+  // ::counters, ::tables), after quiesce().
+  virtual void report(ScenarioReport& report) = 0;
 };
 
 class SimTarget final : public ScenarioTarget {
@@ -312,6 +313,12 @@ class SimTarget final : public ScenarioTarget {
     return out;
   }
   void check_sanity(std::vector<std::string>&) override {}
+  void report(ScenarioReport& report) override {
+    report.wire = cluster_.network().metrics();
+    const CryptoCounters& sigs = cluster_.signatures().counters();
+    report.counters.push_back({"signatures.signs", sigs.signs});
+    report.counters.push_back({"signatures.verifies", sigs.verifies});
+  }
 
  private:
   static ClusterConfig cluster_config(const ScenarioConfig& config,
@@ -479,6 +486,63 @@ class LiveTarget final : public ScenarioTarget {
     }
   }
 
+  void report(ScenarioReport& report) override {
+    report.wire = runtime_->wire_metrics();
+    auto& out = report.counters;
+    const VerifierPoolStats pool = runtime_->verifier_stats();
+    out.push_back({"verifier.submitted", pool.submitted});
+    out.push_back({"verifier.verified", pool.verified});
+    out.push_back({"verifier.batches", pool.batches});
+    out.push_back({"verifier.cache_hits", pool.cache_hits});
+    const auto batching = [&out](const std::string& backend, const rt::LinkLayerStats& s) {
+      out.push_back({backend + ".frames_received", s.frames_received});
+      out.push_back({backend + ".batches_sent", s.batches_sent});
+      out.push_back({backend + ".batched_envelopes", s.batched_envelopes});
+      out.push_back({backend + ".batches_received", s.batches_received});
+      out.push_back({backend + ".batched_envelopes_received",
+                     s.batched_envelopes_received});
+    };
+    if (runtime_->tcp()) {
+      const rt::TcpStats tcp = runtime_->tcp()->stats();
+      out.push_back({"tcp.connects", tcp.connects});
+      out.push_back({"tcp.resets", tcp.resets});
+      out.push_back({"tcp.frames_sent", tcp.frames_sent});
+      out.push_back({"tcp.writev_calls", tcp.writev_calls});
+      batching("tcp", tcp);
+    }
+    if (runtime_->udp()) {
+      const rt::UdpStats udp = runtime_->udp()->stats();
+      out.push_back({"udp.datagrams_sent", udp.datagrams_sent});
+      out.push_back({"udp.datagrams_received", udp.datagrams_received});
+      out.push_back({"udp.frames_sent", udp.frames_sent});
+      out.push_back({"udp.retransmits", udp.retransmits});
+      out.push_back({"udp.channel_resets", udp.channel_resets});
+      out.push_back({"udp.duplicates_dropped", udp.duplicates_dropped});
+      out.push_back({"udp.injected_drops", udp.injected_drops});
+      out.push_back({"udp.injected_dups", udp.injected_dups});
+      batching("udp", udp);
+      // One row per directed link that carried traffic.
+      Table links({"link", "datagrams", "chunks", "rexmit", "resets", "dedup",
+                   "inj.drop", "inj.dup"});
+      for (ServerId a = 0; a < runtime_->size(); ++a) {
+        for (ServerId b = 0; b < runtime_->size(); ++b) {
+          if (a == b) continue;
+          const rt::UdpLinkStats link = runtime_->udp()->link_stats(a, b);
+          if (link.datagrams_sent == 0 && link.chunks_delivered == 0) continue;
+          links.add_row({std::to_string(a) + "->" + std::to_string(b),
+                         Table::num(link.datagrams_sent),
+                         Table::num(link.chunks_delivered),
+                         Table::num(link.retransmits),
+                         Table::num(link.channel_resets),
+                         Table::num(link.duplicates_dropped),
+                         Table::num(link.injected_drops),
+                         Table::num(link.injected_dups)});
+        }
+      }
+      report.tables.push_back(std::move(links));
+    }
+  }
+
  private:
   struct Event {
     SimTime at;
@@ -499,7 +563,7 @@ class LiveTarget final : public ScenarioTarget {
     cfg.n_servers = n;
     cfg.seed = config.seed;
     cfg.sig_scheme = config.sig_scheme;
-    cfg.pacing.interval = sim_ms(2);
+    cfg.pacing = plan.pacing;
     if (config.runtime == ScenarioRuntime::kUdp) {
       // FWD retry matched to the loss regime: a 5ms retry against a lossy,
       // RTO-bound link just queues duplicate recovery payloads behind the
@@ -523,11 +587,10 @@ class LiveTarget final : public ScenarioTarget {
       cfg.sync.progress_timeout = sim_ms(50);
       cfg.sync.retry_base = sim_ms(10);
     }
-    for (const auto& [server, kind] : plan.byzantine) {
-      // The live grammars host one kind of adversary: the forger.
-      assert(kind == ByzantineKind::kForger);
-      forger_id_ = server;
-      cfg.raw_servers = {server};
+    if (!plan.byzantine.empty()) {
+      // At most one adversary, a forger (run_scenario checks).
+      forger_id_ = plan.byzantine.begin()->first;
+      cfg.raw_servers = {forger_id_};
       // Small rejected ring: the forger's re-floods (offsets 96.. from its
       // newest forgery) then land on refs already evicted from it, which is
       // exactly what makes verifier-pool verdict-cache hits assertable.
@@ -691,21 +754,45 @@ std::string repro_line(const ScenarioConfig& config) {
   return line;
 }
 
+void issue_scenario_burst(const ScenarioConfig& config,
+                          const FaultPlan::Burst& burst,
+                          const std::vector<ServerId>& correct,
+                          const ScenarioRequestFn& request) {
+  Expectations unused;
+  issue_burst(config, burst, correct, request, unused);
+}
+
 ScenarioResult run_scenario(const ScenarioConfig& config) {
-  ScenarioResult result;
-  auto& violations = result.violations;
   if (std::string error = scenario_config_error(config); !error.empty()) {
-    violations.push_back(std::move(error));
+    ScenarioResult result;
+    result.violations.push_back(std::move(error));
     return result;
   }
-  const FaultPlan plan = derive_fault_plan(config);
+  return run_scenario(config, derive_fault_plan(config));
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
+                            ScenarioReport* report) {
+  ScenarioResult result;
+  auto& violations = result.violations;
+  if (!factory_for(config.protocol)) {
+    violations.push_back("unknown protocol '" + config.protocol + "'");
+    return result;
+  }
+  const bool sim = config.runtime == ScenarioRuntime::kSim;
+  if (!sim && (plan.byzantine.size() > 1 ||
+               (plan.byzantine.size() == 1 &&
+                plan.byzantine.begin()->second != ByzantineKind::kForger))) {
+    violations.push_back("a real runtime hosts at most one adversary, a forger");
+    return result;
+  }
   std::unique_ptr<ScenarioTarget> target;
-  if (config.runtime == ScenarioRuntime::kSim) {
+  if (sim) {
     target = std::make_unique<SimTarget>(config, plan);
   } else {
     target = LiveTarget::make(config, plan);
     if (!target) {
-      violations.push_back("failed to bind sockets");
+      violations.emplace_back(kBindFailure);
       return result;
     }
   }
@@ -722,7 +809,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     });
   }
   Expectations expect;
-  const RequestFn request = [&target](ServerId s, Label label, Bytes bytes) {
+  const ScenarioRequestFn request = [&target](ServerId s, Label label, Bytes bytes) {
     target->request(s, label, std::move(bytes));
   };
   for (const auto& burst : plan.bursts) {
@@ -849,6 +936,15 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   count_indications(logs, expect, result);
   const Sha256::Digest digest = run_hash.finalize();
   result.run_digest.assign(digest.begin(), digest.end());
+
+  if (report) {
+    target->inspect(witness, [report](const Shim& shim) {
+      report->interpretation = shim.interpreter().stats();
+      report->audit = audit(shim.dag()).summary();
+      report->dot = to_dot(shim.dag());
+    });
+    target->report(*report);
+  }
   return result;
 }
 

@@ -4,9 +4,10 @@
 // Every plan in this repository is a pure function of (configuration,
 // seed) — DESIGN.md §2 — so FoundationDB-style seeded exploration comes
 // almost for free: derive a randomized FaultPlan from the seed
-// (runtime/faultplan.h), walk its timed events on whichever runtime the
-// config names — the simulator, or rt::ThreadedRuntime over loopback, TCP
-// or UDP — and assert the paper's properties on the way:
+// (runtime/faultplan.h) or take one written by hand (`simctl run`), walk
+// its timed events on whichever runtime the config names — the simulator,
+// or rt::ThreadedRuntime over loopback, TCP or UDP — and assert the
+// paper's properties on the way:
 //   * safety mid-run: at half the run the protocol checkers
 //     (runtime/checkers.h) run with run_completed = false over the live
 //     correct servers' indication logs, on every runtime;
@@ -25,11 +26,16 @@
 // failing seed reproduces with `simctl replay --seed S …`.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "interpret/interpreter.h"
 #include "protocol/protocol.h"
 #include "runtime/faultplan.h"
+#include "runtime/table.h"
 
 namespace blockdag {
 
@@ -54,13 +60,33 @@ struct ScenarioResult {
   bool ok() const { return violations.empty(); }
 };
 
+// The one violation of a run whose real-runtime sockets did not bind.
+inline constexpr std::string_view kBindFailure = "failed to bind sockets";
+
+// What `simctl run` reports beside the ScenarioResult, read after the
+// final checks.
+struct ScenarioReport {
+  WireMetrics wire;                  // every class, all servers
+  InterpreterStats interpretation;   // at the witness
+  std::string audit;                 // the witness's DAG audit summary
+  std::string dot;                   // the witness's DAG (Graphviz)
+  // The backend's own counters, by name: signatures on the simulator; the
+  // verifier pool, sockets and kBatch packing on the real runtimes.
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<Table> tables;         // the UDP per-link table (DESIGN.md §9)
+};
+
+// request(ℓ, r) at one server of whichever runtime runs the scenario.
+using ScenarioRequestFn = std::function<void(ServerId, Label, Bytes)>;
+
 // The embeddable P named `protocol` (brb, bcb, fifo, pbft, beacon), or
 // null for an unknown name.
 const ProtocolFactory* factory_for(const std::string& protocol);
 
-// Empty when `config` can run; otherwise why not: an unknown protocol, or
-// fewer than 3 servers on a real runtime (the churn and partition plans
-// keep a live majority, which needs n >= 3).
+// Empty when `config` can run under its derived plan; otherwise why not:
+// an unknown protocol, or fewer than 3 servers on a real runtime (the
+// derived churn and partition plans keep a live majority, which needs
+// n >= 3; a hand-written plan has no such floor).
 std::string scenario_config_error(const ScenarioConfig& config);
 
 // The fuzz derivation for one seed. `pinned` carries the sweep's options;
@@ -74,8 +100,25 @@ ScenarioConfig scenario_for_seed(std::uint64_t seed, ScenarioConfig pinned);
 // field, so replay stays exact even if the rotations above change.
 std::string repro_line(const ScenarioConfig& config);
 
-// Runs one scenario on config.runtime to completion. On the simulator,
-// equal configs produce equal results (including run_digest).
+// The scenario's issuing rule, as run_scenario applies it to every burst:
+// instance i of [burst.first_instance, + count) is labelled
+// kScenarioLabelBase + i. brb/bcb broadcast it from correct[i % |correct|],
+// fifo streams 3 + i % 3 broadcasts from there, every correct server
+// proposes the same pbft value, and the first f+1 correct servers
+// contribute to a beacon. `correct` is ascending.
+void issue_scenario_burst(const ScenarioConfig& config,
+                          const FaultPlan::Burst& burst,
+                          const std::vector<ServerId>& correct,
+                          const ScenarioRequestFn& request);
+
+// Runs one scenario on config.runtime to completion under `plan`, derived
+// from the config (fuzz, replay) or written by hand (`simctl run`); with a
+// `report`, fills it too. On the simulator, equal inputs produce equal
+// results (including run_digest).
+ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
+                            ScenarioReport* report = nullptr);
+// run_scenario(config, derive_fault_plan(config)), once
+// scenario_config_error(config) is empty.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 // JSON document describing the run: config, derived fault plan, result.

@@ -108,6 +108,43 @@ TEST(Scenario, RunDigestsMatchGoldenValues) {
   }
 }
 
+TEST(Scenario, HandWrittenPlanRunsThroughTheSameDriver) {
+  // `simctl run`'s plan: every instance requested at t = 0, no churn, no
+  // partitions; on the simulator with one equivocator, on threads with two
+  // servers (a hand-written plan has no live-majority floor).
+  for (const ScenarioRuntime runtime :
+       {ScenarioRuntime::kSim, ScenarioRuntime::kThreads}) {
+    const bool sim = runtime == ScenarioRuntime::kSim;
+    ScenarioConfig cfg;
+    cfg.seed = 1;
+    cfg.runtime = runtime;
+    cfg.n_servers = sim ? 4 : 2;
+    cfg.duration = sim_ms(500);
+    FaultPlan plan;
+    plan.runtime = runtime;
+    plan.duration = cfg.duration;
+    plan.pacing.interval = sim_ms(5);
+    plan.bursts = {{0, 0, cfg.instances}};
+    if (sim) plan.byzantine[3] = ByzantineKind::kEquivocator;
+    ScenarioReport report;
+    const ScenarioResult result = run_scenario(cfg, plan, &report);
+    const std::string where = scenario_runtime_name(runtime);
+    EXPECT_TRUE(result.ok()) << where << ": " << result.violations.front();
+    EXPECT_EQ(result.labels_complete, cfg.instances) << where;
+    EXPECT_EQ(report.interpretation.blocks_interpreted, result.blocks) << where;
+    // The equivocator really ran: the witness's audit shows its forks.
+    EXPECT_EQ(report.audit.find("EQUIVOCATED") != std::string::npos, sim)
+        << where << ": " << report.audit;
+  }
+  // A real runtime hosts no adversary but a forger: refused before it starts.
+  ScenarioConfig live;
+  live.runtime = ScenarioRuntime::kThreads;
+  FaultPlan silent;
+  silent.runtime = live.runtime;
+  silent.byzantine[1] = ByzantineKind::kSilent;
+  EXPECT_FALSE(run_scenario(live, silent).ok());
+}
+
 TEST(Scenario, UnknownProtocolIsAnError) {
   EXPECT_EQ(factory_for("paxos"), nullptr);
   ScenarioConfig cfg;

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: the tier-1 verify command on a Release build, explicit
-# socket-runtime smokes (`simctl run --runtime tcp` and the lossy
-# `--runtime udp` in one process, plus both two-OS-process serve/join
+# `simctl run` smokes (`--runtime threads --sig hmac`, whose report carries
+# the verifier-pool counters, `--runtime tcp` and the lossy `--runtime udp`
+# in one process, plus both two-OS-process serve/join
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
 # crash/recovery smoke, which kills a member at checkpoint 6 or later, the crash-churn and UDP fuzz slices and a sim fuzz
 # slice under real hmac signatures), a bench
@@ -25,6 +26,9 @@ cmake -B build-ci -S .
 cmake --build build-ci -j "$jobs"
 # `cd` instead of `ctest --test-dir` keeps the script working on CMake < 3.20.
 (cd build-ci && ctest --output-on-failure -j "$jobs")
+
+echo "==> Threaded-runtime smoke (real hmac signatures through the verifier pool)"
+./build-ci/simctl run --runtime threads --sig hmac --seconds 2
 
 echo "==> Socket-runtime smoke (real localhost TCP, single process + multi-process)"
 ./build-ci/simctl run --runtime tcp --n 4 --instances 4 --seconds 5 --interval 2

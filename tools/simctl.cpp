@@ -1,9 +1,13 @@
-// simctl — command-line driver for the block DAG simulator.
+// simctl — command-line driver for the block DAG runtimes.
 //
-// Default (or `simctl run …`): runs a configurable cluster of shim(P)
-// servers and prints a full report — deliveries, wire traffic, signature
-// counts, interpretation stats, DAG audit. Meant for quick exploration
-// without writing code.
+// Default (or `simctl run …`): runs one scenario (DESIGN.md §6) under a
+// hand-written plan — every instance requested at t = 0, no churn, no
+// partitions — with the paper's checkers on, and prints one report on
+// every runtime: the checked result, wire traffic, interpreter counters,
+// the backend's own counters (signatures, verifier pool, sockets, kBatch
+// packing, the UDP per-link table) and the witness's DAG audit. Exit 0 when
+// every check passes; 1 on a checker violation, non-convergence (Lemma
+// 3.7) or a digest divergence (Lemma 4.2); 2 on a usage or bind failure.
 //
 //   simctl [run] [--runtime sim|threads|tcp|udp] [--n N]
 //          [--protocol brb|bcb|fifo|pbft|beacon] [--seconds S]
@@ -13,19 +17,18 @@
 // Byzantine kinds: silent, equivocator, duplicate, flooder, badsigner,
 // garbage, forger.
 //
-// --runtime threads (or --runtime=threads) runs the same protocol stack on
-// the multi-threaded in-process runtime (one OS thread per server, real
-// clock) instead of the deterministic simulator; --seconds then bounds the
-// wall-clock run. --runtime tcp is the same deployment with every payload
-// crossing real localhost TCP sockets (ephemeral ports, n·(n−1) directed
-// connections) instead of the loopback mailbox transport. --runtime udp
-// moves the payloads over real UDP datagrams with userspace reliability
-// (net/datagram.h) and an in-path fault injector: --drop P injects P loss
-// on every directed link, live, at the wire (DESIGN.md §9). --byzantine
-// stays simulator-only; --sig selects the signature scheme on every
-// runtime (real runtimes route non-ideal verification through the
-// off-thread verifier pool, the simulator always verifies synchronously;
-// --wots is kept as an alias for --sig wots).
+// --runtime threads runs the same protocol stack on the multi-threaded
+// in-process runtime (one OS thread per server, real clock) instead of the
+// deterministic simulator; --seconds is the run's length on every runtime
+// (virtual time on the simulator, wall-clock otherwise), and the checks
+// follow it. --runtime tcp moves every payload over real localhost TCP
+// sockets (ephemeral ports), --runtime udp over real UDP datagrams with
+// userspace reliability (net/datagram.h) and an in-path fault injector.
+// --drop P is loss on every link: the simulator's drop rate (at most 16
+// drops per pair) or, on udp, injected at the wire (DESIGN.md §9); other
+// runtimes refuse it. --byzantine is simulator-only. --sig selects the
+// signature scheme on every runtime (real runtimes verify non-ideal
+// schemes on the off-thread verifier pool).
 //
 // Multi-process clusters (DESIGN.md §8): every member runs the same
 // protocol stack in its own OS process, hosting exactly one server,
@@ -92,7 +95,6 @@
 //     no decimal round-trip can perturb the derived plan). Real-runtime
 //     replays re-derive the exact same plan from the seed; the thread and
 //     socket timing underneath is real and therefore not bit-identical.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -100,42 +102,26 @@
 #include <numeric>
 #include <string>
 #include <tuple>
-#include <utility>
 
 #include <chrono>
 #include <thread>
 
-#include "dag/audit.h"
-#include "dag/dot.h"
 #include "rt/threaded_runtime.h"
-#include "protocols/bcb.h"
-#include "protocols/brb.h"
-#include "protocols/coin_beacon.h"
-#include "protocols/fifo_brb.h"
-#include "protocols/pbft_lite.h"
-#include "runtime/cluster.h"
 #include "runtime/scenario.h"
 #include "runtime/table.h"
 #include "util/hex.h"
-#include "util/histogram.h"
 #include "util/serialize.h"
 
 using namespace blockdag;
 
 namespace {
 
+// `simctl run`: one scenario under a hand-written plan.
 struct Options {
-  std::uint32_t n = 4;
-  std::string runtime = "sim";
-  std::string protocol = "brb";
-  double seconds = 2.0;
-  std::uint32_t instances = 8;
-  std::uint64_t interval_ms = 10;
-  std::uint64_t seed = 1;
+  ScenarioConfig config;
+  FaultPlan plan;
   double drop = 0.0;
-  SigScheme sig = SigScheme::kIdeal;
   std::string dot_file;
-  std::map<ServerId, ByzantineKind> byzantine;
 };
 
 std::optional<ByzantineKind> parse_kind(const std::string& name) {
@@ -197,39 +183,42 @@ bool parse_fraction(const char* s, double& out) {
   }
 }
 
+// Turns `run`'s flags into a config and its plan: one burst of every
+// instance at t = 0, no churn, no partitions.
 bool parse_args(int argc, char** argv, Options& opt) {
+  ScenarioConfig& cfg = opt.config;
+  FaultPlan& plan = opt.plan;
+  cfg.seed = 1;
+  cfg.instances = 8;
+  double seconds = 2.0;
+  std::uint64_t interval_ms = 10;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg.rfind("--runtime=", 0) == 0) {
-      opt.runtime = arg.substr(std::string("--runtime=").size());
-      continue;
-    }
-    if (arg == "--wots") {
-      opt.sig = SigScheme::kWots;  // alias for --sig wots
-      continue;
-    }
     if (!v) return false;
     if (arg == "--runtime") {
-      opt.runtime = v;
+      const auto runtime = parse_scenario_runtime(v);
+      if (!runtime) return false;
+      cfg.runtime = *runtime;
     } else if (arg == "--n") {
-      if (!parse_u32(v, opt.n) || opt.n == 0) return false;
+      if (!parse_u32(v, cfg.n_servers) || cfg.n_servers == 0) return false;
     } else if (arg == "--protocol") {
-      opt.protocol = v;
+      cfg.protocol = v;
+      if (!factory_for(cfg.protocol)) return false;
     } else if (arg == "--seconds") {
-      if (!parse_duration(v, opt.seconds)) return false;
+      if (!parse_duration(v, seconds)) return false;
     } else if (arg == "--instances") {
-      if (!parse_u32(v, opt.instances)) return false;
+      if (!parse_u32(v, cfg.instances)) return false;
     } else if (arg == "--interval") {
-      if (!parse_u64(v, opt.interval_ms) || opt.interval_ms == 0) return false;
+      if (!parse_u64(v, interval_ms) || interval_ms == 0) return false;
     } else if (arg == "--seed") {
-      if (!parse_u64(v, opt.seed)) return false;
+      if (!parse_u64(v, cfg.seed)) return false;
     } else if (arg == "--drop") {
       if (!parse_fraction(v, opt.drop)) return false;
     } else if (arg == "--sig") {
       const auto scheme = parse_sig_scheme(v);
       if (!scheme) return false;
-      opt.sig = *scheme;
+      cfg.sig_scheme = *scheme;
     } else if (arg == "--dot") {
       opt.dot_file = v;
     } else if (arg == "--byzantine") {
@@ -242,153 +231,48 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       const auto kind = parse_kind(spec.substr(colon + 1));
       if (!kind) return false;
-      opt.byzantine[id] = *kind;
+      plan.byzantine[id] = *kind;
     } else {
       return false;
     }
     ++i;
   }
-  // Byzantine ids name servers of this cluster (checked once --n is known).
-  return (opt.runtime == "sim" || opt.runtime == "threads" ||
-          opt.runtime == "tcp" || opt.runtime == "udp") &&
-         (opt.byzantine.empty() || opt.byzantine.rbegin()->first < opt.n);
+  cfg.duration = static_cast<SimTime>(seconds * 1e9);
+  plan.runtime = cfg.runtime;
+  plan.sig_scheme = cfg.sig_scheme;
+  plan.duration = cfg.duration;
+  plan.pacing.interval = sim_ms(interval_ms);
+  plan.bursts = {{0, 0, cfg.instances}};
+  if (cfg.runtime == ScenarioRuntime::kSim) {
+    plan.initial_net.drop_probability = opt.drop;
+    plan.initial_net.max_drops_per_pair = 16;
+  } else if (cfg.runtime == ScenarioRuntime::kUdp) {
+    plan.wire.drop = opt.drop;
+  }
+  // Byzantine ids name servers of this cluster, and one server stays honest.
+  return plan.byzantine.empty() ||
+         (plan.byzantine.rbegin()->first < cfg.n_servers &&
+          plan.byzantine.size() < cfg.n_servers);
 }
 
-// One request per instance, shaped for the chosen protocol.
-Bytes make_request(const std::string& protocol, std::uint32_t i) {
-  const Bytes value{static_cast<std::uint8_t>(i & 0xff)};
-  if (protocol == "brb") return brb::make_broadcast(value);
-  if (protocol == "bcb") return bcb::make_send(value);
-  if (protocol == "fifo") return fifo::make_broadcast(value);
-  if (protocol == "pbft") return pbft::make_propose(value);
-  return {};
-}
-
-// Who issues instance i, and what, for `run` on every runtime and for
-// serve/join: PBFT proposals go to the view-0 leader (simctl scripts no
-// complaint path), a beacon gets one contribution from each of the first
-// f+1 live servers, anything else goes round-robin. A pick not in `live`
-// (ascending) moves on to the next live server.
-std::vector<std::pair<ServerId, Bytes>> issue_requests(
-    const std::string& protocol, std::uint32_t n, std::uint32_t i,
-    const std::vector<ServerId>& live) {
-  std::vector<std::pair<ServerId, Bytes>> out;
-  if (protocol == "beacon") {
-    for (std::uint32_t c = 0; c < plausibility_quorum(n) && c < live.size();
-         ++c) {
-      out.emplace_back(live[c], beacon::make_contribute(0x1234 + i * 31 + c));
-    }
-  } else if (!live.empty()) {
-    const ServerId pick = protocol == "pbft" ? 0 : i % n;
-    const auto it = std::lower_bound(live.begin(), live.end(), pick);
-    out.emplace_back(it == live.end() ? live.front() : *it,
-                     make_request(protocol, i));
-  }
-  return out;
-}
-
-// The same deployment on the multi-threaded runtime: one OS thread per
-// server, real wall-clock pacing, bytes moved by the loopback transport
-// (--runtime threads) or by real localhost TCP sockets (--runtime tcp).
-// Reports aggregate throughput instead of the simulator's virtual-time
-// report.
-int run_threaded(const Options& opt, const ProtocolFactory& factory) {
-  if (!opt.byzantine.empty()) {
-    std::fprintf(stderr,
-                 "--runtime %s does not support --byzantine "
-                 "(protocol-level fault injection is simulator-only; "
-                 "the forger slice of `simctl fuzz --runtime threads --sig "
-                 "wots` hosts adversaries on the real runtime)\n",
-                 opt.runtime.c_str());
-    return 2;
-  }
-  if (opt.drop != 0.0 && opt.runtime != "udp") {
-    std::fprintf(stderr,
-                 "--drop needs a lossy wire: use --runtime sim or "
-                 "--runtime udp\n");
-    return 2;
-  }
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
-  cfg.pacing.interval = sim_ms(opt.interval_ms);
-  if (opt.runtime == "tcp") {
-    cfg.backend = rt::TransportBackend::kTcp;  // ephemeral localhost ports
-  } else if (opt.runtime == "udp") {
-    cfg.backend = rt::TransportBackend::kUdp;  // ephemeral localhost ports
-    cfg.udp.fault_seed = opt.seed;
-    cfg.udp.default_fault.drop = opt.drop;
-    // Fast RTOs: injected loss should cost milliseconds to recover.
-    cfg.udp.channel.initial_rto_ns = 5'000'000;
-    cfg.udp.channel.max_rto_ns = 80'000'000;
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  rt::ThreadedRuntime runtime(factory, cfg);
-  if (!runtime.transport_ok()) {
-    std::fprintf(stderr, "failed to bind %s sockets\n", opt.runtime.c_str());
-    return 2;
-  }
-  runtime.start();
-
-  std::vector<ServerId> servers(opt.n);
-  std::iota(servers.begin(), servers.end(), 0);
-  std::uint32_t issued = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    for (auto& [server, request] :
-         issue_requests(opt.protocol, opt.n, i, servers)) {
-      runtime.request(server, 1 + i, std::move(request));
-    }
-    ++issued;
-  }
-
-  // Poll for completion (every label indicated everywhere) up to the
-  // wall-clock budget, then settle with explicit convergence rounds.
-  const auto deadline =
-      t0 + std::chrono::nanoseconds(static_cast<std::uint64_t>(opt.seconds * 1e9));
-  std::size_t complete = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    complete = 0;
-    for (std::uint32_t i = 0; i < opt.instances; ++i) {
-      if (runtime.indicated_count(1 + i) == opt.n) ++complete;
-    }
-    if (complete == issued) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  const bool converged = runtime.quiesce_and_converge();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  complete = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (runtime.indicated_count(1 + i) == opt.n) ++complete;
-  }
-
+// The report of every runtime: the checked result, then what the run
+// left behind (ScenarioReport).
+void print_report(const ScenarioConfig& cfg, const ScenarioResult& result,
+                  const ScenarioReport& report) {
   std::printf("simctl report — runtime=%s protocol=%s n=%u instances=%u "
               "seed=%llu sig=%s\n\n",
-              opt.runtime.c_str(), opt.protocol.c_str(), opt.n, issued,
-              static_cast<unsigned long long>(opt.seed),
-              sig_scheme_name(opt.sig));
-  const std::uint64_t blocks = runtime.total_blocks_inserted();
-  std::printf("instances complete everywhere : %zu / %u\n", complete, issued);
-  std::printf("converged (joint DAG + interp) : %s\n", converged ? "yes" : "no");
-  std::printf("wall time                      : %.3f s\n", wall);
-  std::printf("aggregate blocks inserted      : %llu (%.0f blocks/s)\n",
-              static_cast<unsigned long long>(blocks),
-              wall > 0 ? static_cast<double>(blocks) / wall : 0.0);
-  if (opt.sig != SigScheme::kIdeal) {
-    const VerifierPoolStats vp = runtime.verifier_stats();
-    std::printf("verifier pool                  : %llu submitted, %llu "
-                "verified in %llu batches, %llu cache hits\n",
-                static_cast<unsigned long long>(vp.submitted),
-                static_cast<unsigned long long>(vp.verified),
-                static_cast<unsigned long long>(vp.batches),
-                static_cast<unsigned long long>(vp.cache_hits));
-  }
-  const InterpreterStats is = runtime.interpreter_stats();
-  std::printf("interpretation                 : %llu blocks, %llu delivered, "
+              scenario_runtime_name(cfg.runtime), cfg.protocol.c_str(),
+              cfg.n_servers, cfg.instances,
+              static_cast<unsigned long long>(cfg.seed),
+              sig_scheme_name(cfg.sig_scheme));
+  std::printf("instances complete everywhere : %zu / %u\n",
+              result.labels_complete, cfg.instances);
+  std::printf("deliveries                     : %zu (%zu by half time)\n",
+              result.deliveries, result.mid_run_deliveries);
+  std::printf("converged (joint DAG + interp) : %s\n",
+              result.converged ? "yes" : "no");
+  const InterpreterStats& is = report.interpretation;
+  std::printf("interpretation at the witness  : %llu blocks, %llu delivered, "
               "%llu materialized, %llu indications, %llu clones\n",
               static_cast<unsigned long long>(is.blocks_interpreted),
               static_cast<unsigned long long>(is.messages_delivered),
@@ -396,192 +280,63 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
               static_cast<unsigned long long>(is.indications),
               static_cast<unsigned long long>(is.instance_clones));
 
-  const WireMetrics wire = runtime.wire_metrics();
   Table traffic({"wire class", "messages", "bytes"});
   for (std::size_t k = 0; k < static_cast<std::size_t>(WireKind::kCount); ++k) {
-    if (wire.messages[k] == 0) continue;
+    if (report.wire.messages[k] == 0) continue;
     traffic.add_row({wire_kind_name(static_cast<WireKind>(k)),
-                     Table::num(wire.messages[k]), Table::num(wire.bytes[k])});
+                     Table::num(report.wire.messages[k]),
+                     Table::num(report.wire.bytes[k])});
   }
-  std::printf("\n");
-  traffic.print();
-  if (runtime.tcp()) {
-    const rt::TcpStats tcp = runtime.tcp()->stats();
-    std::printf("sockets: %llu connections, %llu frames sent, %llu received, "
-                "%llu resets\n",
-                static_cast<unsigned long long>(tcp.connects),
-                static_cast<unsigned long long>(tcp.frames_sent),
-                static_cast<unsigned long long>(tcp.frames_received),
-                static_cast<unsigned long long>(tcp.resets));
-    if (tcp.batches_sent != 0 || tcp.batches_received != 0) {
-      std::printf("batching: %llu batches carrying %llu envelopes sent "
-                  "(%llu received / %llu envelopes), %llu writev calls\n",
-                  static_cast<unsigned long long>(tcp.batches_sent),
-                  static_cast<unsigned long long>(tcp.batched_envelopes),
-                  static_cast<unsigned long long>(tcp.batches_received),
-                  static_cast<unsigned long long>(tcp.batched_envelopes_received),
-                  static_cast<unsigned long long>(tcp.writev_calls));
-    }
+  traffic.add_row({"dropped", Table::num(report.wire.dropped), ""});
+  std::printf("\n%s", traffic.render().c_str());
+  Table counters({"counter", "value"});
+  for (const auto& [name, value] : report.counters) {
+    counters.add_row({name, Table::num(value)});
   }
-  if (runtime.udp()) {
-    const rt::UdpStats udp = runtime.udp()->stats();
-    std::printf(
-        "sockets: %llu datagrams sent, %llu received, %llu frames sent, "
-        "%llu received\n"
-        "reliability: %llu retransmits, %llu channel resets, %llu dups "
-        "deduped, %llu injected drops, %llu injected dups\n",
-        static_cast<unsigned long long>(udp.datagrams_sent),
-        static_cast<unsigned long long>(udp.datagrams_received),
-        static_cast<unsigned long long>(udp.frames_sent),
-        static_cast<unsigned long long>(udp.frames_received),
-        static_cast<unsigned long long>(udp.retransmits),
-        static_cast<unsigned long long>(udp.channel_resets),
-        static_cast<unsigned long long>(udp.duplicates_dropped),
-        static_cast<unsigned long long>(udp.injected_drops),
-        static_cast<unsigned long long>(udp.injected_dups));
-    if (udp.batches_sent != 0 || udp.batches_received != 0) {
-      std::printf("batching: %llu batches carrying %llu envelopes sent "
-                  "(%llu received / %llu envelopes)\n",
-                  static_cast<unsigned long long>(udp.batches_sent),
-                  static_cast<unsigned long long>(udp.batched_envelopes),
-                  static_cast<unsigned long long>(udp.batches_received),
-                  static_cast<unsigned long long>(udp.batched_envelopes_received));
-    }
-    // Per-peer accounting, the DESIGN.md §9 counters: one row per directed
-    // link that carried traffic.
-    Table links({"link", "datagrams", "chunks", "rexmit", "resets", "dedup",
-                 "inj.drop", "inj.dup"});
-    for (ServerId a = 0; a < opt.n; ++a) {
-      for (ServerId b = 0; b < opt.n; ++b) {
-        if (a == b) continue;
-        const rt::UdpLinkStats link = runtime.udp()->link_stats(a, b);
-        if (link.datagrams_sent == 0 && link.chunks_delivered == 0) continue;
-        links.add_row({std::to_string(a) + "->" + std::to_string(b),
-                       Table::num(link.datagrams_sent),
-                       Table::num(link.chunks_delivered),
-                       Table::num(link.retransmits),
-                       Table::num(link.channel_resets),
-                       Table::num(link.duplicates_dropped),
-                       Table::num(link.injected_drops),
-                       Table::num(link.injected_dups)});
-      }
-    }
-    std::printf("\n");
-    links.print();
+  std::printf("\n%s", counters.render().c_str());
+  for (const Table& table : report.tables) {
+    std::printf("\n%s", table.render().c_str());
   }
+  std::printf("\n%s", report.audit.c_str());
 
-  // The Lemma 3.7 / 4.2 cross-check the threaded runtime must still pass.
-  bool digests_equal = converged;
-  const Bytes dag0 = runtime.dag_digest(0);
-  const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < opt.n; ++s) {
-    if (runtime.dag_digest(s) != dag0 ||
-        runtime.interpretation_digest(s) != interp0) {
-      digests_equal = false;
-    }
+  for (const std::string& violation : result.violations) {
+    std::printf("VIOLATION: %s\n", violation.c_str());
   }
-  std::printf("\nidentical DAG + interpretation digests on all %u servers: %s\n",
-              opt.n, digests_equal ? "yes" : "NO");
-
-  if (!opt.dot_file.empty()) {
-    const std::string dot =
-        runtime.call(0, [](Shim& shim) { return to_dot(shim.dag()); });
-    std::ofstream out(opt.dot_file);
-    out << dot;
-    std::printf("\nDOT written to %s\n", opt.dot_file.c_str());
+  if (result.ok()) {
+    std::printf("OK — checkers, joint DAG (Lemma 3.7) and digests (Lemma 4.2) "
+                "all pass\n");
   }
-  return (complete == issued && digests_equal) ? 0 : 1;
 }
 
 int run(const Options& opt) {
-  const ProtocolFactory* factory = factory_for(opt.protocol);
-  if (!factory) {
-    std::fprintf(stderr, "unknown protocol '%s'\n", opt.protocol.c_str());
+  const ScenarioConfig& cfg = opt.config;
+  const bool sim = cfg.runtime == ScenarioRuntime::kSim;
+  if (!sim && !opt.plan.byzantine.empty()) {
+    std::fprintf(stderr,
+                 "--runtime %s does not support --byzantine (the forger "
+                 "slice of `simctl fuzz --runtime threads --sig wots` hosts "
+                 "adversaries on the real runtimes)\n",
+                 scenario_runtime_name(cfg.runtime));
     return 2;
   }
-
-  if (opt.runtime == "threads" || opt.runtime == "tcp" || opt.runtime == "udp") {
-    return run_threaded(opt, *factory);
+  if (opt.drop != 0.0 && !sim && cfg.runtime != ScenarioRuntime::kUdp) {
+    std::fprintf(stderr, "--drop needs a lossy wire: use --runtime sim or "
+                         "--runtime udp\n");
+    return 2;
   }
-
-  ClusterConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
-  cfg.pacing.interval = sim_ms(opt.interval_ms);
-  cfg.net.drop_probability = opt.drop;
-  cfg.net.max_drops_per_pair = 16;
-  cfg.byzantine = opt.byzantine;
-
-  Cluster cluster(*factory, cfg);
-  cluster.start();
-
-  std::vector<SimTime> requested_at(opt.instances, 0);
-  std::uint32_t issued = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    auto requests =
-        issue_requests(opt.protocol, opt.n, i, cluster.correct_servers());
-    if (requests.empty()) continue;
-    requested_at[i] = cluster.scheduler().now();
-    for (auto& [server, request] : requests) {
-      cluster.request(server, 1 + i, std::move(request));
-    }
-    ++issued;
+  ScenarioReport report;
+  const ScenarioResult result = run_scenario(cfg, opt.plan, &report);
+  if (result.violations.size() == 1 && result.violations.front() == kBindFailure) {
+    std::fprintf(stderr, "failed to bind %s sockets\n",
+                 scenario_runtime_name(cfg.runtime));
+    return 2;
   }
-  cluster.run_for(static_cast<SimTime>(opt.seconds * 1e9));
-  cluster.stop();
-
-  // ---- report ----
-  std::printf("simctl report — protocol=%s n=%u instances=%u seed=%llu sig=%s\n\n",
-              opt.protocol.c_str(), opt.n, issued,
-              static_cast<unsigned long long>(opt.seed),
-              sig_scheme_name(opt.sig));
-
-  Histogram latency;
-  std::size_t complete = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (cluster.indicated_count(1 + i) == cluster.n_correct()) ++complete;
-  }
-  for (ServerId s : cluster.correct_servers()) {
-    for (const UserIndication& ind : cluster.shim(s).indications()) {
-      if (ind.label >= 1 && ind.label <= opt.instances) {
-        latency.record(static_cast<double>(ind.at - requested_at[ind.label - 1]) / 1e6);
-      }
-    }
-  }
-  std::printf("instances complete everywhere : %zu / %u\n", complete, issued);
-  std::printf("delivery latency (ms)          : %s\n", latency.summary(1).c_str());
-
-  const auto& wire = cluster.network().metrics();
-  Table traffic({"wire class", "messages", "bytes"});
-  for (std::size_t k = 0; k < static_cast<std::size_t>(WireKind::kCount); ++k) {
-    if (wire.messages[k] == 0) continue;
-    traffic.add_row({wire_kind_name(static_cast<WireKind>(k)),
-                     Table::num(wire.messages[k]), Table::num(wire.bytes[k])});
-  }
-  std::printf("\n");
-  traffic.print();
-  std::printf("dropped: %llu\n", static_cast<unsigned long long>(wire.dropped));
-
-  const ServerId witness = cluster.correct_servers().front();
-  const auto& interp = cluster.shim(witness).interpreter().stats();
-  std::printf("\ninterpretation (server %u): %llu blocks, %llu materialized "
-              "messages, %llu indications\n",
-              witness, static_cast<unsigned long long>(interp.blocks_interpreted),
-              static_cast<unsigned long long>(interp.messages_materialized),
-              static_cast<unsigned long long>(interp.indications));
-  std::printf("signatures: %llu signs, %llu verifies\n",
-              static_cast<unsigned long long>(cluster.signatures().counters().signs),
-              static_cast<unsigned long long>(cluster.signatures().counters().verifies));
-
-  std::printf("\n%s", audit(cluster.shim(witness).dag()).summary().c_str());
-
+  print_report(cfg, result, report);
   if (!opt.dot_file.empty()) {
-    std::ofstream out(opt.dot_file);
-    out << to_dot(cluster.shim(witness).dag());
+    std::ofstream(opt.dot_file) << report.dot;
     std::printf("\nDOT written to %s\n", opt.dot_file.c_str());
   }
-  return complete == issued ? 0 : 1;
+  return result.ok() ? 0 : 1;
 }
 
 // ---- multi-process cluster (serve / join) ----
@@ -805,27 +560,35 @@ int run_member(const MemberOptions& opt, const char* role) {
     runtime.start_sync(opt.id);
   }
 
-  // This process's share of the workload: the requests issue_requests
-  // assigns to this member's server, as `simctl run` issues them. A
-  // restored member skips instances its pre-crash incarnation already
-  // delivered — the indication log survives the crash, and re-issuing a
-  // completed instance would double-deliver it.
+  // This process's share of the workload: the requests the scenario's
+  // burst rule assigns to this member's server, as every `simctl run`
+  // issues them. A restored member skips instances its pre-crash
+  // incarnation already delivered — the indication log survives the
+  // crash, and re-issuing a completed instance would double-deliver it.
+  ScenarioConfig workload;
+  workload.seed = opt.seed;
+  workload.n_servers = opt.n;
+  workload.protocol = opt.protocol;
+  workload.instances = opt.instances;
   std::vector<ServerId> servers(opt.n);
   std::iota(servers.begin(), servers.end(), 0);
+  std::vector<bool> delivered(opt.instances);
   for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (runtime.indicated_count(1 + i) != 0) continue;
-    for (auto& [server, request] :
-         issue_requests(opt.protocol, opt.n, i, servers)) {
-      if (server == opt.id) runtime.request(opt.id, 1 + i, std::move(request));
-    }
+    delivered[i] = runtime.indicated_count(kScenarioLabelBase + i) != 0;
   }
+  issue_scenario_burst(workload, {0, 0, opt.instances}, servers,
+                       [&](ServerId server, Label label, Bytes request) {
+                         if (server == opt.id && !delivered[label - kScenarioLabelBase]) {
+                           runtime.request(server, label, std::move(request));
+                         }
+                       });
 
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::nanoseconds(static_cast<std::uint64_t>(opt.seconds * 1e9));
   const auto labels_complete = [&] {
     for (std::uint32_t i = 0; i < opt.instances; ++i) {
-      if (runtime.indicated_count(1 + i) != 1) return false;
+      if (runtime.indicated_count(kScenarioLabelBase + i) != 1) return false;
     }
     return true;
   };
