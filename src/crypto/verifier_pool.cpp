@@ -1,7 +1,10 @@
 #include "crypto/verifier_pool.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "util/thread_name.h"
 
 namespace blockdag {
 
@@ -69,8 +72,12 @@ void VerifierPool::start() {
   if (!workers_.empty() || stopping_) return;
   const std::size_t n = config_.workers == 0 ? 1 : config_.workers;
   workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_main(); });
+  for (std::size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this, i] {
+      name_this_thread("bd-verify" + std::to_string(i));
+      worker_main();
+    });
+  }
 }
 
 void VerifierPool::stop() {

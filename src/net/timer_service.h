@@ -10,9 +10,9 @@
 // Implementations:
 //   * Scheduler (sim/scheduler.h) — deterministic discrete-event virtual
 //     time; `now()` is the simulation clock.
-//   * TimerWheel node facades (rt/timer_wheel.h) — real monotonic clock;
-//     expiry callbacks are posted to the owning server's mailbox, so they
-//     run on that server's thread like every other event.
+//   * NodeTimerService (rt/mailbox.h) — real monotonic clock; timers live
+//     in the owning server's mailbox and leave through its batch drain, so
+//     they run on that server's thread like every other event.
 //
 // Callback contract: the scheduled action runs at-most-once, never inside
 // the schedule_after() call itself, and always serialized with the owning

@@ -7,6 +7,8 @@
 
 #include <cassert>
 
+#include "util/thread_name.h"
+
 namespace blockdag::rt {
 
 bool set_nonblocking(int fd) {
@@ -94,7 +96,10 @@ void LinkLayer::start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_ || stopping_ || !ok_) return;
   running_ = true;
-  thread_ = std::thread([this] { poll_loop(); });
+  thread_ = std::thread([this] {
+    name_this_thread("bd-poll");
+    poll_loop();
+  });
 }
 
 void LinkLayer::stop() {

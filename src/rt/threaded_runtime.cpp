@@ -5,13 +5,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <string>
 
 #include "crypto/sha256.h"
+#include "util/thread_name.h"
 
 namespace blockdag::rt {
 
-CheckpointWriterThread::CheckpointWriterThread(Mailbox& owner, IdleTracker& idle)
-    : owner_(owner), idle_(idle), thread_([this] { run(); }) {}
+CheckpointWriterThread::CheckpointWriterThread(ServerId server, Mailbox& owner,
+                                               IdleTracker& idle)
+    : owner_(owner), idle_(idle), thread_([this, server] { run(server); }) {}
 
 CheckpointWriterThread::~CheckpointWriterThread() { stop(); }
 
@@ -35,7 +38,8 @@ void CheckpointWriterThread::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-void CheckpointWriterThread::run() {
+void CheckpointWriterThread::run(ServerId server) {
+  name_this_thread("bd-ckpt" + std::to_string(server));
   // On Linux a thread id's niceness applies to that thread alone; if the
   // call fails the writer keeps the default priority.
   ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), 10);
@@ -116,7 +120,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
 
   for (const ServerId s : local_) {
     Node& node = *nodes_[s];
-    node.timers = std::make_unique<NodeTimerService>(wheel_, *node.mailbox);
+    node.timers = std::make_unique<NodeTimerService>(*node.mailbox, epoch_);
   }
   for (const ServerId s : shimmed_) {
     Node& node = *nodes_[s];
@@ -137,7 +141,6 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     // the harness attaches its own handler via raw_transport().
     mount_node(s);
   }
-  wheel_.start();
   // Resume from durable state before any thread or socket moves: restore
   // must see exactly what the checkpoint + log describe, not a DAG that
   // live traffic already started growing.
@@ -152,7 +155,10 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
   }
   for (const ServerId s : local_) {
     Node* node = nodes_[s].get();
-    node->thread = std::thread([node] { drain_loop(*node); });
+    node->thread = std::thread([node, s] {
+      name_this_thread("bd-srv" + std::to_string(s));
+      drain_loop(*node);
+    });
   }
   // Sockets only move bytes once every handler is attached.
   if (link_) link_->start();
@@ -171,7 +177,8 @@ void ThreadedRuntime::mount_node(ServerId server) {
   // (the flush hook dereferences node.shim, so it follows the swap).
   node.shim->gossip().set_egress_batching(true);
   if (node.storage != nullptr || config_.checkpoint.epoch_blocks != 0) {
-    node.writer = std::make_unique<CheckpointWriterThread>(*node.mailbox, idle_);
+    node.writer =
+        std::make_unique<CheckpointWriterThread>(server, *node.mailbox, idle_);
     node.checkpointer = std::make_unique<blockdag::sync::Checkpointer>(
         *node.shim, *node.sigs, config_.n_servers, node.storage,
         config_.checkpoint, node.writer.get());
@@ -259,7 +266,7 @@ bool ThreadedRuntime::restart(ServerId server) {
   const bool start_now = running_;
   return call(server, [this, node, server, start_now](Shim& old_shim) {
     // Make sure the old incarnation is inert (restart without a prior
-    // crash() is allowed), then retire it: wheel timers and queued tasks
+    // crash() is allowed), then retire it: armed timers and queued tasks
     // still hold raw pointers into it, so it must outlive them.
     old_shim.halt();
     if (node->sync_engine) {
@@ -323,13 +330,11 @@ ThreadedRuntime::SyncSnapshot ThreadedRuntime::sync_snapshot(ServerId server) {
 void ThreadedRuntime::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  // Order matters: stop the wheel first so no timer posts into a mailbox
-  // mid-close, then the verifier pool (its workers post verdicts into
-  // mailboxes too), then the sockets (the poll thread also posts
-  // deliveries), then the checkpoint writers (each finishes its job in
-  // flight, whose continuation still finds its mailbox open), then let
-  // every node drain and exit its loop.
-  wheel_.stop();
+  // Order matters: stop the verifier pool first (its workers post verdicts
+  // into mailboxes), then the sockets (the poll thread posts deliveries),
+  // then the checkpoint writers (each finishes its job in flight, whose
+  // continuation still finds its mailbox open). Closing a mailbox then
+  // drops its armed timers; its node drains what is queued and exits.
   if (pool_) pool_->stop();
   if (link_) link_->stop();
   for (const ServerId s : local_) {

@@ -1,6 +1,7 @@
 // ThreadedRuntime: a full in-process deployment of shim(P), one OS thread
-// per server, over a real-time TimerWheel and a pluggable byte-moving
-// backend: the in-process loopback Transport or real TCP or UDP sockets.
+// per server whose timers ride its own mailbox (rt/mailbox.h) on a real
+// monotonic clock, over a pluggable byte-moving backend: the in-process
+// loopback Transport or real TCP or UDP sockets.
 //
 // The counterpart of runtime/cluster.h on the other side of the
 // Transport/TimerService seam: the *same* Shim/GossipServer/Interpreter
@@ -48,7 +49,6 @@
 #include "rt/loopback_transport.h"
 #include "rt/mailbox.h"
 #include "rt/tcp_transport.h"
-#include "rt/timer_wheel.h"
 #include "rt/udp_transport.h"
 #include "shim/shim.h"
 #include "sync/checkpointer.h"
@@ -77,7 +77,7 @@ enum class TransportBackend {
 // last continuation still has a mailbox to land in.
 class CheckpointWriterThread final : public blockdag::sync::CheckpointWriter {
  public:
-  CheckpointWriterThread(Mailbox& owner, IdleTracker& idle);
+  CheckpointWriterThread(ServerId server, Mailbox& owner, IdleTracker& idle);
   ~CheckpointWriterThread() override;  // stop()s
   CheckpointWriterThread(const CheckpointWriterThread&) = delete;
   CheckpointWriterThread& operator=(const CheckpointWriterThread&) = delete;
@@ -90,7 +90,7 @@ class CheckpointWriterThread final : public blockdag::sync::CheckpointWriter {
   void stop();
 
  private:
-  void run();
+  void run(ServerId server);
 
   Mailbox& owner_;
   IdleTracker& idle_;
@@ -334,9 +334,9 @@ class ThreadedRuntime {
     std::unique_ptr<CheckpointWriterThread> writer;
     std::unique_ptr<blockdag::sync::Checkpointer> checkpointer;
     std::unique_ptr<blockdag::sync::SyncEngine> sync_engine;
-    // Crashed incarnations are retired here, not freed: in-flight wheel
-    // timers and queued mailbox tasks still hold raw pointers into them
-    // (they are halted, so firing into one is a no-op). Freed at shutdown.
+    // Crashed incarnations are retired here, not freed: armed timers and
+    // queued mailbox tasks still hold raw pointers into them (they are
+    // halted, so firing into one is a no-op). Freed at shutdown.
     std::vector<std::unique_ptr<Shim>> retired_shims;
     std::vector<std::unique_ptr<blockdag::sync::Checkpointer>> retired_checkpointers;
     // Stopped writers of crashed incarnations: their checkpointers' queued
@@ -375,7 +375,8 @@ class ThreadedRuntime {
   std::vector<ServerId> restore_failures_;
   bool running_ = false;
   IdleTracker idle_;
-  TimerWheel wheel_{idle_};
+  // Zero of every hosted server's now(), so timestamps agree across them.
+  const Mailbox::Clock::time_point epoch_ = Mailbox::Clock::now();
   std::unique_ptr<VerifierPool> pool_;  // null when disabled
   std::unique_ptr<Transport> transport_;
   LinkLayer* link_ = nullptr;    // borrowed view of a socket transport_

@@ -640,7 +640,7 @@ class LiveTarget final : public ScenarioTarget {
   std::unique_ptr<SignatureProvider> forger_sigs_;
   std::unique_ptr<ByzantineServer> forger_;
   ServerId forger_id_ = 0;
-  // The forger beats until quiesce() stamps this (wheel time).
+  // The forger beats until quiesce() stamps this (runtime clock).
   std::atomic<SimTime> stop_at_{std::numeric_limits<SimTime>::max()};
   SimTime next_beat_ = 0;  // forger thread only, once started
   std::unique_ptr<rt::ThreadedRuntime> runtime_;

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -224,6 +225,77 @@ TEST(TcpRuntime, StopAndShutdownAreClean) {
   runtime.request(0, 1, brb::make_broadcast(Bytes{1}));
   runtime.stop();
   runtime.shutdown();  // idempotent with the destructor's shutdown
+}
+
+TEST(TcpRuntime, ShutdownMidRunDropsArmedTimersAndReleasesEveryUnit) {
+  // shutdown() lands mid-run, at a different point each round, while
+  // dissemination beats, FWD retries (a killed link loses frames) and
+  // checkpoint-writer jobs are in flight. The order under test: verifier
+  // pool, sockets, checkpoint writers, then each mailbox closes, which
+  // also drops its armed timers. Afterwards no unit of work is left, every
+  // later post or timer is refused, and nothing runs any more. CI loops
+  // this case under ThreadSanitizer.
+  brb::BrbFactory factory;
+  const std::uint32_t n = 4;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t fwd_requests = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<sync::MemStore> stores(n);
+    ThreadedConfig cfg = tcp_config(n);
+    cfg.checkpoint.epoch_blocks = 4;  // a writer job every few beats
+    cfg.storage = [&stores](ServerId s) { return &stores[s]; };
+    ThreadedRuntime runtime(factory, cfg);
+    ASSERT_TRUE(runtime.tcp()->ok());
+    runtime.start();
+
+    // Per server: a probe that re-arms itself every 100us like a beat, and
+    // one timer due long after shutdown, which closing must drop.
+    std::atomic<std::uint64_t> ticks{0};
+    std::atomic<int> late_fired{0};
+    std::vector<std::function<void()>> probes(n);
+    for (ServerId s = 0; s < n; ++s) {
+      TimerService& timers = runtime.raw_timers(s);
+      std::function<void()>& probe = probes[s];
+      probe = [&ticks, &timers, &probe] {
+        ++ticks;
+        timers.schedule_after(sim_us(100), probe);
+      };
+      ASSERT_TRUE(runtime.post(s, probe));
+      timers.schedule_after(sim_sec(3600), [&late_fired] { ++late_fired; });
+    }
+    // Killing a link while beats land on it loses frames, so blocks wait
+    // for missing predecessors with their FWD timers armed.
+    for (int i = 0; i < 2 + 3 * round; ++i) {
+      runtime.request(i % n, 1 + i,
+                      brb::make_broadcast(Bytes{static_cast<std::uint8_t>(i)}));
+      runtime.tcp()->drop_connections(i % 2, 2 + i % 2);
+      std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    }
+
+    runtime.shutdown();
+    // No armed timer, queued task, writer job or frame holds a unit.
+    EXPECT_TRUE(runtime.wait_idle(std::chrono::nanoseconds(0)))
+        << "round " << round;
+    const std::uint64_t ticks_at_shutdown = ticks.load();
+    EXPECT_GT(ticks_at_shutdown, 0u);
+    for (ServerId s = 0; s < n; ++s) {
+      EXPECT_FALSE(runtime.post(s, [&ticks] { ++ticks; }));
+      EXPECT_EQ(runtime.raw_timers(s).schedule_after(0, [&ticks] { ++ticks; }),
+                TimerService::kInvalidTimer);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(ticks.load(), ticks_at_shutdown) << "a task ran after shutdown";
+    EXPECT_EQ(late_fired.load(), 0);
+    // Once shut down, call() reads the servers on this thread.
+    for (ServerId s = 0; s < n; ++s) {
+      checkpoints += runtime.sync_snapshot(s).checkpointer.checkpoints_stored;
+      fwd_requests += runtime.call(
+          s, [](Shim& shim) { return shim.gossip().stats().fwd_requests_sent; });
+    }
+  }
+  // The rounds really cut through writer jobs and FWD retries.
+  EXPECT_GT(checkpoints, 0u);
+  EXPECT_GT(fwd_requests, 0u);
 }
 
 TEST(TcpRuntime, BindFailureIsReportedNotFatal) {

@@ -72,21 +72,27 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
       -DBLOCKDAG_BUILD_TOOLS=OFF
 cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
-               rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
+               rt_udp_runtime_test rt_mailbox_timer_test rt_crash_restart_test \
                rt_mailbox_batch_test rt_link_layer_test runtime_live_scenario_test \
                crypto_verifier_pool_test sync_storage_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test|sync/storage_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|mailbox_timer_test|crash_restart_test|mailbox_batch_test|link_layer_test)|runtime/live_scenario_test|crypto/verifier_pool_test|sync/storage_test)$')
 # The verifier pool's shutdown race is timing-shaped: loop the Tsan binaries
 # so the sanitizer sees many distinct stop()-vs-batch interleavings (and
-# the mailbox batch-drain's four producers racing the swap). The two
-# link-settle cases loop too: a reset after stop() and injected datagram
-# delays race the poll threads against the settle count. One checkpoint
-# crash point loops too: crash() joins a writer blocked mid-store while
-# the server thread keeps appending to the next epoch's log.
+# the mailbox batch-drain's four producers racing the swap, and a foreign
+# thread's timer cancel racing pop_all()). shutdown() mid-run loops too: it
+# closes mailboxes, dropping armed timers, while beats, FWD retries and
+# checkpoint-writer jobs are in flight. The two link-settle cases loop too:
+# a reset after stop() and injected datagram delays race the poll threads
+# against the settle count. One checkpoint crash point loops too: crash()
+# joins a writer blocked mid-store while the server thread keeps appending
+# to the next epoch's log.
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
+  ./build-ci-tsan/rt_mailbox_timer_test >/dev/null
+  ./build-ci-tsan/rt_tcp_runtime_test \
+      --gtest_filter='TcpRuntime.ShutdownMidRunDropsArmedTimersAndReleasesEveryUnit' >/dev/null
   ./build-ci-tsan/rt_tcp_runtime_test \
       --gtest_filter='TcpRuntime.ConnectionKilledAfterStopStillSettlesExactly' >/dev/null
   ./build-ci-tsan/rt_udp_runtime_test \
