@@ -132,8 +132,8 @@ class LinkLayer : public Transport {
   WireMetrics wire_metrics() const override;
 
   // Control plane: frames sent with WireKind::kControl are routed to this
-  // handler instead of the attached protocol handler (used by the
-  // multi-process runtime for its digest-exchange settle protocol).
+  // handler instead of the attached protocol handler (used by a
+  // multi-process cluster member's digest exchange, runtime/scenario.cpp).
   void set_control_handler(ServerId server, Handler handler);
 
   // The link-settle rule: true when every directed link between two hosted

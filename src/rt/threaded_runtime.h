@@ -22,8 +22,9 @@
 // cluster's servers (config.tcp.local_servers): the remaining servers live
 // in other OS processes reachable at base_port + id. request()/call()/
 // digest accessors are only valid for hosted servers; the convergence
-// helpers operate over the hosted subset (a cross-process settle protocol
-// lives in `simctl serve`/`join`, built on the transport's control plane).
+// helpers operate over the hosted subset (the cross-process settle is the
+// scenario engine's member target, runtime/scenario.cpp, built on the
+// transport's control plane).
 //
 // Harness calls (request, call, digests) are funnelled through the owning
 // server's mailbox like every other event: the harness thread never
@@ -263,7 +264,8 @@ class ThreadedRuntime {
   WireMetrics wire_metrics() const { return transport_->wire_metrics(); }
 
   // --- Adversary hosting (raw_servers; threads-fuzz harness only) ---
-  // The transport to attach a raw server's wire handler on, and its timer
+  // The transport to attach a raw server's wire handler on (a hosted
+  // server's kControl frames are sent on it too), and its timer
   // service. The handler runs on the raw server's own thread (deliveries
   // are mailbox tasks like everywhere else).
   Transport& raw_transport() { return *transport_; }
@@ -296,7 +298,7 @@ class ThreadedRuntime {
   // with nothing on disk). restart() does this automatically.
   void start_sync(ServerId server);
   // Servers whose constructor-time restore failed (corrupt storage). The
-  // affected shims are halted; `simctl serve` maps non-empty to exit 3.
+  // affected shims are halted; a cluster member refuses to run (exit 3).
   const std::vector<ServerId>& restore_failures() const {
     return restore_failures_;
   }

@@ -7,8 +7,12 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <numeric>
 #include <queue>
+#include <set>
+#include <tuple>
 #include <thread>
 
 #include "crypto/sha256.h"
@@ -55,6 +59,9 @@ struct Expectations {
   std::vector<Label> all_labels;
 };
 
+// request(ℓ, r) at one server of whichever runtime runs the scenario.
+using ScenarioRequestFn = std::function<void(ServerId, Label, Bytes)>;
+
 // Every correct server's indication log (Shim::indications()), keyed by
 // server; the keys are the correct set the checkers quantify over.
 using IndicationLogs = std::map<ServerId, std::vector<UserIndication>>;
@@ -79,23 +86,25 @@ std::size_t indicated_at(const IndicationLogs& logs, Label label) {
   return count;
 }
 
+// The issuing rule of run_scenario (runtime/scenario.h) over the
+// cluster's honest servers, ascending.
 void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
-                 const std::vector<ServerId>& correct,
+                 const std::vector<ServerId>& honest,
                  const ScenarioRequestFn& request, Expectations& expect) {
-  if (correct.empty()) return;
+  if (honest.empty()) return;
   for (std::uint32_t i = burst.first_instance;
        i < burst.first_instance + burst.count && i < config.instances; ++i) {
     const Label label = kScenarioLabelBase + i;
     expect.all_labels.push_back(label);
     if (config.protocol == "brb" || config.protocol == "bcb") {
-      const ServerId target = correct[i % correct.size()];
+      const ServerId target = honest[i % honest.size()];
       const Bytes value = value_for(config.seed, i, 0);
       expect.broadcasts.push_back({label, target, value});
       request(target, label,
                       config.protocol == "brb" ? brb::make_broadcast(value)
                                                : bcb::make_send(value));
     } else if (config.protocol == "fifo") {
-      const ServerId origin = correct[i % correct.size()];
+      const ServerId origin = honest[i % honest.size()];
       Expectations::Stream stream{label, origin, {}};
       const std::uint32_t len = 3 + i % 3;
       for (std::uint32_t j = 0; j < len; ++j) {
@@ -105,19 +114,19 @@ void issue_burst(const ScenarioConfig& config, const FaultPlan::Burst& burst,
       }
       expect.streams.push_back(std::move(stream));
     } else if (config.protocol == "pbft") {
-      // Every live correct server proposes the same value: any correct
+      // Every live honest server proposes the same value: any correct
       // leader the complaint path rotates to can then lead the slot.
       const Bytes value = value_for(config.seed, i, 0);
-      expect.proposals.push_back({label, value, correct});
-      for (ServerId s : correct) {
+      expect.proposals.push_back({label, value, honest});
+      for (ServerId s : honest) {
         request(s, label, pbft::make_propose(value));
       }
     } else if (config.protocol == "beacon") {
       // f+1 distinct contributors make the beacon fire (at least one of
       // them correct — here all of them are).
       const std::uint32_t needed = plausibility_quorum(config.n_servers);
-      for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
-        request(correct[c], label,
+      for (std::uint32_t c = 0; c < needed && c < honest.size(); ++c) {
+        request(honest[c], label,
                         beacon::make_contribute(config.seed * 1000003 +
                                                 i * 31 + c));
       }
@@ -223,8 +232,9 @@ void count_indications(const IndicationLogs& logs, const Expectations& expect,
 }
 
 // The one runtime interface the driver below runs on. SimTarget adapts
-// Cluster, LiveTarget adapts rt::ThreadedRuntime; everything else about a
-// scenario — the plan walk, the checks, the run digest — is shared.
+// Cluster, LiveTarget adapts rt::ThreadedRuntime and MemberTarget one
+// server of a multi-process cluster; everything else about a scenario —
+// the plan walk, the checks, the run digest — is shared.
 class ScenarioTarget {
  public:
   virtual ~ScenarioTarget() = default;
@@ -247,8 +257,13 @@ class ScenarioTarget {
   // One manual dissemination beat at every correct server, drained.
   virtual void tick_round() = 0;
 
-  // Live, honest servers, ascending.
+  // The live, honest servers this target can read, ascending: what every
+  // check quantifies over.
   virtual std::vector<ServerId> correct() = 0;
+  // The cluster's live, honest servers, ascending: whom a burst's requests
+  // go to. A cluster member reads only its own server, yet its bursts name
+  // every server of the cluster.
+  virtual std::vector<ServerId> honest() { return correct(); }
   // Runs `read` on a correct server's state, on the thread that owns it.
   virtual void inspect(ServerId server,
                        const std::function<void(const Shim&)>& read) = 0;
@@ -345,19 +360,96 @@ class SimTarget final : public ScenarioTarget {
   Cluster cluster_;
 };
 
-// rt::ThreadedRuntime under a plan of the udp or crash-churn grammar. Its
-// timeline is a wall-clock one: run_until() sleeps until each due event.
-class LiveTarget final : public ScenarioTarget {
+// rt::ThreadedRuntime under a plan of the udp or crash-churn grammar, or a
+// hand-written one. Its timeline is a wall-clock one: run_until() sleeps
+// until each due event.
+class LiveTarget : public ScenarioTarget {
  public:
   // The forger's beat: the cadence it has always flooded at here.
   static constexpr SimTime kForgerBeat = sim_ms(5);
 
-  // Null when the backend's sockets failed to bind.
-  static std::unique_ptr<LiveTarget> make(const ScenarioConfig& config,
-                                          const FaultPlan& plan) {
-    auto target = std::unique_ptr<LiveTarget>(new LiveTarget(config, plan));
-    if (!target->runtime_->transport_ok()) return nullptr;
-    return target;
+  // With a `member`, the runtime hosts only member->id on fixed ports and
+  // persists to member->data_dir (MemberTarget); otherwise it hosts every
+  // server on ephemeral ports over in-memory sinks.
+  LiveTarget(const ScenarioConfig& config, const FaultPlan& plan,
+             const ClusterMember* member = nullptr)
+      : wire_(plan.wire),
+        stores_(plan.epoch_blocks != 0 && !member ? config.n_servers : 0),
+        down_(config.n_servers, false),
+        restarted_(config.n_servers, false) {
+    const std::uint32_t n = config.n_servers;
+    rt::ThreadedConfig cfg;
+    cfg.n_servers = n;
+    cfg.seed = config.seed;
+    cfg.sig_scheme = config.sig_scheme;
+    cfg.pacing = plan.pacing;
+    if (config.runtime == ScenarioRuntime::kUdp) {
+      // FWD retry matched to the loss regime: a 5ms retry against a lossy,
+      // RTO-bound link just queues duplicate recovery payloads behind the
+      // head-of-line chunk and starves the catch-up of a partitioned server.
+      cfg.gossip.fwd_retry_delay = sim_ms(20);
+      cfg.backend = rt::TransportBackend::kUdp;  // ephemeral ports
+      cfg.udp.fault_seed = config.seed;
+      cfg.udp.default_fault = plan.wire;
+      cfg.udp.channel.initial_rto_ns = 5'000'000;
+      cfg.udp.channel.max_rto_ns = 80'000'000;
+    } else {
+      cfg.gossip.fwd_retry_delay = sim_ms(5);
+      if (config.runtime == ScenarioRuntime::kTcp) {
+        cfg.backend = rt::TransportBackend::kTcp;  // ephemeral ports
+      }
+    }
+    if (member) {
+      // Fixed ports, and a fault stream of its own per member.
+      cfg.tcp.base_port = cfg.udp.base_port = member->base_port;
+      cfg.tcp.local_servers = cfg.udp.local_servers = {member->id};
+      cfg.udp.fault_seed += member->id;
+    }
+    if (plan.epoch_blocks != 0) {
+      if (member) data_dir_.emplace(member->data_dir);
+      cfg.storage = [this](ServerId s) -> sync::StorageSink* {
+        if (data_dir_) return &*data_dir_;
+        return &stores_[s];
+      };
+      cfg.checkpoint.epoch_blocks = plan.epoch_blocks;
+      cfg.enable_state_sync = true;
+      cfg.sync.progress_timeout = sim_ms(50);
+      cfg.sync.retry_base = sim_ms(10);
+    }
+    if (!plan.byzantine.empty()) {
+      // At most one adversary, a forger (run_scenario checks).
+      forger_id_ = plan.byzantine.begin()->first;
+      cfg.raw_servers = {forger_id_};
+      // Small rejected ring: the forger's re-floods (offsets 96.. from its
+      // newest forgery) then land on refs already evicted from it, which is
+      // exactly what makes verifier-pool verdict-cache hits assertable.
+      cfg.gossip.rejected_capacity = 64;
+    }
+    runtime_ = std::make_unique<rt::ThreadedRuntime>(*factory_for(config.protocol), cfg);
+    if (!runtime_->transport_ok()) return;
+    for (const FaultPlan::HostileLink& link : plan.hostile_links) {
+      runtime_->udp()->set_link_fault(link.from, link.to, link.fault);
+    }
+    if (!plan.byzantine.empty()) {
+      forger_sigs_ = make_signature_provider(config.sig_scheme, n, config.seed);
+      forger_ = make_byzantine(ByzantineKind::kForger, forger_id_,
+                               runtime_->raw_timers(forger_id_),
+                               runtime_->raw_transport(), *forger_sigs_,
+                               config.seed ^ (0x1000 + forger_id_));
+      ByzantineServer* raw = forger_.get();
+      runtime_->raw_transport().attach(
+          forger_id_,
+          [raw](ServerId from, const Bytes& wire) { raw->on_network(from, wire); });
+    }
+  }
+
+  // Why the target cannot run, or empty: its durable state would not open
+  // or restore, or its sockets did not bind.
+  std::string_view refusal() const {
+    if ((data_dir_ && !data_dir_->ok()) || !runtime_->restore_failures().empty()) {
+      return kRestoreFailure;
+    }
+    return runtime_->transport_ok() ? std::string_view{} : kBindFailure;
   }
 
   void at(SimTime t, std::function<void()> action) override {
@@ -378,7 +470,7 @@ class LiveTarget final : public ScenarioTarget {
       std::this_thread::sleep_until(t0_ + std::chrono::nanoseconds(event.at));
       event.action();
     }
-    std::this_thread::sleep_until(t0_ + std::chrono::nanoseconds(t));
+    wait_until(t0_ + std::chrono::nanoseconds(t));
   }
 
   void request(ServerId server, Label label, Bytes request) override {
@@ -434,10 +526,15 @@ class LiveTarget final : public ScenarioTarget {
   void check_sanity(std::vector<std::string>& violations) override {
     if (runtime_->udp()) {
       const rt::UdpStats stats = runtime_->udp()->stats();
-      if (wire_.drop > 0.01 && stats.injected_drops == 0) {
+      // Only a profile expected to fire 20+ times must have fired: a short
+      // run (a cluster member's) may send too few datagrams for that.
+      const auto expected = [&stats](double p) {
+        return p > 0.01 && p * static_cast<double>(stats.datagrams_sent) >= 20;
+      };
+      if (expected(wire_.drop) && stats.injected_drops == 0) {
         violations.push_back("drop profile never fired (injector no-op?)");
       }
-      if (wire_.duplicate > 0.01 && stats.injected_dups == 0) {
+      if (expected(wire_.duplicate) && stats.injected_dups == 0) {
         violations.push_back("duplicate profile never fired (injector no-op?)");
       }
       if (stats.corrupt_streams != 0) {
@@ -543,6 +640,12 @@ class LiveTarget final : public ScenarioTarget {
     }
   }
 
+ protected:
+  // Waits out the run up to `deadline`.
+  virtual void wait_until(std::chrono::steady_clock::time_point deadline) {
+    std::this_thread::sleep_until(deadline);
+  }
+
  private:
   struct Event {
     SimTime at;
@@ -552,67 +655,6 @@ class LiveTarget final : public ScenarioTarget {
       return at != other.at ? at > other.at : seq > other.seq;
     }
   };
-
-  LiveTarget(const ScenarioConfig& config, const FaultPlan& plan)
-      : wire_(plan.wire),
-        stores_(plan.epoch_blocks != 0 ? config.n_servers : 0),
-        down_(config.n_servers, false),
-        restarted_(config.n_servers, false) {
-    const std::uint32_t n = config.n_servers;
-    rt::ThreadedConfig cfg;
-    cfg.n_servers = n;
-    cfg.seed = config.seed;
-    cfg.sig_scheme = config.sig_scheme;
-    cfg.pacing = plan.pacing;
-    if (config.runtime == ScenarioRuntime::kUdp) {
-      // FWD retry matched to the loss regime: a 5ms retry against a lossy,
-      // RTO-bound link just queues duplicate recovery payloads behind the
-      // head-of-line chunk and starves the catch-up of a partitioned server.
-      cfg.gossip.fwd_retry_delay = sim_ms(20);
-      cfg.backend = rt::TransportBackend::kUdp;  // ephemeral ports
-      cfg.udp.fault_seed = config.seed;
-      cfg.udp.default_fault = plan.wire;
-      cfg.udp.channel.initial_rto_ns = 5'000'000;
-      cfg.udp.channel.max_rto_ns = 80'000'000;
-    } else {
-      cfg.gossip.fwd_retry_delay = sim_ms(5);
-      if (config.runtime == ScenarioRuntime::kTcp) {
-        cfg.backend = rt::TransportBackend::kTcp;  // ephemeral ports
-      }
-    }
-    if (!stores_.empty()) {
-      cfg.storage = [this](ServerId s) { return &stores_[s]; };
-      cfg.checkpoint.epoch_blocks = plan.epoch_blocks;
-      cfg.enable_state_sync = true;
-      cfg.sync.progress_timeout = sim_ms(50);
-      cfg.sync.retry_base = sim_ms(10);
-    }
-    if (!plan.byzantine.empty()) {
-      // At most one adversary, a forger (run_scenario checks).
-      forger_id_ = plan.byzantine.begin()->first;
-      cfg.raw_servers = {forger_id_};
-      // Small rejected ring: the forger's re-floods (offsets 96.. from its
-      // newest forgery) then land on refs already evicted from it, which is
-      // exactly what makes verifier-pool verdict-cache hits assertable.
-      cfg.gossip.rejected_capacity = 64;
-    }
-    runtime_ = std::make_unique<rt::ThreadedRuntime>(*factory_for(config.protocol), cfg);
-    if (!runtime_->transport_ok()) return;
-    for (const FaultPlan::HostileLink& link : plan.hostile_links) {
-      runtime_->udp()->set_link_fault(link.from, link.to, link.fault);
-    }
-    if (!plan.byzantine.empty()) {
-      forger_sigs_ = make_signature_provider(config.sig_scheme, n, config.seed);
-      forger_ = make_byzantine(ByzantineKind::kForger, forger_id_,
-                               runtime_->raw_timers(forger_id_),
-                               runtime_->raw_transport(), *forger_sigs_,
-                               config.seed ^ (0x1000 + forger_id_));
-      ByzantineServer* raw = forger_.get();
-      runtime_->raw_transport().attach(
-          forger_id_,
-          [raw](ServerId from, const Bytes& wire) { raw->on_network(from, wire); });
-    }
-  }
 
   // The forger's mischief beat, on its own thread and timer — the way
   // Cluster ticks a simulated adversary. One beat per kForgerBeat of
@@ -637,18 +679,201 @@ class LiveTarget final : public ScenarioTarget {
   // survives crash()/restart(), and the forger's wire handler and timer
   // run on its thread until the runtime's destructor joins it.
   std::vector<sync::MemStore> stores_;
+  std::optional<sync::DataDir> data_dir_;  // a member's sink
   std::unique_ptr<SignatureProvider> forger_sigs_;
   std::unique_ptr<ByzantineServer> forger_;
   ServerId forger_id_ = 0;
   // The forger beats until quiesce() stamps this (runtime clock).
   std::atomic<SimTime> stop_at_{std::numeric_limits<SimTime>::max()};
   SimTime next_beat_ = 0;  // forger thread only, once started
+
+ protected:
   std::unique_ptr<rt::ThreadedRuntime> runtime_;
+  std::chrono::steady_clock::time_point t0_;
+
+ private:
   std::vector<bool> down_;
   std::vector<bool> restarted_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> timeline_;
   std::uint64_t next_seq_ = 0;
-  std::chrono::steady_clock::time_point t0_;
+};
+
+// One server of a multi-process cluster (`simctl serve`/`join`, DESIGN.md
+// §8): a LiveTarget hosting only member.id. Bursts see the whole cluster,
+// but only the hosted server's requests leave this process; every check
+// reads the hosted server alone. Three things differ from LiveTarget:
+//   * run_until() ends early once every instance is indicated here, so the
+//     plan's duration is a budget, not the run's length;
+//   * quiesce() is a digest-beat exchange on the transport's control plane
+//     (WireKind::kControl): block building stopped, this member beats its DAG and
+//     interpretation digests (Lemmas 3.7 and 4.2) until every member
+//     reports done with identical ones, or the budget runs out;
+//   * request() drops requests for other members' servers, and the
+//     instances a restored incarnation already delivered: its indication
+//     log survived the crash, and a repeated fifo broadcast would be
+//     delivered again.
+// With a data dir the member restores from it on boot and state-syncs
+// what the cluster built without it.
+class MemberTarget final : public LiveTarget {
+ public:
+  MemberTarget(const ScenarioConfig& config, const FaultPlan& plan,
+               const ClusterMember& member)
+      : LiveTarget(config, plan, &member),
+        id_(member.id),
+        instances_(config.instances),
+        duration_(plan.duration),
+        durable_(plan.epoch_blocks != 0),
+        peers_(config.n_servers) {
+    if (!refusal().empty()) return;
+    runtime_->set_control_handler(id_, [this](ServerId from, const Bytes& payload) {
+      Reader r(payload);
+      const auto version = r.u8();
+      const auto dag = r.bytes();
+      const auto interp = r.bytes();
+      const auto done = r.u8();
+      if (from >= peers_.size() || !version || *version != 1 || !dag || !interp ||
+          !done || !r.done()) {
+        return;
+      }
+      std::lock_guard<std::mutex> lock(peers_mu_);
+      peers_[from] = Beat{*dag, *interp, *done != 0};
+    });
+  }
+  // The control handler writes peers_ until the runtime's threads join.
+  ~MemberTarget() override { runtime_->shutdown(); }
+
+  void start() override {
+    LiveTarget::start();
+    if (durable_) runtime_->start_sync(id_);
+    delivered_ = indicated();
+  }
+  void request(ServerId server, Label label, Bytes request) override {
+    if (server == id_ && !delivered_.count(label)) {
+      LiveTarget::request(server, label, std::move(request));
+    }
+  }
+  std::vector<ServerId> honest() override {
+    std::vector<ServerId> all(runtime_->size());
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }
+
+  // Samples at least once, so that a repeated call after agreement (the
+  // pbft nudge's) agrees again at once.
+  bool quiesce() override {
+    runtime_->stop();
+    const auto deadline = t0_ + std::chrono::nanoseconds(duration_);
+    do {
+      Beat self;
+      std::size_t pending = 0;
+      std::tie(self.dag, self.interp, pending) =
+          runtime_->call(id_, [gc = durable_](Shim& shim) {
+            shim.interpreter().run();
+            // Members GC on their own cadences: prune to the fixpoint so
+            // that live sets of one joint DAG compare equal.
+            if (gc) shim.collect_garbage();
+            return std::make_tuple(rt::dag_digest(shim.dag()),
+                                   rt::interpretation_digest(shim.interpreter(), shim.dag()),
+                                   shim.gossip().pending_blocks());
+          });
+      stable_ = self.dag == last_.dag && self.interp == last_.interp ? stable_ + 1 : 0;
+      self.done = all_indicated() && pending == 0 && stable_ >= 2;
+      last_ = self;
+      bool agreed = self.done;
+      {
+        std::lock_guard<std::mutex> lock(peers_mu_);
+        for (ServerId s = 0; s < peers_.size(); ++s) {
+          const Beat& peer = peers_[s];
+          if (s != id_ && !(peer.done && peer.dag == self.dag && peer.interp == self.interp)) {
+            agreed = false;
+          }
+        }
+      }
+      send_beat(self);
+      if (agreed) {
+        // Linger a few beats, so that members still sampling see agreement
+        // before this process and its sockets go.
+        for (int i = 0; i < 3; ++i) {
+          std::this_thread::sleep_for(kBeat);
+          send_beat(self);
+        }
+        return true;
+      }
+      std::this_thread::sleep_for(kBeat);
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  }
+
+  void report(ScenarioReport& report) override {
+    LiveTarget::report(report);
+    report.notes.push_back("member " + std::to_string(id_) + ": dag=" +
+                           to_hex(last_.dag).substr(0, 16) +
+                           " interp=" + to_hex(last_.interp).substr(0, 16));
+    if (!durable_) return;
+    const auto r = runtime_->sync_snapshot(id_);
+    report.notes.push_back(
+        "recovery: restored=" + std::string(r.restore.restored ? "yes" : "no") +
+        " (epoch " + std::to_string(r.restore.checkpoint_epoch) + ", " +
+        std::to_string(r.restore.blocks_from_checkpoint) + " ckpt + " +
+        std::to_string(r.restore.own_blocks_from_log + r.restore.recv_blocks_from_log) +
+        " log blocks), " + std::to_string(r.checkpointer.checkpoints_stored) +
+        " checkpoints stored, sync: " + std::to_string(r.sync.completions) +
+        " completed / " + std::to_string(r.sync.blocks_added) + " blocks added");
+  }
+
+ private:
+  static constexpr auto kBeat = std::chrono::milliseconds(50);
+
+  struct Beat {
+    Bytes dag, interp;
+    bool done = false;
+  };
+
+  // Phase one of a member's run: it ends once every instance is
+  // indicated here (or at `deadline`).
+  void wait_until(std::chrono::steady_clock::time_point deadline) override {
+    while (std::chrono::steady_clock::now() < deadline && !all_indicated()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+
+  // Labels the hosted server has indicated.
+  std::set<Label> indicated() {
+    return runtime_->call(id_, [](Shim& shim) {
+      std::set<Label> labels;
+      for (const UserIndication& ind : shim.indications()) labels.insert(ind.label);
+      return labels;
+    });
+  }
+  bool all_indicated() {
+    const std::set<Label> labels = indicated();
+    return static_cast<std::uint32_t>(
+               std::distance(labels.lower_bound(kScenarioLabelBase),
+                             labels.lower_bound(kScenarioLabelBase + instances_))) ==
+           instances_;
+  }
+
+  void send_beat(const Beat& beat) {
+    Writer w;
+    w.u8(1);  // control-protocol version
+    w.bytes(beat.dag);
+    w.bytes(beat.interp);
+    w.u8(beat.done ? 1 : 0);
+    const Bytes bytes = std::move(w).take();
+    for (ServerId s = 0; s < runtime_->size(); ++s) {
+      if (s != id_) runtime_->raw_transport().send(id_, s, WireKind::kControl, bytes);
+    }
+  }
+
+  const ServerId id_;
+  const std::uint32_t instances_;
+  const SimTime duration_;
+  const bool durable_;
+  std::set<Label> delivered_;  // by an earlier incarnation, at start()
+  Beat last_;                  // this member's last sample
+  int stable_ = 0;             // samples in a row that matched the one before
+  std::mutex peers_mu_;
+  std::vector<Beat> peers_;    // every member's latest beat
 };
 
 IndicationLogs correct_logs(ScenarioTarget& target) {
@@ -754,14 +979,6 @@ std::string repro_line(const ScenarioConfig& config) {
   return line;
 }
 
-void issue_scenario_burst(const ScenarioConfig& config,
-                          const FaultPlan::Burst& burst,
-                          const std::vector<ServerId>& correct,
-                          const ScenarioRequestFn& request) {
-  Expectations unused;
-  issue_burst(config, burst, correct, request, unused);
-}
-
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (std::string error = scenario_config_error(config); !error.empty()) {
     ScenarioResult result;
@@ -772,7 +989,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
-                            ScenarioReport* report) {
+                            ScenarioReport* report, const ClusterMember* member) {
   ScenarioResult result;
   auto& violations = result.violations;
   if (!factory_for(config.protocol)) {
@@ -786,15 +1003,22 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
     violations.push_back("a real runtime hosts at most one adversary, a forger");
     return result;
   }
+  if (member && config.runtime != ScenarioRuntime::kTcp &&
+      config.runtime != ScenarioRuntime::kUdp) {
+    violations.push_back("a cluster member runs over tcp or udp");
+    return result;
+  }
   std::unique_ptr<ScenarioTarget> target;
   if (sim) {
     target = std::make_unique<SimTarget>(config, plan);
   } else {
-    target = LiveTarget::make(config, plan);
-    if (!target) {
-      violations.emplace_back(kBindFailure);
+    auto live = member ? std::make_unique<MemberTarget>(config, plan, *member)
+                       : std::make_unique<LiveTarget>(config, plan);
+    if (const std::string_view refusal = live->refusal(); !refusal.empty()) {
+      violations.emplace_back(refusal);
       return result;
     }
+    target = std::move(live);
   }
   for (const auto& partition : plan.partitions) {
     target->at(partition.at, [&target, &partition] { target->partition(partition); });
@@ -813,10 +1037,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
     target->request(s, label, std::move(bytes));
   };
   for (const auto& burst : plan.bursts) {
-    // Every plan fires a burst only when every honest server is live, so
-    // the correct set is the full honest set.
+    // Every plan fires a burst only when every honest server is live.
     target->at(burst.at, [&config, &burst, &target, &request, &expect] {
-      issue_burst(config, burst, target->correct(), request, expect);
+      issue_burst(config, burst, target->honest(), request, expect);
     });
   }
 

@@ -62,9 +62,22 @@ struct ScenarioResult {
 
 // The one violation of a run whose real-runtime sockets did not bind.
 inline constexpr std::string_view kBindFailure = "failed to bind sockets";
+// The one violation of a cluster member whose durable state would not
+// open or restore: it refuses to run half-restored.
+inline constexpr std::string_view kRestoreFailure = "corrupt durable state";
 
-// What `simctl run` reports beside the ScenarioResult, read after the
-// final checks.
+// One server of a multi-process cluster (`simctl serve`/`join`): this
+// process hosts `id` on 127.0.0.1:(base_port + id), and every other server
+// runs the same plan in a process of its own.
+struct ClusterMember {
+  ServerId id = 0;
+  std::uint16_t base_port = 0;
+  // Where the server persists when the plan's epoch_blocks is non-zero.
+  std::string data_dir;
+};
+
+// What `simctl run`, `serve` and `join` report beside the ScenarioResult,
+// read after the final checks.
 struct ScenarioReport {
   WireMetrics wire;                  // every class, all servers
   InterpreterStats interpretation;   // at the witness
@@ -74,10 +87,9 @@ struct ScenarioReport {
   // verifier pool, sockets and kBatch packing on the real runtimes.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<Table> tables;         // the UDP per-link table (DESIGN.md §9)
+  // A member's own lines: its digests and, when durable, its recovery.
+  std::vector<std::string> notes;
 };
-
-// request(ℓ, r) at one server of whichever runtime runs the scenario.
-using ScenarioRequestFn = std::function<void(ServerId, Label, Bytes)>;
 
 // The embeddable P named `protocol` (brb, bcb, fifo, pbft, beacon), or
 // null for an unknown name.
@@ -100,23 +112,26 @@ ScenarioConfig scenario_for_seed(std::uint64_t seed, ScenarioConfig pinned);
 // field, so replay stays exact even if the rotations above change.
 std::string repro_line(const ScenarioConfig& config);
 
-// The scenario's issuing rule, as run_scenario applies it to every burst:
-// instance i of [burst.first_instance, + count) is labelled
-// kScenarioLabelBase + i. brb/bcb broadcast it from correct[i % |correct|],
-// fifo streams 3 + i % 3 broadcasts from there, every correct server
-// proposes the same pbft value, and the first f+1 correct servers
-// contribute to a beacon. `correct` is ascending.
-void issue_scenario_burst(const ScenarioConfig& config,
-                          const FaultPlan::Burst& burst,
-                          const std::vector<ServerId>& correct,
-                          const ScenarioRequestFn& request);
-
 // Runs one scenario on config.runtime to completion under `plan`, derived
-// from the config (fuzz, replay) or written by hand (`simctl run`); with a
-// `report`, fills it too. On the simulator, equal inputs produce equal
-// results (including run_digest).
+// from the config (fuzz, replay) or written by hand (`simctl run`, `serve`,
+// `join`); with a `report`, fills it too. On the simulator, equal inputs
+// produce equal results (including run_digest).
+//
+// Bursts: instance i of [burst.first_instance, + count) is labelled
+// kScenarioLabelBase + i. Over the cluster's live honest servers in
+// ascending order, brb/bcb broadcast it from honest[i % |honest|], fifo
+// streams 3 + i % 3 broadcasts from there, every honest server proposes
+// the same pbft value, and the first f+1 honest servers contribute to a
+// beacon.
+//
+// With a `member` (tcp or udp only), this process runs one server of a
+// multi-process cluster: it requests only that server's share of each burst
+// and checks only that server's indication log; convergence is a
+// digest-beat exchange with the other members, bounded by plan.duration,
+// and the run ends early once every instance was indicated here.
 ScenarioResult run_scenario(const ScenarioConfig& config, const FaultPlan& plan,
-                            ScenarioReport* report = nullptr);
+                            ScenarioReport* report = nullptr,
+                            const ClusterMember* member = nullptr);
 // run_scenario(config, derive_fault_plan(config)), once
 // scenario_config_error(config) is empty.
 ScenarioResult run_scenario(const ScenarioConfig& config);

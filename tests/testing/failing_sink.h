@@ -6,7 +6,8 @@
 //     restarts of the server over this sink) returns false unwritten;
 //   * hold_store(k):  the k-th store_checkpoint blocks on the writer
 //     thread until release(); it then lands (land = true) or returns false
-//     unwritten, the durable state a kill before the rename leaves;
+//     unwritten, the durable state a kill before the rename leaves
+//     (stop_holding() and HoldGuard end every hold for good);
 //   * fail_recv_append(k): the k-th received-block append returns false.
 // An optional observer sees every store before and after it is forwarded
 // (on the writer thread), so a test can check which epoch files exist at
@@ -38,7 +39,10 @@ class FailingSink final : public sync::StorageSink {
   explicit FailingSink(sync::StorageSink& inner) : inner_(inner) {}
 
   void fail_store(std::uint64_t k) { fail_stores_.insert(k); }
-  void hold_store(std::uint64_t k) { hold_stores_.insert(k); }
+  void hold_store(std::uint64_t k) {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_stores_.insert(k);
+  }
   void fail_recv_append(std::uint64_t k) { fail_recv_appends_.insert(k); }
   void observe_stores(StoreObserver observer) { observer_ = std::move(observer); }
 
@@ -109,10 +113,34 @@ class FailingSink final : public sync::StorageSink {
     cv_.notify_all();
   }
 
+  // Lets a held store fail unwritten and holds no later one.
+  void stop_holding() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_stores_.clear();
+    released_ = true;
+    land_ = false;
+    cv_.notify_all();
+  }
+
   std::uint64_t failures() {
     std::lock_guard<std::mutex> lock(mu_);
     return failures_;
   }
+
+  // stop_holding() on scope exit. Declare it after the runtime that writes
+  // to the sink, so that it is destroyed first: a test that returns early
+  // (a failed ASSERT) must not leave the runtime's destructor joining a
+  // checkpoint writer held forever.
+  class HoldGuard {
+   public:
+    explicit HoldGuard(FailingSink& sink) : sink_(sink) {}
+    ~HoldGuard() { sink_.stop_holding(); }
+    HoldGuard(const HoldGuard&) = delete;
+    HoldGuard& operator=(const HoldGuard&) = delete;
+
+   private:
+    FailingSink& sink_;
+  };
 
  private:
   sync::StorageSink& inner_;

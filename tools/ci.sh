@@ -12,7 +12,7 @@
 # convergence tests (the two link-settle cases looped 10×), the socket
 # link layer's cap and stop-accounting cases, the real-runtime scenario
 # runs, the crash/restart cases with their checkpoint-writer crash points
-# (one of them looped 10×) and the storage sinks' append-vs-store race
+# (one of them looped 24× under a timeout) and the storage sinks' append-vs-store race
 # under ThreadSanitizer. Mirrors
 # .github/workflows/ci.yml; see BUILDING.md for the full command reference.
 set -eu
@@ -84,9 +84,7 @@ cmake --build build-ci-tsan -j "$jobs" \
 # closes mailboxes, dropping armed timers, while beats, FWD retries and
 # checkpoint-writer jobs are in flight. The two link-settle cases loop too:
 # a reset after stop() and injected datagram delays race the poll threads
-# against the settle count. One checkpoint crash point loops too: crash()
-# joins a writer blocked mid-store while the server thread keeps appending
-# to the next epoch's log.
+# against the settle count.
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
@@ -97,8 +95,15 @@ for i in 1 2 3 4 5 6 7 8 9 10; do
       --gtest_filter='TcpRuntime.ConnectionKilledAfterStopStillSettlesExactly' >/dev/null
   ./build-ci-tsan/rt_udp_runtime_test \
       --gtest_filter='UdpRuntime.DelayedDatagramsSettleBeforeConvergenceSamples' >/dev/null
-  ./build-ci-tsan/rt_crash_restart_test \
+done
+# One checkpoint crash point loops 24 times, each run under a timeout: crash()
+# joins a writer blocked mid-store while the server thread keeps appending
+# to the next epoch's log, and a run that hangs must fail, not stall CI.
+i=0
+while [ "$i" -lt 24 ]; do
+  timeout 120 ./build-ci-tsan/rt_crash_restart_test \
       --gtest_filter='CrashRestart.CrashBeforeTheStoreLandsThenAgainFromTheChainedLog' >/dev/null
+  i=$((i + 1))
 done
 
 echo "==> CI OK"

@@ -30,35 +30,37 @@
 // signature scheme on every runtime (real runtimes verify non-ideal
 // schemes on the off-thread verifier pool).
 //
-// Multi-process clusters (DESIGN.md §8): every member runs the same
-// protocol stack in its own OS process, hosting exactly one server,
-// connected over 127.0.0.1:(PORT + id):
+// Multi-process clusters (DESIGN.md §8): every member runs the same plan
+// in its own OS process, hosting exactly one server, connected over
+// 127.0.0.1:(PORT + id):
 //
 //   simctl serve --n N --port PORT [--runtime tcp|udp] [--loss P]
 //                [--protocol P] [--instances K] [--seconds S]
-//                [--interval MS] [--seed X]
+//                [--interval MS] [--seed X] [--sig ideal|hmac|wots]
 //                [--data-dir DIR] [--checkpoint K]
 //   simctl join --id I --n N --port PORT [same options]
+//
+// `serve` hosts server 0, `join --id I` hosts server I (started in any
+// order — connects retry until peers appear). A member runs `run`'s
+// scenario engine and prints its report: it requests its server's share of
+// the plan, checks its own indication log with the same checkers, and
+// converges by a digest exchange on the wire itself — it passes once every
+// member reports the identical DAG digest and per-block interpretation
+// digest (Lemma 3.7 / Lemma 4.2) with every instance delivered. --seconds
+// is a budget here: the run ends as soon as that holds. --loss P drops P of
+// the member's outbound datagrams (udp only).
 //
 // With --data-dir the member persists epoch checkpoints plus an
 // append-only block log under DIR (checkpoint every K interpreted blocks,
 // default 32), restores from them on startup and state-syncs the history
 // it missed while down — a SIGKILLed member restarted on the same
 // directory rejoins without re-interpreting checkpointed history
-// (tools/crash_cluster_smoke.sh drives exactly that). Exit codes: 0 =
-// converged, 1 = settle timeout, 2 = bind/usage failure, 3 = corrupt
-// durable state (the member refuses to run half-restored). All members of
-// one cluster must agree on whether --data-dir is in use: checkpoint
-// epochs prune the DAG, and the settle protocol then compares GC'd live
-// sets.
-//
-// `serve` hosts server 0, `join --id I` hosts server I (one process per
-// server, started in any order — connects retry until peers appear). Each
-// process issues its share of the workload, then the members settle via a
-// digest-exchange control protocol on the wire itself: a member exits 0
-// once every server reports the identical DAG digest and identical
-// per-block interpretation digest (Lemma 3.7 / Lemma 4.2) and all
-// instances are delivered; nonzero on timeout or bind failure (exit 2).
+// (tools/crash_cluster_smoke.sh drives exactly that) and without
+// requesting again what it delivered before. All members of one cluster must
+// agree on whether --data-dir is in use: checkpoint epochs prune the DAG,
+// and the digest exchange then compares GC'd live sets. Exit codes are
+// `run`'s, plus 3 on corrupt durable state (the member refuses to run
+// half-restored).
 //
 // Scenario engine (DESIGN.md §6) subcommands:
 //
@@ -98,30 +100,25 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <mutex>
-#include <numeric>
+#include <optional>
 #include <string>
-#include <tuple>
 
-#include <chrono>
-#include <thread>
-
-#include "rt/threaded_runtime.h"
 #include "runtime/scenario.h"
 #include "runtime/table.h"
-#include "util/hex.h"
-#include "util/serialize.h"
 
 using namespace blockdag;
 
 namespace {
 
-// `simctl run`: one scenario under a hand-written plan.
+// `simctl run`, `serve` and `join`: one scenario under a hand-written plan.
+enum class Command { kRun, kServe, kJoin };
+
 struct Options {
   ScenarioConfig config;
   FaultPlan plan;
-  double drop = 0.0;
+  double drop = 0.0;  // run: --drop; a member: --loss
   std::string dot_file;
+  std::optional<ClusterMember> member;  // serve, join
 };
 
 std::optional<ByzantineKind> parse_kind(const std::string& name) {
@@ -183,15 +180,26 @@ bool parse_fraction(const char* s, double& out) {
   }
 }
 
-// Turns `run`'s flags into a config and its plan: one burst of every
-// instance at t = 0, no churn, no partitions.
-bool parse_args(int argc, char** argv, Options& opt) {
+// Turns the flags of `run`, `serve` or `join` into a config and its plan:
+// one burst of every instance at t = 0, no churn, no partitions. A member
+// also gets its deployment: its server, the cluster's base port and its
+// data dir.
+bool parse_args(int argc, char** argv, Command command, Options& opt) {
+  const bool member = command != Command::kRun;
   ScenarioConfig& cfg = opt.config;
   FaultPlan& plan = opt.plan;
   cfg.seed = 1;
-  cfg.instances = 8;
-  double seconds = 2.0;
-  std::uint64_t interval_ms = 10;
+  cfg.instances = member ? 4 : 8;
+  if (member) {
+    cfg.n_servers = 2;
+    cfg.runtime = ScenarioRuntime::kTcp;
+  }
+  double seconds = member ? 30.0 : 2.0;
+  std::uint64_t interval_ms = member ? 5 : 10;
+  std::uint64_t checkpoint = 32;
+  std::uint32_t id = 0;
+  std::uint32_t port = 0;
+  std::string data_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -201,7 +209,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (!runtime) return false;
       cfg.runtime = *runtime;
     } else if (arg == "--n") {
-      if (!parse_u32(v, cfg.n_servers) || cfg.n_servers == 0) return false;
+      if (!parse_u32(v, cfg.n_servers) || cfg.n_servers < (member ? 2u : 1u)) {
+        return false;
+      }
     } else if (arg == "--protocol") {
       cfg.protocol = v;
       if (!factory_for(cfg.protocol)) return false;
@@ -210,28 +220,41 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--instances") {
       if (!parse_u32(v, cfg.instances)) return false;
     } else if (arg == "--interval") {
-      if (!parse_u64(v, interval_ms) || interval_ms == 0) return false;
+      // At most --seconds' 1e6 s, so that sim_ms() cannot wrap.
+      if (!parse_u64(v, interval_ms) || interval_ms == 0 ||
+          interval_ms > 1'000'000'000) {
+        return false;
+      }
     } else if (arg == "--seed") {
       if (!parse_u64(v, cfg.seed)) return false;
-    } else if (arg == "--drop") {
+    } else if (arg == (member ? "--loss" : "--drop")) {
       if (!parse_fraction(v, opt.drop)) return false;
     } else if (arg == "--sig") {
       const auto scheme = parse_sig_scheme(v);
       if (!scheme) return false;
       cfg.sig_scheme = *scheme;
-    } else if (arg == "--dot") {
+    } else if (arg == "--dot" && !member) {
       opt.dot_file = v;
-    } else if (arg == "--byzantine") {
+    } else if (arg == "--byzantine" && !member) {
       const std::string spec = v;
       const auto colon = spec.find(':');
-      std::uint32_t id = 0;
+      std::uint32_t byz = 0;
       if (colon == std::string::npos ||
-          !parse_u32(spec.substr(0, colon).c_str(), id)) {
+          !parse_u32(spec.substr(0, colon).c_str(), byz)) {
         return false;
       }
       const auto kind = parse_kind(spec.substr(colon + 1));
       if (!kind) return false;
-      plan.byzantine[id] = *kind;
+      plan.byzantine[byz] = *kind;
+    } else if (arg == "--id" && command == Command::kJoin) {
+      if (!parse_u32(v, id) || id == 0) return false;
+    } else if (arg == "--port" && member) {
+      if (!parse_u32(v, port) || port == 0 || port > 65535) return false;
+    } else if (arg == "--data-dir" && member) {
+      data_dir = v;
+      if (data_dir.empty()) return false;
+    } else if (arg == "--checkpoint" && member) {
+      if (!parse_u64(v, checkpoint) || checkpoint == 0) return false;
     } else {
       return false;
     }
@@ -249,6 +272,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
   } else if (cfg.runtime == ScenarioRuntime::kUdp) {
     plan.wire.drop = opt.drop;
   }
+  if (member) {
+    // A member runs over sockets, join names its server, and the whole
+    // cluster's ports (base .. base + n − 1) fit in 16 bits.
+    if ((cfg.runtime != ScenarioRuntime::kTcp && cfg.runtime != ScenarioRuntime::kUdp) ||
+        port == 0 || (command == Command::kJoin && id == 0) || id >= cfg.n_servers ||
+        std::uint64_t{port} + cfg.n_servers - 1 > 65535) {
+      return false;
+    }
+    opt.member = ClusterMember{id, static_cast<std::uint16_t>(port), data_dir};
+    if (!data_dir.empty()) plan.epoch_blocks = checkpoint;
+  }
   // Byzantine ids name servers of this cluster, and one server stays honest.
   return plan.byzantine.empty() ||
          (plan.byzantine.rbegin()->first < cfg.n_servers &&
@@ -257,15 +291,20 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 // The report of every runtime: the checked result, then what the run
 // left behind (ScenarioReport).
-void print_report(const ScenarioConfig& cfg, const ScenarioResult& result,
+void print_report(const Options& opt, const ScenarioResult& result,
                   const ScenarioReport& report) {
+  const ScenarioConfig& cfg = opt.config;
   std::printf("simctl report — runtime=%s protocol=%s n=%u instances=%u "
-              "seed=%llu sig=%s\n\n",
+              "seed=%llu sig=%s",
               scenario_runtime_name(cfg.runtime), cfg.protocol.c_str(),
               cfg.n_servers, cfg.instances,
               static_cast<unsigned long long>(cfg.seed),
               sig_scheme_name(cfg.sig_scheme));
-  std::printf("instances complete everywhere : %zu / %u\n",
+  if (opt.member) {
+    std::printf(" server=%u ports=127.0.0.1:%u..%u", opt.member->id,
+                opt.member->base_port, opt.member->base_port + cfg.n_servers - 1);
+  }
+  std::printf("\n\ninstances complete everywhere : %zu / %u\n",
               result.labels_complete, cfg.instances);
   std::printf("deliveries                     : %zu (%zu by half time)\n",
               result.deliveries, result.mid_run_deliveries);
@@ -298,6 +337,7 @@ void print_report(const ScenarioConfig& cfg, const ScenarioResult& result,
     std::printf("\n%s", table.render().c_str());
   }
   std::printf("\n%s", report.audit.c_str());
+  for (const std::string& note : report.notes) std::printf("%s\n", note.c_str());
 
   for (const std::string& violation : result.violations) {
     std::printf("VIOLATION: %s\n", violation.c_str());
@@ -320,410 +360,36 @@ int run(const Options& opt) {
     return 2;
   }
   if (opt.drop != 0.0 && !sim && cfg.runtime != ScenarioRuntime::kUdp) {
-    std::fprintf(stderr, "--drop needs a lossy wire: use --runtime sim or "
-                         "--runtime udp\n");
+    std::fprintf(stderr, "%s needs a lossy wire: use --runtime udp%s\n",
+                 opt.member ? "--loss" : "--drop",
+                 opt.member ? "" : " or --runtime sim");
     return 2;
   }
   ScenarioReport report;
-  const ScenarioResult result = run_scenario(cfg, opt.plan, &report);
+  const ScenarioResult result =
+      run_scenario(cfg, opt.plan, &report, opt.member ? &*opt.member : nullptr);
   if (result.violations.size() == 1 && result.violations.front() == kBindFailure) {
-    std::fprintf(stderr, "failed to bind %s sockets\n",
-                 scenario_runtime_name(cfg.runtime));
+    std::fprintf(stderr, "failed to bind %s sockets%s\n",
+                 scenario_runtime_name(cfg.runtime),
+                 opt.member ? " (port in use, or the port range exceeds 65535?)" : "");
     return 2;
   }
-  print_report(cfg, result, report);
+  if (result.violations.size() == 1 && result.violations.front() == kRestoreFailure) {
+    // Distinct from a violation (1) and a bind failure (2): the durable
+    // state exists but will not restore, and running on would risk
+    // equivocation (a lost own block means a reused sequence number).
+    std::fprintf(stderr,
+                 "cannot open or restore --data-dir %s: refusing to run "
+                 "half-restored (wipe the directory to rejoin fresh)\n",
+                 opt.member->data_dir.c_str());
+    return 3;
+  }
+  print_report(opt, result, report);
   if (!opt.dot_file.empty()) {
     std::ofstream(opt.dot_file) << report.dot;
     std::printf("\nDOT written to %s\n", opt.dot_file.c_str());
   }
   return result.ok() ? 0 : 1;
-}
-
-// ---- multi-process cluster (serve / join) ----
-
-struct MemberOptions {
-  ServerId id = 0;  // serve: 0; join: --id
-  std::uint32_t n = 2;
-  std::string runtime = "tcp";  // tcp | udp
-  std::string protocol = "brb";
-  std::uint32_t instances = 4;
-  std::uint64_t interval_ms = 5;
-  std::uint64_t seed = 1;
-  double seconds = 30.0;  // wall-clock budget for the whole run
-  std::uint16_t port = 0; // base port: server s listens on 127.0.0.1:(port+s)
-  double loss = 0.0;      // udp only: injected drop rate on outbound links
-  // Signature scheme — every member of a cluster must agree on it (blocks
-  // signed under one scheme do not verify under another).
-  SigScheme sig = SigScheme::kIdeal;
-  // Durable crash recovery (DESIGN.md §10): when set, this member persists
-  // checkpoints + a block log under the directory, restores from it on
-  // startup (exit 3 if the durable state is corrupt) and mounts a
-  // state-sync engine to catch up on history it missed while down. All
-  // members of a cluster must agree on whether checkpoints are on — epoch
-  // GC changes the live set the digest settle compares.
-  std::string data_dir;
-  std::uint64_t checkpoint_blocks = 32;  // epoch cadence (with --data-dir)
-};
-
-bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
-  bool seen_port = false;
-  bool seen_id = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    std::uint32_t u = 0;
-    if (arg == "--id" && join) {
-      if (!v || !parse_u32(v, u) || u == 0) return false;
-      opt.id = u;
-      seen_id = true;
-    } else if (arg == "--n") {
-      if (!v || !parse_u32(v, u) || u < 2) return false;
-      opt.n = u;
-    } else if (arg == "--port") {
-      if (!v || !parse_u32(v, u) || u == 0 || u > 65535) return false;
-      opt.port = static_cast<std::uint16_t>(u);
-      seen_port = true;
-    } else if (arg == "--protocol") {
-      if (!v) return false;
-      opt.protocol = v;
-      if (!factory_for(opt.protocol)) return false;
-    } else if (arg == "--instances") {
-      if (!v || !parse_u32(v, u)) return false;
-      opt.instances = u;
-    } else if (arg == "--interval") {
-      if (!v || !parse_u32(v, u) || u == 0) return false;
-      opt.interval_ms = u;
-    } else if (arg == "--seed") {
-      std::uint64_t s = 0;
-      if (!v || !parse_u64(v, s)) return false;
-      opt.seed = s;
-    } else if (arg == "--seconds") {
-      double s = 0;
-      if (!v || !parse_duration(v, s)) return false;
-      opt.seconds = s;
-    } else if (arg == "--runtime") {
-      if (!v) return false;
-      opt.runtime = v;
-      if (opt.runtime != "tcp" && opt.runtime != "udp") return false;
-    } else if (arg == "--loss") {
-      if (!v || !parse_fraction(v, opt.loss)) return false;
-    } else if (arg == "--sig") {
-      if (!v) return false;
-      const auto scheme = parse_sig_scheme(v);
-      if (!scheme) return false;
-      opt.sig = *scheme;
-    } else if (arg == "--data-dir") {
-      if (!v || *v == '\0') return false;
-      opt.data_dir = v;
-    } else if (arg == "--checkpoint") {
-      std::uint64_t k = 0;
-      if (!v || !parse_u64(v, k) || k == 0) return false;
-      opt.checkpoint_blocks = k;
-    } else {
-      return false;
-    }
-    ++i;
-  }
-  if (opt.loss != 0.0 && opt.runtime != "udp") return false;
-  // The whole cluster's ports (base .. base + n − 1) must fit in 16 bits.
-  return seen_port && (!join || seen_id) && opt.id < opt.n &&
-         static_cast<std::uint32_t>(opt.port) + opt.n - 1 <= 65535;
-}
-
-// The digest beat every member broadcasts on the control plane
-// (WireKind::kControl — routed by the TCP transport, invisible to gossip).
-Bytes encode_digest_beat(const Bytes& dag, const Bytes& interp, bool done) {
-  Writer w;
-  w.u8(1);  // control-protocol version
-  w.bytes(dag);
-  w.bytes(interp);
-  w.u8(done ? 1 : 0);
-  return std::move(w).take();
-}
-
-// One member of a multi-OS-process cluster: hosts exactly one server on
-// a real-socket transport (TCP by default, lossy UDP with --runtime udp),
-// issues its share of the workload, then settles via digest exchange. The
-// acceptance criterion of DESIGN.md §8: exit 0 iff every server in the
-// cluster reports the identical DAG digest and the identical per-block
-// interpretation digest (Lemma 3.7 / Lemma 4.2) and every instance was
-// delivered locally. Over UDP with --loss the digest beats themselves ride
-// the retransmitting channels, so agreement doubles as a liveness check of
-// the reliability layer across process boundaries.
-int run_member(const MemberOptions& opt, const char* role) {
-  const ProtocolFactory* factory = factory_for(opt.protocol);
-  if (!factory) return 2;
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
-  cfg.pacing.interval = sim_ms(opt.interval_ms);
-  cfg.gossip.fwd_retry_delay = sim_ms(20);
-  if (opt.runtime == "udp") {
-    cfg.backend = rt::TransportBackend::kUdp;
-    cfg.udp.base_port = opt.port;
-    cfg.udp.local_servers = {opt.id};
-    cfg.udp.fault_seed = opt.seed + opt.id;  // distinct decision streams
-    cfg.udp.default_fault.drop = opt.loss;   // applied to outbound datagrams
-    cfg.udp.channel.initial_rto_ns = 5'000'000;
-    cfg.udp.channel.max_rto_ns = 80'000'000;
-  } else {
-    cfg.backend = rt::TransportBackend::kTcp;
-    cfg.tcp.base_port = opt.port;
-    cfg.tcp.local_servers = {opt.id};
-  }
-
-  // Durable recovery: a --data-dir member checkpoints every K interpreted
-  // blocks (rotating its block log), restores on startup and state-syncs
-  // whatever it missed while down. Declared before the runtime — the
-  // storage sink must outlive it.
-  std::optional<blockdag::sync::DataDir> store;
-  if (!opt.data_dir.empty()) {
-    store.emplace(opt.data_dir);
-    if (!store->ok()) {
-      std::fprintf(stderr,
-                   "simctl %s: cannot open --data-dir %s (mkdir failed?)\n",
-                   role, opt.data_dir.c_str());
-      return 3;
-    }
-    cfg.storage = [&store](ServerId) { return &*store; };
-    cfg.checkpoint.epoch_blocks = opt.checkpoint_blocks;
-    cfg.enable_state_sync = true;
-    cfg.sync.progress_timeout = sim_ms(200);
-    cfg.sync.retry_base = sim_ms(50);
-  }
-
-  // Latest digest beat per peer. Written by the control handler on the
-  // hosted server's thread, read by this (harness) thread. Declared
-  // *before* the runtime: the handler may still run (a lingering peer
-  // re-sending its final beat) until the runtime's destructor joins the
-  // poll and node threads, so the captured state must outlive it.
-  struct PeerView {
-    Bytes dag, interp;
-    bool done = false;
-    bool seen = false;
-  };
-  std::mutex peers_mu;
-  std::vector<PeerView> peers(opt.n);
-
-  rt::ThreadedRuntime runtime(*factory, cfg);
-  if (!runtime.transport_ok()) {
-    std::fprintf(stderr,
-                 "simctl %s: failed to bind 127.0.0.1:%u (port in use or "
-                 "port range exceeds 65535?)\n",
-                 role, opt.port + opt.id);
-    return 2;
-  }
-  if (!runtime.restore_failures().empty()) {
-    // Distinct from a settle timeout (1) and a bind failure (2): the
-    // durable state exists but will not restore — running on would risk
-    // equivocation (a lost own-block means a reused sequence number).
-    std::fprintf(stderr,
-                 "simctl %s: corrupt durable state in --data-dir %s — refusing "
-                 "to run half-restored (wipe the directory to rejoin fresh)\n",
-                 role, opt.data_dir.c_str());
-    return 3;
-  }
-  // Control-plane sender, transport-agnostic: kControl frames bypass the
-  // protocol handler on both socket backends.
-  const auto send_control = [&runtime, &opt](ServerId to, Bytes beat) {
-    if (runtime.udp()) {
-      runtime.udp()->send(opt.id, to, WireKind::kControl, std::move(beat));
-    } else {
-      runtime.tcp()->send(opt.id, to, WireKind::kControl, std::move(beat));
-    }
-  };
-  runtime.set_control_handler(
-      opt.id, [&peers_mu, &peers](ServerId from, const Bytes& payload) {
-        Reader r(payload);
-        const auto version = r.u8();
-        if (!version || *version != 1) return;
-        const auto dag = r.bytes();
-        const auto interp = r.bytes();
-        const auto done = r.u8();
-        if (!dag || !interp || !done || !r.done()) return;
-        std::lock_guard<std::mutex> lock(peers_mu);
-        peers[from] = PeerView{*dag, *interp, *done != 0, true};
-      });
-
-  std::printf("simctl %s — server %u of %u, protocol=%s, %s 127.0.0.1:%u..%u%s\n",
-              role, opt.id, opt.n, opt.protocol.c_str(), opt.runtime.c_str(),
-              opt.port, opt.port + opt.n - 1,
-              opt.loss > 0.0 ? " (lossy)" : "");
-  runtime.start();
-  if (store) {
-    // Catch up on history missed while down (restart over an existing data
-    // dir) or never seen (fresh dir joining a running cluster). For a
-    // cluster starting together this is a cheap no-op round: peers answer
-    // from near-empty DAGs and gossip dedup drops the overlap.
-    runtime.start_sync(opt.id);
-  }
-
-  // This process's share of the workload: the requests the scenario's
-  // burst rule assigns to this member's server, as every `simctl run`
-  // issues them. A restored member skips instances its pre-crash
-  // incarnation already delivered — the indication log survives the
-  // crash, and re-issuing a completed instance would double-deliver it.
-  ScenarioConfig workload;
-  workload.seed = opt.seed;
-  workload.n_servers = opt.n;
-  workload.protocol = opt.protocol;
-  workload.instances = opt.instances;
-  std::vector<ServerId> servers(opt.n);
-  std::iota(servers.begin(), servers.end(), 0);
-  std::vector<bool> delivered(opt.instances);
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    delivered[i] = runtime.indicated_count(kScenarioLabelBase + i) != 0;
-  }
-  issue_scenario_burst(workload, {0, 0, opt.instances}, servers,
-                       [&](ServerId server, Label label, Bytes request) {
-                         if (server == opt.id && !delivered[label - kScenarioLabelBase]) {
-                           runtime.request(server, label, std::move(request));
-                         }
-                       });
-
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(static_cast<std::uint64_t>(opt.seconds * 1e9));
-  const auto labels_complete = [&] {
-    for (std::uint32_t i = 0; i < opt.instances; ++i) {
-      if (runtime.indicated_count(kScenarioLabelBase + i) != 1) return false;
-    }
-    return true;
-  };
-
-  // Phase 1: paced dissemination until every instance indicated locally.
-  while (std::chrono::steady_clock::now() < deadline && !labels_complete()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  // Phase 2: stop building blocks; keep the receive path, FWD recovery and
-  // interpretation live, and exchange digest beats until the whole cluster
-  // agrees (every further block could only chase a moving target — with
-  // builders stopped, the joint DAG is a fixed set to drain toward).
-  runtime.stop();
-
-  int exit_code = 1;
-  Bytes last_dag, last_interp;
-  int stable = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const bool force_gc = cfg.checkpoint.epoch_blocks != 0;
-    const auto [dag, interp, pending] =
-        runtime.call(opt.id, [force_gc](Shim& shim) {
-          shim.interpreter().run();
-          // With checkpoint epochs on, per-member GC cadences leave
-          // different live sets for the same joint DAG; prune to the
-          // fixpoint before sampling so digests are comparable (every
-          // member must do this — hence "all members agree on --data-dir").
-          if (force_gc) shim.collect_garbage();
-          return std::make_tuple(
-              rt::dag_digest(shim.dag()),
-              rt::interpretation_digest(shim.interpreter(), shim.dag()),
-              shim.gossip().pending_blocks());
-        });
-    stable = (dag == last_dag && interp == last_interp) ? stable + 1 : 0;
-    last_dag = dag;
-    last_interp = interp;
-    const bool self_done = labels_complete() && pending == 0 && stable >= 2;
-
-    const Bytes beat = encode_digest_beat(dag, interp, self_done);
-    for (ServerId s = 0; s < opt.n; ++s) {
-      if (s != opt.id) send_control(s, Bytes(beat));
-    }
-
-    bool cluster_done = self_done;
-    {
-      std::lock_guard<std::mutex> lock(peers_mu);
-      for (ServerId s = 0; s < opt.n && cluster_done; ++s) {
-        if (s == opt.id) continue;
-        const PeerView& peer = peers[s];
-        if (!peer.seen || !peer.done || peer.dag != dag || peer.interp != interp) {
-          cluster_done = false;
-        }
-      }
-    }
-    if (cluster_done) {
-      // Linger a few beats so peers still sampling can observe agreement
-      // before this process (and its sockets) disappear.
-      for (int i = 0; i < 3; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        for (ServerId s = 0; s < opt.n; ++s) {
-          if (s != opt.id) send_control(s, Bytes(beat));
-        }
-      }
-      exit_code = 0;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  const std::uint64_t blocks = runtime.call(opt.id, [](Shim& shim) {
-    return shim.gossip().stats().blocks_inserted;
-  });
-  std::printf("server %u: %llu blocks, dag=%s interp=%s\n", opt.id,
-              static_cast<unsigned long long>(blocks),
-              to_hex(last_dag).substr(0, 16).c_str(),
-              to_hex(last_interp).substr(0, 16).c_str());
-  const InterpreterStats is = runtime.interpreter_stats();
-  std::printf("interpretation: %llu blocks, %llu delivered, %llu indications\n",
-              static_cast<unsigned long long>(is.blocks_interpreted),
-              static_cast<unsigned long long>(is.messages_delivered),
-              static_cast<unsigned long long>(is.indications));
-  if (store) {
-    const auto recovery = runtime.sync_snapshot(opt.id);
-    std::printf(
-        "recovery: restored=%s (epoch %llu, %llu ckpt + %llu log blocks, "
-        "%llu interpreted live), %llu checkpoints stored, sync: %llu "
-        "completed / %llu blocks added\n",
-        recovery.restore.restored ? "yes" : "no",
-        static_cast<unsigned long long>(recovery.restore.checkpoint_epoch),
-        static_cast<unsigned long long>(recovery.restore.blocks_from_checkpoint),
-        static_cast<unsigned long long>(recovery.restore.own_blocks_from_log +
-                                        recovery.restore.recv_blocks_from_log),
-        static_cast<unsigned long long>(recovery.blocks_interpreted),
-        static_cast<unsigned long long>(recovery.checkpointer.checkpoints_stored),
-        static_cast<unsigned long long>(recovery.sync.completions),
-        static_cast<unsigned long long>(recovery.sync.blocks_added));
-  }
-  if (runtime.udp()) {
-    const rt::UdpStats udp = runtime.udp()->stats();
-    std::printf("sockets: %llu datagrams sent, %llu received, "
-                "%llu retransmits, %llu injected drops\n",
-                static_cast<unsigned long long>(udp.datagrams_sent),
-                static_cast<unsigned long long>(udp.datagrams_received),
-                static_cast<unsigned long long>(udp.retransmits),
-                static_cast<unsigned long long>(udp.injected_drops));
-  } else {
-    const rt::TcpStats tcp = runtime.tcp()->stats();
-    std::printf("sockets: %llu connects, %llu frames sent, %llu received\n",
-                static_cast<unsigned long long>(tcp.connects),
-                static_cast<unsigned long long>(tcp.frames_sent),
-                static_cast<unsigned long long>(tcp.frames_received));
-  }
-  std::printf("%s\n", exit_code == 0
-                          ? "OK — cluster-wide identical DAG + interpretation digests"
-                          : "TIMEOUT — cluster did not reach digest agreement");
-  return exit_code;
-}
-
-int cmd_member(int argc, char** argv, bool join) {
-  MemberOptions opt;
-  if (!parse_member_args(argc, argv, opt, join)) {
-    std::fprintf(stderr,
-                 "usage: simctl serve --n N --port PORT [--runtime tcp|udp] "
-                 "[--loss P]\n"
-                 "                    [--protocol P] [--instances K] "
-                 "[--seconds S]\n"
-                 "                    [--interval MS] [--seed X] "
-                 "[--sig ideal|hmac|wots]\n"
-                 "                    [--data-dir DIR] [--checkpoint K]\n"
-                 "       simctl join --id I --n N --port PORT [same options]\n"
-                 "(--data-dir: persist checkpoints + block log, restore on "
-                 "restart; exit 3 on corrupt state. All members must agree "
-                 "on whether --data-dir is used.)\n");
-    return 2;
-  }
-  return run_member(opt, join ? "join" : "serve");
 }
 
 // ---- scenario engine subcommands ----
@@ -903,32 +569,31 @@ int cmd_replay(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0) {
-    return cmd_fuzz(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "replay") == 0) {
-    return cmd_replay(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return cmd_member(argc - 1, argv + 1, /*join=*/false);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "join") == 0) {
-    return cmd_member(argc - 1, argv + 1, /*join=*/true);
-  }
-  const bool explicit_run = argc > 1 && std::strcmp(argv[1], "run") == 0;
+  const char* sub = argc > 1 ? argv[1] : "";
+  if (std::strcmp(sub, "fuzz") == 0) return cmd_fuzz(argc - 1, argv + 1);
+  if (std::strcmp(sub, "replay") == 0) return cmd_replay(argc - 1, argv + 1);
+  const Command command = std::strcmp(sub, "serve") == 0  ? Command::kServe
+                          : std::strcmp(sub, "join") == 0 ? Command::kJoin
+                                                          : Command::kRun;
+  const bool named = command != Command::kRun || std::strcmp(sub, "run") == 0;
   Options opt;
-  if (!parse_args(explicit_run ? argc - 1 : argc,
-                  explicit_run ? argv + 1 : argv, opt)) {
+  if (!parse_args(named ? argc - 1 : argc, named ? argv + 1 : argv, command, opt)) {
     std::fprintf(stderr,
                  "usage: simctl [run] [--runtime sim|threads|tcp|udp] [--n N]\n"
                  "              [--protocol brb|bcb|fifo|pbft|beacon]\n"
                  "              [--seconds S] [--instances K] [--interval MS]\n"
                  "              [--seed X] [--drop P] [--byzantine ID:KIND ...]\n"
                  "              [--sig ideal|hmac|wots] [--dot FILE]\n"
-                 "       simctl serve --n N --port PORT [options]\n"
-                 "       simctl join --id I --n N --port PORT [options]\n"
+                 "       simctl serve --n N --port PORT [--runtime tcp|udp] [--loss P]\n"
+                 "                    [--protocol P] [--instances K] [--seconds S]\n"
+                 "                    [--interval MS] [--seed X] [--sig ideal|hmac|wots]\n"
+                 "                    [--data-dir DIR] [--checkpoint K]\n"
+                 "       simctl join --id I --n N --port PORT [same options as serve]\n"
                  "       simctl fuzz --seeds A..B [options]\n"
-                 "       simctl replay --seed S [options]\n");
+                 "       simctl replay --seed S [options]\n"
+                 "(--data-dir: persist checkpoints + block log, restore on restart;\n"
+                 " exit 3 on corrupt state. All members must agree on whether\n"
+                 " --data-dir is used.)\n");
     return 2;
   }
   return run(opt);
