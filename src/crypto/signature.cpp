@@ -145,11 +145,6 @@ bool HmacSignatureProvider::verify(ServerId claimed,
   return diff == 0;
 }
 
-std::unique_ptr<SignatureProvider> make_ideal_provider(std::uint32_t n_servers,
-                                                       std::uint64_t seed) {
-  return std::make_unique<IdealSignatureProvider>(n_servers, seed);
-}
-
 std::unique_ptr<SignatureProvider> make_signature_provider(SigScheme scheme,
                                                            std::uint32_t n_servers,
                                                            std::uint64_t seed) {

@@ -135,9 +135,6 @@ class HmacSignatureProvider final : public SignatureProvider {
   std::vector<Bytes> keys_;  // one domain-separated 32-byte key per server
 };
 
-std::unique_ptr<SignatureProvider> make_ideal_provider(std::uint32_t n_servers,
-                                                       std::uint64_t seed);
-
 // Builds the provider selected by `scheme`. All instances created with the
 // same (scheme, n_servers, seed) derive identical key material, so per-node
 // provider instances on the threaded runtime can verify each other's

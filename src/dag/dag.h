@@ -79,9 +79,6 @@ class BlockDag {
   // Pred indices, deduplicated, in block-order of first occurrence. Entries
   // may be tombstones after pruning.
   const std::vector<BlockIdx>& preds_of(BlockIdx i) const { return nodes_[i].preds; }
-  const std::vector<BlockIdx>& children_of(BlockIdx i) const {
-    return nodes_[i].children;
-  }
   // The parent of Definition 3.1 (unique pred with the same builder),
   // resolved once at insert; kNoBlockIdx for genesis blocks or when absent.
   BlockIdx parent_of(BlockIdx i) const { return nodes_[i].parent; }

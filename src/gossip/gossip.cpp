@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <queue>
 #include <utility>
 
 namespace blockdag {
@@ -59,8 +60,7 @@ void GossipServer::handle_block(Block&& block) {
     return;
   }
 
-  pending_.emplace(ref, std::make_shared<const Block>(std::move(block)));
-  try_insert_pending();
+  buffer(ref, std::make_shared<const Block>(std::move(block)));
 }
 
 void GossipServer::on_verified(const Hash256& ref, bool ok) {
@@ -75,8 +75,7 @@ void GossipServer::on_verified(const Hash256& ref, bool ok) {
     return;
   }
   if (dag_.known(ref)) return;  // resolved out-of-band while in flight
-  pending_.emplace(ref, std::move(block));
-  try_insert_pending();
+  buffer(ref, std::move(block));
 }
 
 void GossipServer::mark_rejected(const Hash256& ref) {
@@ -90,52 +89,98 @@ void GossipServer::mark_rejected(const Hash256& ref) {
   }
 }
 
-void GossipServer::try_insert_pending() {
-  // Lines 6–9: insert every buffered block that became valid; repeat until
-  // a fixed point, since each insertion can unblock others.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      const BlockPtr& cand = it->second;
-      // σ was verified once at ingress (handle_block); only the structural
-      // conditions can change as the DAG grows.
-      // A pred that was pruned can never come back: in crash-fault runs
-      // every direct referencer of a pruned block was already in the DAG
-      // when GC ran (the tip-closure argument in collect_garbage), so a
-      // *new* block referencing pruned history can only be byzantine-built
-      // — reject it instead of FWD-chasing a block nobody stores anymore.
-      const bool pruned_pred =
-          std::any_of(cand->preds().begin(), cand->preds().end(),
-                      [this](const Hash256& p) {
-                        return dag_.known(p) && !dag_.contains(p);
-                      });
-      const ValidityError err =
-          pruned_pred ? ValidityError::kNoParent
-                      : validator_.check(*cand, dag_, /*skip_signature=*/true);
-      if (err == ValidityError::kMissingPred) {
-        ++it;
-        continue;
-      }
-      if (err == ValidityError::kOk) {
-        insert_valid(cand);
-      } else {
-        mark_rejected(cand->ref());
-        ++stats_.blocks_rejected;
-      }
-      it = pending_.erase(it);
-      progress = true;
-    }
+void GossipServer::buffer(const Hash256& ref, BlockPtr block) {
+  for (const Hash256& p : block->preds()) {
+    if (dag_.contains(p)) continue;
+    std::vector<Hash256>& waiters = waiting_on_[p];
+    if (waiters.empty() || waiters.back() != ref) waiters.push_back(ref);
   }
+  pending_.emplace(ref, std::move(block));
+  recheck_.push_back(ref);
+  sweep_pending();
 
   // Lines 10–11: for buffered blocks with unknown predecessors, arm a FWD
-  // timer towards the builder of the referencing block.
-  for (const auto& [ref, cand] : pending_) {
-    (void)ref;
+  // timer towards the builder of the referencing block. The others' missing
+  // preds were armed when they arrived, unless rearm_all_ says otherwise.
+  const auto arm = [this](const BlockPtr& cand) {
     for (const Hash256& p : cand->preds()) {
-      if (!dag_.contains(p) && !pending_.count(p)) {
-        schedule_fwd(p, cand->n());
+      if (!dag_.contains(p) && !pending_.count(p)) schedule_fwd(p, cand->n());
+    }
+  };
+  if (std::exchange(rearm_all_, false)) {
+    for (const auto& entry : pending_) arm(entry.second);
+  } else if (const auto it = pending_.find(ref); it != pending_.end()) {
+    arm(it->second);
+  }
+}
+
+ValidityError GossipServer::pending_verdict(const Block& cand) const {
+  // σ was verified once at ingress (handle_block); only the structural
+  // conditions can change as the DAG grows.
+  // A pred that was pruned can never come back: in crash-fault runs
+  // every direct referencer of a pruned block was already in the DAG
+  // when GC ran (the tip-closure argument in collect_garbage), so a
+  // *new* block referencing pruned history can only be byzantine-built
+  // — reject it instead of FWD-chasing a block nobody stores anymore.
+  const bool pruned_pred =
+      std::any_of(cand.preds().begin(), cand.preds().end(),
+                  [this](const Hash256& p) { return dag_.known(p) && !dag_.contains(p); });
+  return pruned_pred ? ValidityError::kNoParent
+                     : validator_.check(cand, dag_, /*skip_signature=*/true);
+}
+
+void GossipServer::sweep_pending() {
+  // Lines 6–9: insert every buffered block that became valid, until a
+  // fixed point. The outcome is that of scanning blks in its iteration order
+  // pass after pass until one changes nothing; it fixes the order of the
+  // references in the block under construction, so it is kept exactly. But
+  // a scan is O(|blks|) per arrival, and a server walking a gap back by FWD
+  // buffers thousands. So only blocks that can have left kMissingPred are
+  // visited, each at the (pass, position) where the scan would reach it.
+  std::vector<Hash256> seeds = std::exchange(recheck_, {});
+  std::erase_if(seeds, [this](const Hash256& ref) {
+    const auto it = pending_.find(ref);
+    return it == pending_.end() || pending_verdict(*it->second) == ValidityError::kMissingPred;
+  });
+  if (seeds.empty()) return;
+
+  // Erasing from an unordered_map keeps the others' iteration order.
+  std::vector<Hash256> order;
+  std::unordered_map<Hash256, std::size_t> position;
+  for (const auto& entry : pending_) {
+    position.emplace(entry.first, order.size());
+    order.push_back(entry.first);
+  }
+  using Visit = std::pair<std::size_t, std::size_t>;  // (pass, position)
+  std::priority_queue<Visit, std::vector<Visit>, std::greater<>> visits;
+  for (const Hash256& ref : seeds) visits.push({0, position.at(ref)});
+
+  while (!visits.empty()) {
+    const Visit at = visits.top();
+    visits.pop();
+    const auto it = pending_.find(order[at.second]);
+    if (it == pending_.end()) continue;  // decided at an earlier visit
+    const BlockPtr cand = it->second;
+    const ValidityError err = pending_verdict(*cand);
+    if (err == ValidityError::kMissingPred) continue;
+    pending_.erase(it);
+    if (err == ValidityError::kOk) {
+      insert_valid(cand);  // every pred it waited on entered G before it
+    } else {
+      for (const Hash256& p : cand->preds()) {
+        const auto waiters = waiting_on_.find(p);
+        if (waiters == waiting_on_.end()) continue;
+        std::erase(waiters->second, cand->ref());
+        if (waiters->second.empty()) waiting_on_.erase(waiters);
       }
+      mark_rejected(cand->ref());
+      ++stats_.blocks_rejected;
+      rearm_all_ = true;  // its referencers now miss it
+    }
+    // The scan reaches a woken block later in this pass, or in the next.
+    for (const Hash256& ref : std::exchange(recheck_, {})) {
+      const std::size_t pos = position.at(ref);
+      visits.push({pos > at.second ? at.first : at.first + 1, pos});
     }
   }
 }
@@ -144,6 +189,7 @@ void GossipServer::insert_valid(const BlockPtr& block) {
   const bool ok = dag_.insert(block);
   assert(ok);
   (void)ok;
+  wake_waiters(block->ref());
   ++stats_.blocks_inserted;
   // Line 8: reference the newly valid block in the block under
   // construction. This runs exactly once per block — insertion is gated on
@@ -151,6 +197,13 @@ void GossipServer::insert_valid(const BlockPtr& block) {
   // the ingredient of no-duplication (Lemma 4.3(2)).
   building_preds_.push_back(block->ref());
   if (on_inserted_) on_inserted_(block);
+}
+
+void GossipServer::wake_waiters(const Hash256& inserted) {
+  const auto it = waiting_on_.find(inserted);
+  if (it == waiting_on_.end()) return;
+  recheck_.insert(recheck_.end(), it->second.begin(), it->second.end());
+  waiting_on_.erase(it);
 }
 
 void GossipServer::schedule_fwd(const Hash256& missing, ServerId ask) {
@@ -175,6 +228,7 @@ void GossipServer::fire_fwd(const Hash256& missing, ServerId ask, std::uint32_t 
   net_send(ask, WireKind::kFwdRequest, encode_fwd_request(missing));
   if (config_.max_fwd_retries != 0 && attempt >= config_.max_fwd_retries) {
     fwd_armed_.erase(missing);
+    rearm_all_ = true;
     return;  // give up: only byzantine-referenced blocks can dangle forever
   }
   timers_.schedule_after(config_.fwd_retry_delay, [this, missing, ask, attempt] {
@@ -215,6 +269,7 @@ void GossipServer::disseminate(bool even_if_empty) {
   const bool ok = dag_.insert(block);
   assert(ok);
   (void)ok;
+  wake_waiters(ref);
   ++stats_.blocks_built;
   ++stats_.blocks_inserted;
   if (on_inserted_) on_inserted_(block);
@@ -314,6 +369,8 @@ std::size_t GossipServer::collect_garbage(std::uint32_t n_servers) {
   }
   const std::size_t removed = dag_.prune_common_ancestors(tips);
   if (removed != 0) {
+    // A buffered block may now reference pruned history: look at all again.
+    for (const auto& entry : pending_) recheck_.push_back(entry.first);
     ++stats_.gc_runs;
     stats_.blocks_pruned += removed;
   }
@@ -334,6 +391,7 @@ bool GossipServer::restore_parts(const std::vector<Hash256>& horizon,
   }
   if (staged.size() != blocks.size()) return false;  // duplicate entries
   dag_ = std::move(staged);
+  for (const auto& entry : pending_) recheck_.push_back(entry.first);
   next_k_ = next_k;
   building_preds_ = std::move(building_preds);
   if (on_inserted_) {
@@ -346,6 +404,7 @@ bool GossipServer::restore_own_block(const BlockPtr& block) {
   if (!block || block->n() != self_) return false;
   if (dag_.known(block->ref())) return false;  // log/checkpoint overlap
   if (!dag_.insert(block)) return false;
+  wake_waiters(block->ref());
   ++stats_.blocks_built;
   ++stats_.blocks_inserted;
   if (on_inserted_) on_inserted_(block);

@@ -18,6 +18,7 @@
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/signature.h"
 #include "dag/dag.h"
@@ -197,8 +198,11 @@ class GossipServer {
   void net_send(ServerId to, WireKind kind, Bytes payload);
   void net_broadcast(WireKind kind, const Bytes& payload);
   void handle_fwd_request(ServerId from, const Hash256& ref);
-  void try_insert_pending();
+  void buffer(const Hash256& ref, BlockPtr block);
+  void sweep_pending();
+  ValidityError pending_verdict(const Block& cand) const;
   void insert_valid(const BlockPtr& block);
+  void wake_waiters(const Hash256& inserted);
   void schedule_fwd(const Hash256& missing, ServerId ask);
   void fire_fwd(const Hash256& missing, ServerId ask, std::uint32_t attempt);
 
@@ -217,8 +221,19 @@ class GossipServer {
   SeqNo next_k_ = 0;
   std::vector<Hash256> building_preds_;
 
-  // blks: received, not-yet-insertable blocks, keyed by ref.
+  // blks: received, not-yet-insertable blocks, keyed by ref. Lines 6–9
+  // sweep them in this map's iteration order.
   std::unordered_map<Hash256, BlockPtr> pending_;
+  // A pred G lacks → the buffered blocks that reference it. A buffered
+  // block's verdict leaves kMissingPred only when such a pred enters G, or
+  // when GC prunes one of its preds.
+  std::unordered_map<Hash256, std::vector<Hash256>> waiting_on_;
+  // Buffered blocks the next sweep must look at: an arrival, the waiters
+  // of a pred that entered G, or all of them after GC.
+  std::vector<Hash256> recheck_;
+  // A buffered block was rejected (its referencers now miss it) or a FWD
+  // timer gave up: the next arrival arms every missing pred again.
+  bool rearm_all_ = false;
   // Blocks parked while their signature check runs off-thread.
   std::unordered_map<Hash256, BlockPtr> verifying_;
   // Missing refs with an armed FWD timer (avoid duplicate timers).

@@ -62,11 +62,6 @@ void UdpTransport::set_link_fault(ServerId from, ServerId to,
   fault_overrides_[{from, to}] = fault;
 }
 
-void UdpTransport::set_default_fault(const LinkFault& fault) {
-  std::lock_guard<std::mutex> lock(mu_);
-  default_fault_ = fault;
-}
-
 void UdpTransport::set_partition(const std::vector<ServerId>& side_a,
                                  const std::vector<ServerId>& side_b,
                                  bool active) {
@@ -78,13 +73,6 @@ void UdpTransport::set_partition(const std::vector<ServerId>& side_a,
       blackholed_[b * n_ + a] = active;
     }
   }
-}
-
-void UdpTransport::heal_all_faults() {
-  std::lock_guard<std::mutex> lock(mu_);
-  fault_overrides_.clear();
-  default_fault_ = LinkFault{};
-  std::fill(blackholed_.begin(), blackholed_.end(), false);
 }
 
 // mu_ held. Packs everything queued on the link into wire frames and

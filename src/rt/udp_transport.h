@@ -141,16 +141,11 @@ class UdpTransport final : public LinkLayer {
 
   // Overrides the profile of one directed link.
   void set_link_fault(ServerId from, ServerId to, const LinkFault& fault);
-  // Replaces the default profile (links without an override).
-  void set_default_fault(const LinkFault& fault);
   // Blackholes (active=true) or heals (false) every directed link crossing
   // the cut, both directions — the real-socket analogue of
   // SimNetwork::partition, except healing is explicit.
   void set_partition(const std::vector<ServerId>& side_a,
                      const std::vector<ServerId>& side_b, bool active);
-  // Clears every override, partition and the default profile: a clean
-  // network from here on (already-delayed datagrams still deliver).
-  void heal_all_faults();
 
   UdpStats stats() const;
   UdpLinkStats link_stats(ServerId from, ServerId to) const;
@@ -206,7 +201,7 @@ class UdpTransport final : public LinkLayer {
   // Fault state: default + per-link overrides + partition bitmap (n×n,
   // row-major), consulted per outbound datagram.
   Rng fault_rng_;
-  LinkFault default_fault_;
+  const LinkFault default_fault_;
   std::map<std::pair<ServerId, ServerId>, LinkFault> fault_overrides_;
   std::vector<bool> blackholed_;
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<Delayed>>

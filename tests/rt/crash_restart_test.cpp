@@ -240,16 +240,8 @@ void broadcast_some(ThreadedRuntime& runtime, Label first, int count) {
 // lets that store return unwritten: the store never lands, exactly what a
 // SIGKILL before the rename leaves on disk. crash() joins the writer, so
 // it runs on a helper thread until the release.
-//
-// Every server stops disseminating first. With state sync off, the blocks
-// the others would build while the kill takes (tens of ms under Tsan) are
-// a gap the restarted victim must walk back one FWD round trip at a time,
-// while their new blocks pile up in its pending set; each arrival rescans
-// that set (GossipServer::try_insert_pending), so on a loaded host the
-// victim could fall behind for good and never reach its next held store.
 void crash_while_held(ThreadedRuntime& runtime, testing::FailingSink& sink,
                       ServerId victim) {
-  runtime.stop();
   std::thread crasher([&runtime, victim] { runtime.crash(victim); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   sink.release(/*land=*/false);
@@ -301,6 +293,7 @@ TEST(CrashRestart, CrashBeforeTheStoreLandsThenAgainFromTheChainedLog) {
   // Crash 1: blocks keep landing in epoch 2's log while its store hangs.
   ASSERT_EQ(sink.wait_held(/*appends=*/12), 2u);
   crash_while_held(runtime, sink, kVictim);
+  runtime.stop();
   ASSERT_TRUE(runtime.wait_idle(std::chrono::seconds(10)));
   const ServerState before1 = state_after_gc(runtime, kVictim);
   EXPECT_TRUE(dirs.has(kVictim, "checkpoint-1.ckpt"));
@@ -316,6 +309,7 @@ TEST(CrashRestart, CrashBeforeTheStoreLandsThenAgainFromTheChainedLog) {
   broadcast_some(runtime, 200, 6);
   ASSERT_EQ(sink.wait_held(/*appends=*/12), 3u);
   crash_while_held(runtime, sink, kVictim);
+  runtime.stop();
   ASSERT_TRUE(runtime.wait_idle(std::chrono::seconds(10)));
   const ServerState before2 = state_after_gc(runtime, kVictim);
   EXPECT_TRUE(dirs.has(kVictim, "checkpoint-1.ckpt"));

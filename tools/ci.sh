@@ -99,11 +99,9 @@ done
 # One checkpoint crash point loops 24 times, each run under a timeout: crash()
 # joins a writer blocked mid-store while the server thread keeps appending
 # to the next epoch's log, and a run that hangs must fail, not stall CI.
-i=0
-while [ "$i" -lt 24 ]; do
+for i in $(seq 24); do
   timeout 120 ./build-ci-tsan/rt_crash_restart_test \
       --gtest_filter='CrashRestart.CrashBeforeTheStoreLandsThenAgainFromTheChainedLog' >/dev/null
-  i=$((i + 1))
 done
 
 echo "==> CI OK"

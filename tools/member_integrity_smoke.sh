@@ -1,16 +1,13 @@
 #!/usr/bin/env sh
 # A cluster member runs the same checkers as every other runtime: `simctl
 # serve --instances 3` beside `simctl join --instances 6` over localhost
-# TCP. The joiner broadcasts labels 101, 103 and 105 from its server, so
-# member 0 delivers labels 103 and 105, which its own plan never broadcast.
-# Its BRB checker must report that as an integrity violation, and both
-# members must exit 1 (the joiner also waits in vain for label 104, which
-# only member 0 could have broadcast).
+# TCP. Member 0 then delivers labels 103 and 105 (the joiner's), which its
+# own plan never broadcast: its BRB checker must report an integrity
+# violation, and both members exit 1 (the joiner waits in vain for 104).
 #
 # Usage: tools/member_integrity_smoke.sh <path-to-simctl>
-#
-# Ports are derived from this shell's PID and retried on bind collision
-# (simctl exits 2 when an acceptor cannot bind).
+# Ports derive from this shell's PID and are retried when a bind fails
+# (simctl exits 2).
 set -u
 
 simctl="${1:?usage: member_integrity_smoke.sh <path-to-simctl>}"
